@@ -29,6 +29,8 @@ from .scalar import make_field
 
 DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ELEMENT_CAP = 2_000_000
+_WORD_MASK = (1 << 64) - 1
+_JOIN_BLOCK_CELLS = 1 << 20  # (union, element) cells per block of the subset test
 
 
 class CoxeterError(Exception):
@@ -515,8 +517,46 @@ class GroupElement:
         return f"<{self.word_str()}>"
 
 
+class NoUpperBound(CoxeterError):
+    """No element dominates both arguments (cannot happen in a finite group)."""
+
+
+class NonUniqueMinimal(CoxeterError):
+    """The minimal upper bounds are not unique, so the join does not exist."""
+
+
+def bits_to_words(bits: int, n_words: int) -> np.ndarray:
+    """A root bit-set as n_words little-endian uint64 words."""
+    return np.array(
+        [bits >> (64 * w) & _WORD_MASK for w in range(n_words)], dtype=np.uint64
+    )
+
+
+def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """Bit-matrix transpose between row-packed and column-packed layouts.
+
+    words is (rows, w) uint64 and holds bits 0..n_bits-1 of every row; the
+    result is (n_bits, ceil(rows / 64)) uint64 whose row c has bit r set
+    exactly when row r of the input has bit c set.
+    """
+    rows = words.shape[0]
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(as_bytes, axis=1, count=n_bits, bitorder="little")
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    out = np.zeros((n_bits, 8 * -(-rows // 64)), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
 class _NumpyTables:
-    """Vectorized multiplication/length tables shared by reachability sweeps."""
+    """Vectorized product tables, packed inversion sets and descent steps.
+
+    Elements are numbered in enumeration order, along which length never
+    decreases, so each length level is a contiguous range of ids.  For both
+    sides the length-decreasing steps (root r, predecessor p) into every
+    element are listed level by level, grouped by element; these lists are
+    all the reachability kernel reads.
+    """
 
     def __init__(self, system: "CoxeterSystem"):
         n_roots = system.table.n_roots
@@ -548,28 +588,125 @@ class _NumpyTables:
         self.left = left
         self.right = right
         self.lengths = np.array(system.lengths, dtype=np.int16)
-        self.asc_left = self.lengths[left] > self.lengths[None, :]
-        self.asc_right = self.lengths[right] > self.lengths[None, :]
+        if self.lengths[0] != 0 or (np.diff(self.lengths) < 0).any():
+            raise CoxeterError(
+                "enumeration order must start at e and never decrease length"
+            )
         self.refl_ids = np.array(
             [system._refl_elem[r] for r in range(n_roots)], dtype=np.int32
         )
-        max_len = int(self.lengths.max())
-        self.levels = [
-            np.nonzero(self.lengths == k)[0].astype(np.int32)
-            for k in range(max_len + 1)
-        ]
-        if n_roots <= 62:
-            self.bits64 = np.array(system.inv_bits, dtype=np.int64)
-            self.pow2 = (np.int64(1) << np.arange(n_roots, dtype=np.int64))
-            self.invm = (self.bits64[:, None] >> np.arange(n_roots)[None, :]) & 1 != 0
-        else:  # pragma: no cover - beyond the supported desk scale
-            self.bits64 = None
-            self.pow2 = None
-            self.invm = np.zeros((size, n_roots), dtype=bool)
-            for x, bits in enumerate(system.inv_bits):
-                for r in range(n_roots):
-                    if bits >> r & 1:
-                        self.invm[x, r] = True
+        self.n_roots = n_roots
+        self.n_words = -(-n_roots // 64)
+        self.inv_words = np.array(
+            [bits_to_words(bits, self.n_words) for bits in system.inv_bits],
+            dtype=np.uint64,
+        )
+        bounds = np.searchsorted(
+            self.lengths, np.arange(int(self.lengths[-1]) + 2)
+        )
+        self.steps = {
+            "left": _descent_steps(left, self.lengths, bounds),
+            "right": _descent_steps(right, self.lengths, bounds),
+        }
+
+    def words(self, bits: int) -> np.ndarray:
+        """One root bit-set as a (1, n_words) batch for the kernels."""
+        return bits_to_words(bits, self.n_words)[None, :]
+
+
+def _descent_steps(
+    mul: np.ndarray, lengths: np.ndarray, bounds: np.ndarray
+) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per level k >= 1: (lo, hi, roots, preds, segment starts).
+
+    Elements lo..hi-1 have length k.  The steps into them with
+    lengths[mul[r, x]] < lengths[x] are listed by element, then by root;
+    segment starts index each element's first step.  Every element of
+    positive length has a descent, so no segment is empty.
+    """
+    target, root = np.nonzero(lengths[mul].T < lengths[:, None])
+    pred = mul[root, target].astype(np.intp)
+    root = root.astype(np.intp)
+    first = np.searchsorted(target, np.arange(lengths.size + 1))
+    levels = []
+    for k in range(1, bounds.size - 1):
+        lo, hi = int(bounds[k]), int(bounds[k + 1])
+        e0, e1 = first[lo], first[hi]
+        levels.append(
+            (lo, hi, root[e0:e1], pred[e0:e1], (first[lo:hi] - e0).astype(np.intp))
+        )
+    return levels
+
+
+# -- the two kernels -------------------------------------------------------------
+
+
+def reach_words(tables: _NumpyTables, unions: np.ndarray, side: str) -> np.ndarray:
+    """Length-increasing reachability from e under each union, 64 unions a word.
+
+    unions is (k, n_words) uint64, one root set of labels per row.  The
+    result is (|W|, ceil(k / 64)) uint64: bit j % 64 of word j // 64 in row
+    x is set when x is reachable under union j, by steps x -> s_alpha * x
+    (side="left") or x -> x * s_alpha (side="right") with alpha in the union
+    and length going up.  A level dynamic program: reach[x] is the OR of
+    reach[p] & labels[r] over the descent steps (r, p) into x.
+    """
+    labels = transpose_bits(unions, tables.n_roots)
+    reach = np.zeros((tables.lengths.size, labels.shape[1]), dtype=np.uint64)
+    reach[0] = _WORD_MASK
+    for lo, hi, root, pred, segments in tables.steps[
+        "left" if side == "left" else "right"
+    ]:
+        step = reach.take(pred, axis=0)
+        step &= labels.take(root, axis=0)
+        np.bitwise_or.reduceat(step, segments, axis=0, out=reach[lo:hi])
+    return reach
+
+
+def _upper_bounds(
+    tables: _NumpyTables, sets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each row A of sets: how many x have A inside Phi_x, and the first x.
+
+    An exact subset test over blocks of element rows; first is -1 when no
+    element contains A.
+    """
+    inv = tables.inv_words
+    k, n_words = sets.shape
+    count = np.zeros(k, dtype=np.int64)
+    first = np.full(k, -1, dtype=np.intp)
+    rows = max(1, _JOIN_BLOCK_CELLS // max(k, 1))
+    for lo in range(0, inv.shape[0], rows):
+        absent = ~inv[lo:lo + rows]
+        miss = sets[:, None, 0] & absent[None, :, 0]
+        for w in range(1, n_words):
+            miss |= sets[:, None, w] & absent[None, :, w]
+        upper = miss == 0
+        found = np.count_nonzero(upper, axis=1)
+        fresh = np.nonzero((first < 0) & (found > 0))[0]
+        first[fresh] = lo + upper[fresh].argmax(axis=1)
+        count += found
+    return count, first
+
+
+def weak_joins(tables: _NumpyTables, unions: np.ndarray) -> np.ndarray:
+    """Element id of the weak-order join for each union of inversion sets.
+
+    unions is (k, n_words) uint64.  x is an upper bound of A when Phi_x
+    contains A; the first upper bound in enumeration order is the shortest,
+    since length never decreases along that order.  It is the join only if
+    it lies below every other upper bound, i.e. A and Phi_join have the same
+    upper bounds (those of Phi_join are always among those of A), so both
+    are counted; a finite weak order is a lattice and either failure raises.
+    """
+    count, first = _upper_bounds(tables, unions)
+    if (first < 0).any():
+        raise NoUpperBound("some union admits no upper bound in a finite group")
+    joins, slot = np.unique(first, return_inverse=True)
+    above_join, _ = _upper_bounds(tables, tables.inv_words[joins])
+    if (above_join[slot] != count).any():
+        raise NonUniqueMinimal("minimal upper bound is not unique")
+    return first
 
 
 class CoxeterSystem:
@@ -619,7 +756,11 @@ class CoxeterSystem:
                     self.words.append(self.words[x] + (i + 1,))
                     self.lengths.append(bits.bit_count())
                     # breadth-first arrival: the recorded word is reduced
-                    assert self.lengths[y] == len(self.words[y])
+                    if self.lengths[y] != len(self.words[y]):
+                        raise CoxeterError(
+                            "breadth-first word is not reduced: the root table "
+                            "is inconsistent"
+                        )
                     self._right_by_gen.append([-1] * n)
                     queue.append(y)
                 self._right_by_gen[x][i] = y
@@ -632,7 +773,8 @@ class CoxeterSystem:
                 if image < 0:
                     bits |= 1 << v
             elem = self._id_by_bits[bits]
-            assert self.lengths[elem] % 2 == 1
+            if self.lengths[elem] % 2 != 1:
+                raise CoxeterError("a reflection must have odd length")
             self._refl_elem.append(elem)
             self._root_of_elem[elem] = r
         self._w0 = self._id_by_bits[(1 << n_roots) - 1]
@@ -705,30 +847,11 @@ class CoxeterSystem:
         side="left" steps x -> s_alpha * x (Bruhat-path arrival vertices),
         side="right" steps x -> x * s_alpha (the tau product map); in both
         cases only steps that increase length are taken and the start
-        vertex (the identity) is marked.
+        vertex (the identity) is marked.  One call of the batched kernel
+        with a batch of one.
         """
         npt = self.numpy_tables()
-        mul = npt.left if side == "left" else npt.right
-        asc = npt.asc_left if side == "left" else npt.asc_right
-        visited = np.zeros(self.size, dtype=bool)
-        visited[0] = True
-        labels = np.array(
-            [r for r in range(self.table.n_roots) if label_bits >> r & 1],
-            dtype=np.intp,
-        )
-        if labels.size == 0:
-            return visited
-        frontier = np.array([0], dtype=np.intp)
-        while frontier.size:
-            grid = np.ix_(labels, frontier)
-            targets = mul[grid][asc[grid]]
-            if targets.size == 0:
-                break
-            targets = np.unique(targets)
-            targets = targets[~visited[targets]]
-            visited[targets] = True
-            frontier = targets.astype(np.intp)
-        return visited
+        return reach_words(npt, npt.words(label_bits), side)[:, 0] & 1 != 0
 
     # -- type-A permutation dictionary ----------------------------------------
 

@@ -13,9 +13,11 @@ that the two routes agree pair by pair (same verdict and the same rhs).
 
 The engine batches work by *distinct unions*: many ordered pairs share one
 union A, and every quantity above depends on the pair only through A.
-Reachability runs as a length-level dynamic program over all unions in a
-chunk at once, and joins come from two boolean matrix products (upper
-bounds, then minimality of the shortest one).
+Both kernels live in `coxeter`.  Reachability runs as a length-level
+dynamic program over all unions in a chunk at once, on uint64 words that
+each hold 64 unions.  Joins come from an exact integer subset test of A
+against the packed inversion sets (the first upper bound in enumeration
+order, then minimality of that one).
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coxeter import CoxeterGraph, CoxeterSystem, build_system
+from .coxeter import (
+    CoxeterGraph,
+    CoxeterSystem,
+    build_system,
+    reach_words,
+    transpose_bits,
+    weak_joins,
+)
 
 DEFAULT_CHUNK = 4096
 MAX_RECORDED_FAILURES = 100
@@ -102,72 +111,35 @@ def _describe(system: CoxeterSystem) -> str:
 _POOL_STATE: dict = {}
 
 
-def _union_masks(unions: np.ndarray, n_roots: int) -> np.ndarray:
-    return (unions[:, None] >> np.arange(n_roots, dtype=np.int64)[None, :]) & 1 != 0
-
-
-def _joins_for_chunk(system: CoxeterSystem, masks: np.ndarray) -> np.ndarray:
-    """Join element id for each union in the chunk (masks: kc x n_roots)."""
-    npt = system.numpy_tables()
-    absent = (~npt.invm).astype(np.float32)
-    want = masks.T.astype(np.float32)
-    missing = absent @ want  # missing[x, k] = #roots of union k outside Phi_x
-    upper = missing == 0.0
-    if not upper.any(axis=0).all():
-        raise RuntimeError("some union admits no upper bound in a finite group")
-    lengths = np.where(upper, npt.lengths[:, None].astype(np.int32), 1 << 30)
-    join_ids = np.argmin(lengths, axis=0).astype(np.int32)
-    # the shortest upper bound must lie below every other upper bound
-    join_masks = npt.invm[join_ids]
-    missing2 = absent @ join_masks.T.astype(np.float32)
-    if (upper & (missing2 > 0.0)).any():
-        raise RuntimeError("minimal upper bound is not unique")
-    return join_ids
+def _joins_for_chunk(system: CoxeterSystem, unions: np.ndarray) -> np.ndarray:
+    """Join element id for each union in the chunk (unions: kc x n_words)."""
+    return weak_joins(system.numpy_tables(), unions)
 
 
 def _reachable_reflection_bits(
-    system: CoxeterSystem, masks: np.ndarray, side: str
+    system: CoxeterSystem, unions: np.ndarray, side: str
 ) -> np.ndarray:
-    """Packed root bits of reflections reachable under each union in the chunk.
-
-    Level dynamic program over element lengths: an element is reachable
-    exactly when some label of the union steps down to an already-reachable
-    shorter element (mirrors CoxeterSystem.reachable_ids, identity marked).
-    """
+    """Root words (kc x n_words) of the reflections reachable under each union."""
     npt = system.numpy_tables()
-    mul = npt.left if side == "left" else npt.right
-    asc = npt.asc_left if side == "left" else npt.asc_right
-    kc = masks.shape[0]
-    masks_t = masks.T  # (n_roots, kc)
-    reach = np.zeros((system.size, kc), dtype=bool)
-    reach[0] = True
-    for level in npt.levels[1:]:
-        preds = mul[:, level]          # (n_roots, n_level) element ids
-        down = ~asc[:, level]          # predecessor steps decrease length
-        gather = reach[preds]          # (n_roots, n_level, kc)
-        gather &= down[:, :, None]
-        gather &= masks_t[:, None, :]
-        reach[level] = gather.any(axis=0)
-    hit = reach[npt.refl_ids]          # (n_roots, kc)
-    return (hit * npt.pow2[:, None]).sum(axis=0, dtype=np.int64)
+    reach = reach_words(npt, unions, side)
+    return transpose_bits(reach[npt.refl_ids], unions.shape[0])
 
 
 def _process_chunk(span: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """Worker body: per-union lhs/rhs bits for unions[span[0]:span[1]]."""
     system: CoxeterSystem = _POOL_STATE["system"]
-    unions: np.ndarray = _POOL_STATE["unions"]
+    unions = _POOL_STATE["unions"][span[0]:span[1], None]
     want_left: bool = _POOL_STATE["want_left"]
     want_right: bool = _POOL_STATE["want_right"]
-    npt = system.numpy_tables()
-    masks = _union_masks(unions[span[0]:span[1]], system.table.n_roots)
-    join_ids = _joins_for_chunk(system, masks)
-    lhs = npt.bits64[join_ids]
-    empty = np.zeros(0, dtype=np.int64)
+    lhs = system.numpy_tables().inv_words[_joins_for_chunk(system, unions), 0]
+    empty = np.zeros(0, dtype=np.uint64)
     rhs_left = (
-        _reachable_reflection_bits(system, masks, "left") if want_left else empty
+        _reachable_reflection_bits(system, unions, "left")[:, 0]
+        if want_left else empty
     )
     rhs_right = (
-        _reachable_reflection_bits(system, masks, "right") if want_right else empty
+        _reachable_reflection_bits(system, unions, "right")[:, 0]
+        if want_right else empty
     )
     return lhs, rhs_left, rhs_right
 
@@ -278,11 +250,10 @@ def _run_sweep(
     if system.table.n_roots > 62:
         raise ValueError("sweeps support at most 62 positive roots")
     workers = workers_from_env(1) if workers is None else workers
-    npt = system.numpy_tables()
+    # within the root guard every inversion set and union is one uint64 word
+    words = system.numpy_tables().inv_words[:, 0]
     us, vs = _pair_arrays(system, sample, seed)
-    unions, inverse = np.unique(
-        npt.bits64[us] | npt.bits64[vs], return_inverse=True
-    )
+    unions, inverse = np.unique(words[us] | words[vs], return_inverse=True)
     want_left = conjecture in ("H", "EQ")
     want_right = conjecture in ("D", "EQ")
     lhs, rhs_left, rhs_right = _sweep_unions(

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coxeter import (
+from .coxeter import (  # the join errors are re-exported from here
     CoxeterError,
     CoxeterSystem,
     GroupElement,
+    NonUniqueMinimal,
+    NoUpperBound,
     RootSubset,
     RootTable,
     left_reflection_set,
+    weak_joins,
 )
 
 ORACLE_CAP = 20
@@ -30,14 +33,6 @@ ORACLE_CAP = 20
 
 class OracleTooLarge(CoxeterError):
     """The 2^n biclosed-subset enumeration was asked beyond its cap."""
-
-
-class NoUpperBound(CoxeterError):
-    """No element dominates both arguments (cannot happen in a finite group)."""
-
-
-class NonUniqueMinimal(CoxeterError):
-    """The minimal upper bounds are not unique, so the join does not exist."""
 
 
 # -- closure predicates -----------------------------------------------------------
@@ -108,24 +103,13 @@ def leq_weak(u: GroupElement, v: GroupElement) -> bool:
 def join_of_union_bits(system: CoxeterSystem, union_bits: int) -> int:
     """Index of the least element whose inversion set contains the given roots.
 
-    Scans the whole group for upper bounds, takes the shortest, and checks
-    it lies below every other upper bound; a finite weak order is a
-    lattice, so failure of either step is reported as an error.
+    The batched join kernel with a batch of one: the shortest upper bound,
+    checked to lie below every other upper bound; a finite weak order is a
+    lattice, so failure of either step raises NoUpperBound or
+    NonUniqueMinimal.
     """
-    if union_bits == 0:
-        return 0
     npt = system.numpy_tables()
-    cols = [r for r in range(system.table.n_roots) if union_bits >> r & 1]
-    upper = npt.invm[:, cols].all(axis=1)
-    ids = np.nonzero(upper)[0]
-    if ids.size == 0:
-        raise NoUpperBound("no common upper bound found")
-    best = int(ids[np.argmin(npt.lengths[ids])])
-    best_cols = [r for r in range(system.table.n_roots)
-                 if system.inv_bits[best] >> r & 1]
-    if not npt.invm[np.ix_(ids, best_cols)].all():
-        raise NonUniqueMinimal("minimal upper bound is not unique")
-    return best
+    return int(weak_joins(npt, npt.words(union_bits))[0])
 
 
 def join_bruteforce(u: GroupElement, v: GroupElement) -> GroupElement:

@@ -255,6 +255,18 @@ def test_cap_exceeded_is_construction_error(capsys):
     assert "construction error" in err
 
 
+def test_broken_inversion_table_is_construction_error(monkeypatch, capsys):
+    system = build_system("A3")
+    npt = system.numpy_tables()
+    npt.inv_words = npt.inv_words.copy()
+    npt.inv_words[system.longest_element.index] = 0  # no element holds every root
+    monkeypatch.setattr(cli, "build_system", lambda *args, **kwargs: system)
+    rc, out, err = run(capsys, "verify", "--type", "A3", "--conjecture", "EQ")
+    assert rc == EXIT_CONSTRUCTION
+    assert out == ""
+    assert err == "construction error: some union admits no upper bound in a finite group\n"
+
+
 def test_infinite_matrix_is_construction_error(tmp_path, capsys):
     doc = {"m": [[1, 0], [0, 1]]}  # m=0 means the infinite bond
     path = tmp_path / "aff.json"

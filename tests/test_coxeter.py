@@ -6,14 +6,19 @@ from fractions import Fraction
 import pytest
 
 from weakorder.coxeter import (
+    CoxeterError,
     CoxeterGraph,
+    CoxeterSystem,
     FinitenessExceeded,
+    NonUniqueMinimal,
+    NoUpperBound,
     NotAReflection,
     RootSubset,
     WrongType,
     build_system,
     generate_positive_roots,
     left_reflection_set,
+    weak_joins,
 )
 
 # root counts and group orders from the classification of finite types
@@ -192,6 +197,37 @@ def test_left_and_right_reflection_products_are_involutions():
         for x in range(system.size):
             assert npt.left[r, int(npt.left[r, x])] == x
             assert npt.right[r, int(npt.right[r, x])] == x
+
+
+def test_enumeration_rejects_an_inconsistent_root_table():
+    table = generate_positive_roots(CoxeterGraph.from_name("A2"))
+    table.act = (table.act[2],) + table.act[1:]  # s1 acts as the length-3 reflection
+    with pytest.raises(CoxeterError, match="not reduced"):
+        CoxeterSystem(table)
+
+
+def test_tables_refuse_an_order_that_decreases_length():
+    system = build_system("A3")
+    system.lengths = list(system.lengths)
+    system.lengths[1], system.lengths[-1] = system.lengths[-1], system.lengths[1]
+    with pytest.raises(CoxeterError, match="never decrease length"):
+        system.numpy_tables()
+
+
+def test_join_kernel_errors_on_a_broken_table():
+    system = build_system("A3")
+    npt = system.numpy_tables()
+    s1 = system.element_from_word([1]).index
+    npt.inv_words = npt.inv_words.copy()
+    npt.inv_words[s1] = 0
+    # Phi(s1) now has the two upper covers of s1 as minimal upper bounds
+    with pytest.raises(NonUniqueMinimal):
+        weak_joins(npt, npt.words(system.inv_bits[s1]))
+    npt.inv_words[system.longest_element.index] = 0
+    with pytest.raises(NoUpperBound):
+        weak_joins(npt, npt.words(system.inv_bits[system.longest_element.index]))
+    assert issubclass(NoUpperBound, CoxeterError)
+    assert issubclass(NonUniqueMinimal, CoxeterError)
 
 
 def test_left_product_by_reflection_agrees_with_word_composition():

@@ -1,0 +1,119 @@
+"""The packed reachability kernel and the subset-test join kernel, bit for bit
+against the independent oracles in oracles.py.
+
+Every distinct union Phi_u | Phi_v of each type is run through both kernels
+at several chunk sizes, so that batches of one word, of a word and a bit
+and of many words all meet the oracle; a system with more than 64 roots
+checks the multi-word inversion sets of the single-pair helpers.
+"""
+
+import functools
+import random
+
+import numpy as np
+import pytest
+
+from oracles import joins_matmul, reachable_ids_bfs, reflection_bits
+from weakorder import (
+    build_system,
+    check_conjecture_H,
+    conjectural_join_D,
+    join_bruteforce,
+    left_reflection_set,
+)
+from weakorder.coxeter import bits_to_words, reach_words, weak_joins
+
+TYPES = ["A3", "B3", "H3", "I2(7)", "D4", "F4"]
+CHUNKS = [1, 63, 64, 65, 4096]
+
+
+@functools.lru_cache(maxsize=None)
+def _system(name):
+    return build_system(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _unions(name):
+    inv = _system(name).inv_bits
+    return tuple(sorted({a | b for a in inv for b in inv}))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_reach(name, side):
+    system = _system(name)
+    return np.array([reachable_ids_bfs(system, bits, side) for bits in _unions(name)])
+
+
+def _union_words(system, unions):
+    npt = system.numpy_tables()
+    return np.array([bits_to_words(bits, npt.n_words) for bits in unions])
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", TYPES)
+def test_kernels_match_oracles_bit_for_bit(name, chunk):
+    system = _system(name)
+    npt = system.numpy_tables()
+    unions = _unions(name)
+    words = _union_words(system, unions)
+    joins = np.concatenate(
+        [weak_joins(npt, words[lo:lo + chunk]) for lo in range(0, len(unions), chunk)]
+    )
+    assert np.array_equal(joins, joins_matmul(system, unions))
+    for side in ("left", "right"):
+        parts = []
+        for lo in range(0, len(unions), chunk):
+            reach = reach_words(npt, words[lo:lo + chunk], side)
+            assert reach.shape == (system.size, -(-min(chunk, len(unions) - lo) // 64))
+            bits = np.unpackbits(
+                reach.view(np.uint8), axis=1, count=reach.shape[1] * 64,
+                bitorder="little",
+            )
+            kc = min(chunk, len(unions) - lo)
+            assert not bits[1:, kc:].any()  # padding unions reach nothing past e
+            parts.append(bits[:, :kc].T.astype(bool))
+        assert np.array_equal(np.concatenate(parts), _oracle_reach(name, side)), side
+
+
+def test_more_than_62_roots():
+    system = build_system("I2(64)", backend="float")
+    assert system.table.n_roots == 64 and system.size == 128
+    npt = system.numpy_tables()
+    assert npt.n_words == 1
+    rng = random.Random(64)
+    pairs = [
+        (system.element(rng.randrange(128)), system.element(rng.randrange(128)))
+        for _ in range(40)
+    ]
+    unions = [u.inversion_bits | v.inversion_bits for u, v in pairs]
+    expected_joins = joins_matmul(system, unions)
+    for (u, v), bits, join_id in zip(pairs, unions, expected_joins):
+        phi_u, phi_v = left_reflection_set(u), left_reflection_set(v)
+        assert join_bruteforce(u, v).index == join_id
+        verdict = check_conjecture_H(u, v)
+        assert verdict.join.index == join_id
+        assert verdict.rhs.bits == reflection_bits(
+            system, reachable_ids_bfs(system, bits, "left")
+        )
+        assert conjectural_join_D(system, phi_u, phi_v).bits == reflection_bits(
+            system, reachable_ids_bfs(system, bits, "right")
+        )
+        assert verdict.holds
+
+
+def test_multi_word_inversion_sets():
+    system = build_system("I2(65)", backend="float")
+    npt = system.numpy_tables()
+    assert npt.n_words == 2
+    top = (1 << 65) - 1
+    assert np.array_equal(npt.inv_words[system.longest_element.index], [2**64 - 1, 1])
+    rng = random.Random(65)
+    for _ in range(20):
+        u = system.element(rng.randrange(system.size))
+        v = system.element(rng.randrange(system.size))
+        bits = u.inversion_bits | v.inversion_bits
+        assert join_bruteforce(u, v).index == joins_matmul(system, [bits])[0]
+        assert check_conjecture_H(u, v).rhs.bits == reflection_bits(
+            system, reachable_ids_bfs(system, bits, "left")
+        )
+    assert join_bruteforce(system.element(1), system.element(2)).inversion_bits == top

@@ -1,8 +1,10 @@
 """Tests for the batched sweep engine.
 
-The batched code path (distinct unions, level dynamic program, matmul
-joins) is cross-checked against the per-pair routines that walk one pair
-at a time, exhaustively on small groups.
+The batched code path (distinct unions, the packed-word level dynamic
+program, subset-test joins) is cross-checked against the single-pair
+routines, exhaustively on small groups.  Those routines call the same
+kernels with a batch of one, so the independent check of both kernels is
+test_kernels.py, against the oracles in oracles.py.
 """
 
 import json
@@ -29,13 +31,17 @@ from weakorder import verify as vf
 # -- batched engine vs per-pair routines -----------------------------------------------
 
 
+def _inv_words(system):
+    """Inversion sets as one uint64 word each (every type here has <= 64 roots)."""
+    return system.numpy_tables().inv_words[:, 0]
+
+
 def _per_pair_bits(system):
     """For every ordered pair: packed lhs / rhs-left / rhs-right bits."""
-    npt = system.numpy_tables()
     n = system.size
-    lhs = np.zeros(n * n, dtype=np.int64)
-    rhs_l = np.zeros(n * n, dtype=np.int64)
-    rhs_r = np.zeros(n * n, dtype=np.int64)
+    lhs = np.zeros(n * n, dtype=np.uint64)
+    rhs_l = np.zeros(n * n, dtype=np.uint64)
+    rhs_r = np.zeros(n * n, dtype=np.uint64)
     for i in range(n):
         u = system.element(i)
         for j in range(n):
@@ -53,11 +59,11 @@ def _per_pair_bits(system):
 @pytest.mark.parametrize("name", ["A3", "I2(6)"])
 def test_batched_matches_per_pair_routines(name):
     system = build_system(name)
-    npt = system.numpy_tables()
+    words = _inv_words(system)
     n = system.size
     us = np.repeat(np.arange(n, dtype=np.int32), n)
     vs = np.tile(np.arange(n, dtype=np.int32), n)
-    unions, inverse = np.unique(npt.bits64[us] | npt.bits64[vs], return_inverse=True)
+    unions, inverse = np.unique(words[us] | words[vs], return_inverse=True)
     lhs_u, rl_u, rr_u = vf._sweep_unions(
         system, unions, True, True, workers=1, chunk=64
     )
@@ -71,13 +77,12 @@ def test_batched_matches_per_pair_routines(name):
 
 def test_joins_for_chunk_against_join_bruteforce():
     system = build_system("B3")
-    npt = system.numpy_tables()
+    words = _inv_words(system)
     rng = np.random.default_rng(20240817)
     us = rng.integers(0, system.size, size=80).astype(np.int32)
     vs = rng.integers(0, system.size, size=80).astype(np.int32)
-    unions = npt.bits64[us] | npt.bits64[vs]
-    masks = vf._union_masks(unions, system.table.n_roots)
-    join_ids = vf._joins_for_chunk(system, masks)
+    unions = words[us] | words[vs]
+    join_ids = vf._joins_for_chunk(system, unions[:, None])
     for p in range(us.size):
         expected = join_bruteforce(system.element(int(us[p])), system.element(int(vs[p])))
         assert int(join_ids[p]) == expected.index
@@ -85,12 +90,11 @@ def test_joins_for_chunk_against_join_bruteforce():
 
 def test_reachable_bits_match_single_pair_route():
     system = build_system("H3")
-    npt = system.numpy_tables()
+    words = _inv_words(system)
     rng = np.random.default_rng(7)
     ids = rng.integers(0, system.size, size=40).astype(np.int32)
-    unions = npt.bits64[ids] | npt.bits64[ids[::-1].copy()]
-    masks = vf._union_masks(unions, system.table.n_roots)
-    left_bits = vf._reachable_reflection_bits(system, masks, "left")
+    unions = words[ids] | words[ids[::-1].copy()]
+    left_bits = vf._reachable_reflection_bits(system, unions[:, None], "left")[:, 0]
     for p in range(ids.size):
         u = system.element(int(ids[p]))
         v = system.element(int(ids[::-1][p]))
@@ -200,9 +204,9 @@ def test_failure_records_sorted_and_truncated():
     n = system.size
     us = np.repeat(np.arange(n, dtype=np.int32), n)
     vs = np.tile(np.arange(n, dtype=np.int32), n)
-    npt = system.numpy_tables()
-    unions, inverse = np.unique(npt.bits64[us] | npt.bits64[vs], return_inverse=True)
-    lhs = npt.bits64[np.zeros(unions.size, dtype=np.int32)]
+    words = _inv_words(system)
+    unions, inverse = np.unique(words[us] | words[vs], return_inverse=True)
+    lhs = words[np.zeros(unions.size, dtype=np.int32)]
     bad = np.ones(n * n, dtype=bool)  # pretend every pair failed
     records = vf._failure_records(
         system, us, vs, bad, lhs, lhs, lhs, inverse, "EQ"
@@ -230,8 +234,7 @@ def test_failure_records_sorted_and_truncated():
 
 def test_chunk_boundaries_do_not_change_results():
     system = build_system("A3")
-    npt = system.numpy_tables()
-    unions = np.unique(npt.bits64)
+    unions = np.unique(_inv_words(system))
     a = vf._sweep_unions(system, unions, True, True, workers=1, chunk=7)
     b = vf._sweep_unions(system, unions, True, True, workers=1, chunk=10_000)
     for x, y in zip(a, b):
