@@ -1,8 +1,9 @@
 """Command-line entry point: root dumps, joins, sweeps, and DOT export.
 
 Exit codes: 0 all checks hold, 1 a sweep found a failing pair, 2 bad usage
-or unparsable input, 3 the group/root construction failed (caps, bad
-matrix, non-finite input).
+(unparsable input, an unreadable file, an unsupported request), 3 the
+group/root construction failed (caps, non-finite input, an inconsistent
+table), 4 an internal error: a bug, reported with its traceback.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .bruhat import check_conjecture_H, to_dot
@@ -20,25 +22,28 @@ from .coxeter import (
     GroupElement,
     build_system,
 )
-from .verify import sweep, workers_from_env
+from .verify import UsageError, sweep, workers_from_env
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
-
-
-class UsageError(Exception):
-    pass
+EXIT_INTERNAL = 4
 
 
 def _graph_from_args(args: argparse.Namespace) -> CoxeterGraph:
     if bool(args.type) == bool(args.matrix):
         raise UsageError("exactly one of --type and --matrix is required")
     if args.type:
-        return CoxeterGraph.from_name(args.type)
+        try:
+            return CoxeterGraph.from_name(args.type)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     with open(args.matrix, encoding="utf-8") as fh:
-        return CoxeterGraph.from_json(json.load(fh))
+        try:
+            return CoxeterGraph.from_json(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"bad matrix file {args.matrix}: {exc}") from exc
 
 
 def _build(args: argparse.Namespace) -> CoxeterSystem:
@@ -52,8 +57,9 @@ def _build(args: argparse.Namespace) -> CoxeterSystem:
 def parse_element(system: CoxeterSystem, text: str) -> GroupElement:
     """Either a generator word ("2 1 2", "e") or type-A one-line notation.
 
-    Tokens that are all valid generator indices parse as a word; otherwise
-    a digit string that permutes 1..rank+1 parses as one-line notation.
+    Tokens that are all valid generator indices parse as a word; otherwise,
+    in type A, a digit string that permutes 1..rank+1 parses as one-line
+    notation.  Anything else raises UsageError.
     """
     text = text.strip()
     if text in ("e", ""):
@@ -68,7 +74,7 @@ def parse_element(system: CoxeterSystem, text: str) -> GroupElement:
         line = [int(tok) for tok in tokens if tok.isdigit()]
         if len(line) != len(tokens):
             raise UsageError(f"cannot parse element {text!r}")
-    if sorted(line) == list(range(1, rank + 2)):
+    if system.is_type_a() and sorted(line) == list(range(1, rank + 2)):
         return system.element_of_permutation(line)
     raise UsageError(
         f"cannot parse element {text!r}: neither a generator word nor a "
@@ -238,15 +244,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CoxeterError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

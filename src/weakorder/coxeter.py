@@ -4,20 +4,23 @@ Everything is exact.  A Coxeter graph with edge labels m_ij determines the
 bilinear form B_ii = 1, B_ij = -cos(pi/m_ij) over Q(2*cos(pi/L)) with L the
 lcm of the finite labels >= 3 (L = 3 when there are none).  Positive roots
 are generated by closing the simple roots under simple reflections; group
-elements are enumerated by breadth-first products and keyed canonically by
-their inversion bit-set over the positive-root indices.
+elements are enumerated breadth-first and keyed canonically by their
+inversion bit-set over the positive-root indices.
 
 The element model is permutation-based: each element w stores the signed
 action of w^{-1} on the positive-root indices, from which inversion sets,
 lengths, products by reflections, and the root-to-reflection dictionary phi
-all follow without further vector arithmetic.
+all follow without further vector arithmetic.  Enumeration and the product
+tables are array code over whole length levels: a level's products by the
+simple generators are one gather over these signed actions, and the
+products by reflections are walks along reflection words, one gather per
+letter.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -31,6 +34,7 @@ DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
 _JOIN_BLOCK_CELLS = 1 << 20  # (union, element) cells per block of the subset test
+_ENUM_BLOCK_CELLS = 1 << 22  # (element, generator, root) cells per enumeration gather
 
 
 class CoxeterError(Exception):
@@ -548,8 +552,50 @@ def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     return out.view("<u8").astype(np.uint64, copy=False)
 
 
+def _row_keys(mask: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D bool array, packed little-endian, as one void scalar.
+
+    Equal rows give equal keys and keys compare bytewise, so np.unique and
+    np.searchsorted work on them whatever the row length.
+    """
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _find(table: np.ndarray, ids: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
+    """ids[j] for the j with table[j] == key, per key; table is sorted.
+
+    A key absent from the table raises CoxeterError(what).
+    """
+    pos = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    if (table[pos] != keys).any():
+        raise CoxeterError(what)
+    return ids[pos]
+
+
+def _inverses(sigmas: np.ndarray) -> np.ndarray:
+    """Element id of x^-1 for every x, read from sigma_x.
+
+    Phi_{x^-1} = {|sigma_x(v)| - 1 : sigma_x(v) < 0}, looked up among the
+    inversion sets {v : sigma_x(v) < 0} of all elements.
+    """
+    x, v = np.nonzero(sigmas < 0)
+    flipped = np.zeros(sigmas.shape, dtype=bool)
+    flipped[x, -sigmas[x, v].astype(np.intp) - 1] = True
+    keys = _row_keys(sigmas < 0)
+    order = np.argsort(keys)
+    return _find(
+        keys[order], order, _row_keys(flipped), "an inverse is not an element"
+    ).astype(np.int32)
+
+
 class _NumpyTables:
     """Vectorized product tables, packed inversion sets and descent steps.
+
+    right[t, x] = x * t and left[t, x] = t * x for the reflection t of root
+    t.  The right table walks the generator table _right_by_gen along a
+    reduced word of t, one gather per letter; the left table is
+    (x^-1 * t)^-1, with the inverses read from the signed actions.
 
     Elements are numbered in enumeration order, along which length never
     decreases, so each length level is a contiguous range of ids.  For both
@@ -559,48 +605,37 @@ class _NumpyTables:
     """
 
     def __init__(self, system: "CoxeterSystem"):
-        n_roots = system.table.n_roots
-        size = system.size
-        act = system.table.act
-        sigmas = system._sigmas
-        id_by_bits = system._id_by_bits
-        left = np.empty((n_roots, size), dtype=np.int32)
-        right = np.empty((n_roots, size), dtype=np.int32)
-        for t in range(n_roots):
-            act_t = act[t]
-            row_l = left[t]
-            row_r = right[t]
-            for x in range(size):
-                sig = sigmas[x]
-                bits_l = 0
-                bits_r = 0
-                for v in range(n_roots):
-                    a = act_t[v]
-                    s = sig[a - 1] if a > 0 else -sig[-a - 1]
-                    if s < 0:
-                        bits_l |= 1 << v
-                    s = sig[v]
-                    b = act_t[s - 1] if s > 0 else -act_t[-s - 1]
-                    if b < 0:
-                        bits_r |= 1 << v
-                row_l[x] = id_by_bits[bits_l]
-                row_r[x] = id_by_bits[bits_r]
-        self.left = left
-        self.right = right
         self.lengths = np.array(system.lengths, dtype=np.int16)
         if self.lengths[0] != 0 or (np.diff(self.lengths) < 0).any():
             raise CoxeterError(
                 "enumeration order must start at e and never decrease length"
             )
-        self.refl_ids = np.array(
-            [system._refl_elem[r] for r in range(n_roots)], dtype=np.int32
-        )
+        n_roots = system.table.n_roots
+        size = system.size
         self.n_roots = n_roots
         self.n_words = -(-n_roots // 64)
-        self.inv_words = np.array(
-            [bits_to_words(bits, self.n_words) for bits in system.inv_bits],
-            dtype=np.uint64,
+        self.refl_ids = np.array(system._refl_elem, dtype=np.int32)
+        packed = bytearray().join(
+            bits.to_bytes(8 * self.n_words, "little") for bits in system.inv_bits
         )
+        self.inv_words = (
+            np.frombuffer(packed, dtype="<u8")
+            .reshape(size, self.n_words)
+            .astype(np.uint64, copy=False)
+        )
+        # right[t, x] = x * t: walk the generator table along a word of t
+        by_gen = np.array(system._right_by_gen, dtype=np.int32).T.copy()
+        right = np.empty((n_roots, size), dtype=np.int32)
+        for t, elem in enumerate(system._refl_elem):
+            row = np.arange(size, dtype=np.int32)
+            for letter in system.words[elem]:
+                row = by_gen[letter - 1].take(row)
+            right[t] = row
+        # left[t, x] = t * x = (x^-1 * t)^-1
+        inverse = _inverses(system._sigmas)
+        left = inverse.take(right.take(inverse, axis=1))
+        self.left = left
+        self.right = right
         bounds = np.searchsorted(
             self.lengths, np.arange(int(self.lengths[-1]) + 2)
         )
@@ -719,51 +754,89 @@ class CoxeterSystem:
         self._np_tables: _NumpyTables | None = None
 
     def _enumerate(self, element_cap: int) -> None:
+        """Breadth-first enumeration, one length level at a time.
+
+        Element x holds sigma_x, the signed action of x^-1 on the positive
+        root indices (1-based, negative for a negative image), and its
+        inversion set {v : sigma_x(v) < 0}.  For a level of length k, every
+        x * s_i has sigma = s_i o sigma_x, computed in one gather.  Products
+        of length k + 1 are the next level, numbered by first occurrence in
+        (x, i) order; products of length k - 1 are looked up in the level
+        before.  Ids, words and _right_by_gen are those of a FIFO
+        breadth-first search over x * s_i in the same order.
+        """
         n = self.graph.rank
         n_roots = self.table.n_roots
-        act = self.table.act
-        identity_sigma = tuple(range(1, n_roots + 1))
-        self._sigmas: list[tuple[int, ...]] = [identity_sigma]
+        act = np.array(self.table.act, dtype=np.intp)
+        dtype = np.min_scalar_type(-n_roots - 1)  # holds +-n_roots
+        # images[i, n_roots + s] = s_i(s) for a signed root index s
+        images = np.zeros((n, 2 * n_roots + 1), dtype=dtype)
+        images[:, n_roots + 1:] = act[:n]
+        images[:, :n_roots] = -act[:n, ::-1]
+        offsets = (np.arange(n) * images.shape[1] + n_roots)[:, None]
+        rows = max(1, _ENUM_BLOCK_CELLS // (n * n_roots))
+
+        level = np.arange(1, n_roots + 1, dtype=dtype)[None, :]
+        sigmas = [level]
+        by_gen = []
         self.inv_bits: list[int] = [0]
         self.words: list[tuple[int, ...]] = [()]
         self.lengths: list[int] = [0]
-        self._id_by_bits: dict[int, int] = {0: 0}
-        self._right_by_gen: list[list[int]] = [[-1] * n]
-        queue: deque[int] = deque([0])
-        while queue:
-            x = queue.popleft()
-            sig = self._sigmas[x]
-            for i in range(n):
-                act_i = act[i]
-                out = []
-                bits = 0
-                for v in range(n_roots):
-                    s = sig[v]
-                    b = act_i[s - 1] if s > 0 else -act_i[-s - 1]
-                    out.append(b)
-                    if b < 0:
-                        bits |= 1 << v
-                y = self._id_by_bits.get(bits)
-                if y is None:
-                    y = len(self.inv_bits)
-                    if y >= element_cap:
-                        raise FinitenessExceeded(
-                            f"more than {element_cap} group elements"
-                        )
-                    self._id_by_bits[bits] = y
-                    self._sigmas.append(tuple(out))
-                    self.inv_bits.append(bits)
-                    self.words.append(self.words[x] + (i + 1,))
-                    self.lengths.append(bits.bit_count())
-                    # breadth-first arrival: the recorded word is reduced
-                    if self.lengths[y] != len(self.words[y]):
-                        raise CoxeterError(
-                            "breadth-first word is not reduced: the root table "
-                            "is inconsistent"
-                        )
-                    self._right_by_gen.append([-1] * n)
-                    queue.append(y)
-                self._right_by_gen[x][i] = y
+        below = None  # sorted keys and ids of the level before
+        keys, ids = _row_keys(level < 0), np.zeros(1, dtype=np.intp)
+        start = 0
+        for k in range(n_roots + 1):  # lengths run from 0 to n_roots
+            m = level.shape[0]
+            length, found = [], []
+            for lo in range(0, m, rows):
+                negative = images.take(level[lo:lo + rows, None, :] + offsets) < 0
+                negative = negative.reshape(-1, n_roots)
+                length.append(np.count_nonzero(negative, axis=1))
+                found.append(_row_keys(negative))
+            length, found = np.concatenate(length), np.concatenate(found)
+            up = length == k + 1
+            down = length == k - 1
+            if not (up | down).all():
+                raise CoxeterError(
+                    "breadth-first word is not reduced: the root table "
+                    "is inconsistent"
+                )
+            product = np.empty(m * n, dtype=np.intp)
+            if down.any():
+                product[down] = _find(
+                    *below, found[down],
+                    "a shorter product is not in the level before: the root "
+                    "table is inconsistent",
+                )
+            fresh, first, slot = np.unique(
+                found[up], return_index=True, return_inverse=True
+            )
+            size = start + m
+            if size + fresh.size > element_cap:
+                raise FinitenessExceeded(f"more than {element_cap} group elements")
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            product[up] = size + rank[slot]
+            by_gen.append(product.reshape(m, n))
+            if not fresh.size:
+                break
+            parent, gen = np.divmod(np.flatnonzero(up)[first[order]], n)
+            level = images.take(level[parent] + offsets[gen])
+            sigmas.append(level)
+            self.inv_bits.extend(
+                int.from_bytes(key, "little") for key in fresh[order].tolist()
+            )
+            self.words.extend(
+                self.words[start + p] + (g + 1,)
+                for p, g in zip(parent.tolist(), gen.tolist())
+            )
+            self.lengths.extend([k + 1] * fresh.size)
+            below, keys, ids = (keys, ids), fresh, size + rank
+            start = size
+        self._sigmas = np.concatenate(sigmas)
+        self._right_by_gen: list[list[int]] = np.concatenate(by_gen).tolist()
+        self._id_by_bits = {bits: x for x, bits in enumerate(self.inv_bits)}
         self.size = len(self.inv_bits)
         self._refl_elem: list[int] = []
         self._root_of_elem: dict[int, int] = {}
@@ -772,7 +845,12 @@ class CoxeterSystem:
             for v, image in enumerate(act[r]):
                 if image < 0:
                     bits |= 1 << v
-            elem = self._id_by_bits[bits]
+            elem = self._id_by_bits.get(bits)
+            if elem is None:
+                raise CoxeterError(
+                    "a reflection is not an element of the group: the root "
+                    "table is inconsistent"
+                )
             if self.lengths[elem] % 2 != 1:
                 raise CoxeterError("a reflection must have odd length")
             self._refl_elem.append(elem)
@@ -895,7 +973,11 @@ class CoxeterSystem:
 def enumerate_group(
     table: RootTable, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> CoxeterSystem:
-    """Breadth-first enumeration of the whole group over a finite root table."""
+    """Breadth-first enumeration of the whole group over a finite root table.
+
+    Raises FinitenessExceeded when the group has more than element_cap
+    elements.
+    """
     return CoxeterSystem(table, element_cap=element_cap)
 
 

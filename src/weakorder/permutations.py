@@ -43,6 +43,14 @@ class LinkingViolation(PermError):
     """The extracted subsequence fails the increasing-chain property."""
 
 
+class NotIncreasing(PermError):
+    """A path step does not increase the length."""
+
+
+class NotAJoin(PermError):
+    """The closed inversion-pair set is not the inversion set of a permutation."""
+
+
 def _check_n(n: int) -> None:
     if n > MAX_N:
         raise PermError(f"n={n} exceeds the supported maximum {MAX_N}")
@@ -189,7 +197,7 @@ def transitive_closure_join(p: Perm, q: Perm) -> tuple[frozenset[Transposition],
 
     The join is rebuilt by sorting 1..n with "a before b iff (a, b) is not
     in the closed set" and the result is verified to have exactly the
-    closed set as its left reflection set.
+    closed set as its left reflection set (NotAJoin otherwise).
 
     >>> closed, join = transitive_closure_join(parse_perm("3124"), parse_perm("1423"))
     >>> format_perm(join), sorted(closed)
@@ -209,7 +217,8 @@ def transitive_closure_join(p: Perm, q: Perm) -> tuple[frozenset[Transposition],
         return -1 if (b, a) in closed else 1
 
     join = tuple(sorted(range(1, n + 1), key=cmp_to_key(before)))
-    assert tl_set(join) == closed
+    if tl_set(join) != closed:
+        raise NotAJoin("the transitive closure is not the inversion set of its order")
     return closed, join
 
 
@@ -236,7 +245,8 @@ class BruhatPath:
         for t in labels:
             current = lmul_transposition(t, current)
             inv_cur = inv_count(current)
-            assert inv_cur > inv_prev, "path step does not increase length"
+            if inv_cur <= inv_prev:
+                raise NotIncreasing(f"path step {t} does not increase length")
             inv_prev = inv_cur
             vertices.append(current)
         return cls(n, tuple(labels), tuple(vertices))
@@ -308,7 +318,8 @@ def palindromic_path(p: Perm, q: Perm, t: Transposition) -> BruhatPath:
     forward = [(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
     labels = forward + [forward[k] for k in range(len(forward) - 2, -1, -1)]
     path = BruhatPath.from_labels(n, labels)
-    assert path.end == transposition_perm(n, t)
+    if path.end != transposition_perm(n, t):
+        raise NotEndingAtReflection(f"palindromic path does not end at t_{t}")
     return path
 
 
@@ -338,5 +349,6 @@ def extract_chain(path: BruhatPath) -> tuple[Transposition, ...]:
             raise LinkingViolation(
                 f"label ({i}, {j}) moves the tracked entry {tracked} downward"
             )
-    assert tracked == b, "path does not transport a to b"
+    if tracked != b:
+        raise LinkingViolation("path does not transport a to b")
     return tuple(selected)

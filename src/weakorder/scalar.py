@@ -62,7 +62,7 @@ def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[in
     """Divide integer polynomials (ascending coefficients), den monic-leading.
 
     Division must be exact in the integers for the uses below (cyclotomic
-    factor removal); the remainder is returned for assertions.
+    factor removal); the remainder is returned for the caller to check.
     """
     num = list(num)
     dn = len(den) - 1
@@ -71,7 +71,8 @@ def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[in
     for k in range(len(num) - 1, dn - 1, -1):
         if num[k] == 0:
             continue
-        assert num[k] % lead == 0
+        if num[k] % lead:
+            raise ArithmeticError("integer polynomial division is not exact")
         q = num[k] // lead
         quot[k - dn] = q
         for j in range(dn + 1):
@@ -94,7 +95,8 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _int_poly_divmod(poly, list(cyclotomic(d)))
-            assert rem == [0]
+            if rem != [0]:
+                raise ArithmeticError(f"cyclotomic({d}) does not divide x^{n} - 1")
     return tuple(poly)
 
 
@@ -105,9 +107,11 @@ def _symmetric_rewrite(pal: Sequence[int]) -> tuple[int, ...]:
     element with the recursion V_0 = 2, V_1 = y, V_{j+1} = y*V_j - V_{j-1}.
     """
     deg = len(pal) - 1
-    assert deg % 2 == 0
+    if deg % 2:
+        raise ArithmeticError("polynomial has odd degree")
     e = deg // 2
-    assert list(pal) == list(reversed(pal)), "polynomial is not palindromic"
+    if list(pal) != list(reversed(pal)):
+        raise ArithmeticError("polynomial is not palindromic")
     out = [0] * (e + 1)
     out[0] = pal[e]
     v_prev = [2]  # V_0
@@ -122,7 +126,8 @@ def _symmetric_rewrite(pal: Sequence[int]) -> tuple[int, ...]:
             for i, vi in enumerate(v_prev):
                 v_next[i] -= vi
             v_prev, v_cur = v_cur, v_next
-    assert out[-1] == 1
+    if out[-1] != 1:
+        raise ArithmeticError("rewritten polynomial is not monic")
     return tuple(out)
 
 
@@ -220,7 +225,8 @@ class MinimalPolynomial:
         v = self.eval_at(mid)
         # psi has no rational root when degree >= 2, and degree-1 rings
         # never reach interval arithmetic, so v == 0 cannot occur here.
-        assert v != 0
+        if v == 0:
+            raise ArithmeticError(f"psi_{self.L} has a rational root")
         self._interval = (lo, mid) if v > 0 else (mid, hi)
         return self._interval
 
@@ -243,7 +249,8 @@ def build_ring(L: int) -> MinimalPolynomial:
     if L == 1:
         return MinimalPolynomial(1, (2, 1))
     psi = _symmetric_rewrite(cyclotomic(2 * L))
-    assert len(psi) - 1 == euler_phi(2 * L) // 2
+    if len(psi) - 1 != euler_phi(2 * L) // 2:
+        raise ArithmeticError(f"psi_{L} does not have degree phi(2L)/2")
     return MinimalPolynomial(L, psi)
 
 
@@ -427,7 +434,8 @@ class AlgebraicScalar:
         d = self.ring.degree
         inv_fracs += [Fraction(0)] * (d - len(inv_fracs))
         result = self.ring.scalar(inv_fracs[:d])
-        assert (result * self) == self.ring.one()
+        if not (result * self) == self.ring.one():
+            raise ArithmeticError("extended Euclid returned a wrong inverse")
         return result
 
     def __truediv__(self, other: object) -> "AlgebraicScalar":
@@ -518,15 +526,18 @@ class AlgebraicScalar:
 # -- float backend ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FloatScalar:
     """Double-precision stand-in for AlgebraicScalar (tolerance 1e-9).
 
     Used only as a cross-check oracle in tests; verdicts always come from
-    the exact backend.
+    the exact backend.  Unhashable: equality within a tolerance is not
+    transitive, so no hash can agree with it.
     """
 
     value: float
+
+    __hash__ = None
 
     def _val(self, other: object) -> float | None:
         if isinstance(other, FloatScalar):

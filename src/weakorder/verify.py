@@ -46,14 +46,22 @@ MAX_RECORDED_FAILURES = 100
 _CONJECTURES = ("H", "D", "EQ")
 
 
+class UsageError(ValueError):
+    """A request the caller has to change: unparsable input or a setting or
+    size the library does not support."""
+
+
 def workers_from_env(default: int = 1) -> int:
     """Worker count from WEAKORDER_WORKERS, falling back to the default."""
     raw = os.environ.get("WEAKORDER_WORKERS", "").strip()
     if not raw:
         return default
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
     if count < 1:
-        raise ValueError("WEAKORDER_WORKERS must be a positive integer")
+        raise UsageError("WEAKORDER_WORKERS must be a positive integer")
     return count
 
 
@@ -244,11 +252,11 @@ def _run_sweep(
     chunk: int,
 ) -> SweepReport:
     if conjecture not in _CONJECTURES:
-        raise ValueError(f"conjecture must be one of {_CONJECTURES}")
+        raise UsageError(f"conjecture must be one of {_CONJECTURES}")
     start = time.perf_counter()
     system = _as_system(target, backend)
     if system.table.n_roots > 62:
-        raise ValueError("sweeps support at most 62 positive roots")
+        raise UsageError("sweeps support at most 62 positive roots")
     workers = workers_from_env(1) if workers is None else workers
     # within the root guard every inversion set and union is one uint64 word
     words = system.numpy_tables().inv_words[:, 0]

@@ -1,13 +1,20 @@
-"""Independent oracles for the library's reachability and join kernels.
+"""Independent oracles for the library's group model and kernels.
 
-These are the routes the library used before its bit-packed kernels: a
+Kernels: the routes the library used before its bit-packed kernels, a
 frontier breadth-first search over one label set at a time, and a float32
 join from two matrix products over boolean root masks.  They read only the
 product tables, the lengths and the Python-int inversion sets, never the
 packed words or descent lists the kernels use.
+
+Group model: the element-by-element Python loops the library used before
+its level-wise array code, a FIFO breadth-first search over signed
+permutations and the product tables built one (reflection, element) pair
+at a time.  They read only the root table's act.
 """
 
+import collections
 import functools
+import types
 
 import numpy as np
 
@@ -83,3 +90,91 @@ def joins_matmul(system, union_bits):
     if (upper & (missing2 > 0.0)).any():
         raise RuntimeError("minimal upper bound is not unique")
     return join_ids
+
+
+def enumerate_bfs(table):
+    """The group by a FIFO breadth-first search over signed permutations.
+
+    Element x is the tuple sigma_x, the signed action of x^-1 on the 1-based
+    positive-root indices; x * s_i has sigma s_i o sigma_x, read from
+    table.act, and a product seen for the first time gets the next id.
+    Returns sigmas, inv_bits, words, lengths, right_by_gen (x * s_i by
+    0-based generator), refl_elem (the element of each reflection), w0 and
+    id_by_bits, all Python ints and tuples.
+    """
+    n = table.graph.rank
+    n_roots = table.n_roots
+    act = table.act
+    sigmas = [tuple(range(1, n_roots + 1))]
+    inv_bits = [0]
+    words = [()]
+    id_by_bits = {0: 0}
+    right_by_gen = [[-1] * n]
+    queue = collections.deque([0])
+    while queue:
+        x = queue.popleft()
+        sig = sigmas[x]
+        for i in range(n):
+            out = []
+            bits = 0
+            for v in range(n_roots):
+                s = sig[v]
+                b = act[i][s - 1] if s > 0 else -act[i][-s - 1]
+                out.append(b)
+                if b < 0:
+                    bits |= 1 << v
+            y = id_by_bits.get(bits)
+            if y is None:
+                y = len(inv_bits)
+                id_by_bits[bits] = y
+                sigmas.append(tuple(out))
+                inv_bits.append(bits)
+                words.append(words[x] + (i + 1,))
+                right_by_gen.append([-1] * n)
+                queue.append(y)
+            right_by_gen[x][i] = y
+    refl_elem = [
+        id_by_bits[sum(1 << v for v, image in enumerate(act[r]) if image < 0)]
+        for r in range(n_roots)
+    ]
+    return types.SimpleNamespace(
+        sigmas=sigmas,
+        inv_bits=inv_bits,
+        words=words,
+        lengths=[bits.bit_count() for bits in inv_bits],
+        right_by_gen=right_by_gen,
+        refl_elem=refl_elem,
+        w0=id_by_bits[(1 << n_roots) - 1],
+        id_by_bits=id_by_bits,
+    )
+
+
+def product_tables_loop(table, group):
+    """left[t, x] = t * x and right[t, x] = x * t, element by element.
+
+    group is what enumerate_bfs returns.  sigma of t * x is sigma_x o s_t
+    and sigma of x * t is s_t o sigma_x; each product is found by its
+    inversion set.
+    """
+    n_roots = table.n_roots
+    size = len(group.inv_bits)
+    left = np.empty((n_roots, size), dtype=np.int32)
+    right = np.empty((n_roots, size), dtype=np.int32)
+    for t in range(n_roots):
+        act_t = table.act[t]
+        for x in range(size):
+            sig = group.sigmas[x]
+            bits_l = 0
+            bits_r = 0
+            for v in range(n_roots):
+                a = act_t[v]
+                s = sig[a - 1] if a > 0 else -sig[-a - 1]
+                if s < 0:
+                    bits_l |= 1 << v
+                s = sig[v]
+                b = act_t[s - 1] if s > 0 else -act_t[-s - 1]
+                if b < 0:
+                    bits_r |= 1 << v
+            left[t, x] = group.id_by_bits[bits_l]
+            right[t, x] = group.id_by_bits[bits_r]
+    return left, right

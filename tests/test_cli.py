@@ -13,6 +13,7 @@ from weakorder import cli
 from weakorder.cli import (
     EXIT_CONSTRUCTION,
     EXIT_FAILURES,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
@@ -267,6 +268,47 @@ def test_broken_inversion_table_is_construction_error(monkeypatch, capsys):
     assert err == "construction error: some union admits no upper bound in a finite group\n"
 
 
+def test_malformed_matrix_file_is_usage_error(tmp_path, capsys):
+    for body in ('{"rank": 2}', "[1, 2]", "{not json", '{"m": [[1, 1], [1, 1]]}'):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        rc, out, err = run(capsys, "roots", "--matrix", str(path))
+        assert (rc, out) == (EXIT_USAGE, ""), body
+        assert err.startswith("error: bad matrix file"), body
+
+
+def test_bad_workers_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("WEAKORDER_WORKERS", "junk")
+    rc, out, err = run(capsys, "verify", "--type", "A2")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == "error: WEAKORDER_WORKERS must be a positive integer\n"
+
+
+def test_sweep_past_the_root_guard_is_usage_error(capsys):
+    rc, out, err = run(capsys, "verify", "--type", "I2(63)", "--backend", "float")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == "error: sweeps support at most 62 positive roots\n"
+
+
+def test_one_line_notation_outside_type_a_is_usage_error(capsys):
+    rc, out, err = run(capsys, "join", "--type", "B3", "--u", "2134", "--v", "1")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "cannot parse element" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(u, v):
+        raise ValueError("operands belong to different rings")
+
+    monkeypatch.setattr(cli, "check_conjecture_H", broken)
+    rc, out, err = run(capsys, "join", "--type", "A3", "--u", "1", "--v", "2")
+    assert (rc, out) == (EXIT_INTERNAL, "")
+    assert "Traceback" in err
+    assert err.endswith(
+        "internal error: ValueError: operands belong to different rings\n"
+    )
+
+
 def test_infinite_matrix_is_construction_error(tmp_path, capsys):
     doc = {"m": [[1, 0], [0, 1]]}  # m=0 means the infinite bond
     path = tmp_path / "aff.json"
@@ -314,5 +356,6 @@ def test_parser_requires_subcommand(capsys):
 
 
 def test_cli_module_exit_codes_are_distinct():
-    assert len({EXIT_OK, EXIT_FAILURES, EXIT_USAGE, EXIT_CONSTRUCTION}) == 4
+    codes = {EXIT_OK, EXIT_FAILURES, EXIT_USAGE, EXIT_CONSTRUCTION, EXIT_INTERNAL}
+    assert len(codes) == 5
     assert cli.EXIT_OK == 0

@@ -212,7 +212,7 @@ def test_palindromic_path_single_edge():
 
 
 def test_bruhat_path_rejects_non_increasing():
-    with pytest.raises(AssertionError):
+    with pytest.raises(pm.NotIncreasing, match="does not increase length"):
         pm.BruhatPath.from_labels(3, [(1, 2), (1, 2)])
 
 

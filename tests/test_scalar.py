@@ -208,6 +208,13 @@ def test_float_scalar_tolerance_equality():
     assert FloatScalar(1e-12).is_zero()
 
 
+def test_float_scalar_is_unhashable():
+    # equal within the tolerance, but no hash could agree with that equality
+    assert FloatScalar(1.0) == FloatScalar(1.0 + 1e-10)
+    with pytest.raises(TypeError):
+        hash(FloatScalar(1.0))
+
+
 def test_make_field_backends_agree_numerically():
     for L in (3, 4, 5, 7, 12):
         exact = make_field(L, "exact")

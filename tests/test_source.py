@@ -1,0 +1,19 @@
+"""Properties of the library source itself."""
+
+import ast
+from pathlib import Path
+
+import weakorder
+
+SRC = Path(weakorder.__file__).resolve().parent
+
+
+def test_no_invariant_rests_on_assert():
+    # python -O strips assert statements, so every check must raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
