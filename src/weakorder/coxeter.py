@@ -15,6 +15,10 @@ tables are array code over whole length levels: a level's products by the
 simple generators are one gather over these signed actions, and the
 products by reflections are walks along reflection words, one gather per
 letter.
+
+For the closure predicates the root table also keeps the cone of every
+pair of positive roots as a packed bit-set, built on first use by exact
+integer array code over all pairs at once.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .scalar import make_field
+from .scalar import FLOAT_TOL, AlgebraicScalar, make_field
 
 DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
 _JOIN_BLOCK_CELLS = 1 << 20  # (union, element) cells per block of the subset test
 _ENUM_BLOCK_CELLS = 1 << 22  # (element, generator, root) cells per enumeration gather
+_CONE_BLOCK_CELLS = 1 << 16  # (pair, root, coordinate, coefficient^2) cells per block
 
 
 class CoxeterError(Exception):
@@ -205,6 +210,12 @@ class RootTable:
     depth, ties broken by exact lexicographic coordinate comparison.  The
     table act[t][r] records s_{beta_t}(beta_r) as a signed 1-based root
     index; it is the only geometric data the group model needs.
+
+    The closure predicates read the cone table instead: cone_words()[i, j]
+    is the set of positive roots a*beta_i + b*beta_j with a, b >= 0, packed
+    in uint64 words, for every pair of roots.  It is built on the first
+    cone query, in one pass of exact integer array code (_cone_table), and
+    never by the constructor.
     """
 
     def __init__(self, graph: CoxeterGraph, field, cap: int = DEFAULT_ROOT_CAP):
@@ -212,7 +223,7 @@ class RootTable:
         self.field = field
         self.form = bilinear_form(graph, field)
         self.roots: list[Root] = []
-        self._cone_cache: dict[tuple[int, int], int] = {}
+        self._cones: np.ndarray | None = None
         self._generate(cap)
         self._build_act()
 
@@ -235,6 +246,7 @@ class RootTable:
             tuple(one if j == i else zero for j in range(n)) for i in range(n)
         ]
         depths = [0] * n
+        seen = {self.field.key(v) for v in vectors}
         frontier = list(range(n))
         while frontier:
             fresh: list[int] = []
@@ -245,8 +257,10 @@ class RootTable:
                         continue  # s_i(alpha_i) = -alpha_i
                     ci = coords[i] - 2 * self._pair_with_simple(coords, i)
                     cand = coords[:i] + (ci,) + coords[i + 1:]
-                    if any(cand == v for v in vectors):
+                    key = self.field.key(cand)
+                    if key in seen:
                         continue
+                    seen.add(key)
                     vectors.append(cand)
                     depths.append(depths[idx] + 1)
                     fresh.append(len(vectors) - 1)
@@ -291,21 +305,20 @@ class RootTable:
                     acc = term if acc is None else acc + term
                 img.append(self.field.from_rational(0) if acc is None else acc)
             b_images.append(tuple(img))
-        gram = [
-            [
-                sum_scalars(
+        # the form is symmetric: fill one triangle and mirror it
+        gram: list[list] = [[None] * n_roots for _ in range(n_roots)]
+        for t in range(n_roots):
+            for r in range(t, n_roots):
+                gram[t][r] = gram[r][t] = sum_scalars(
                     self.field,
                     (b_images[t][j] * self.roots[r].coords[j]
                      for j in range(self.graph.rank)),
                 )
-                for r in range(n_roots)
-            ]
-            for t in range(n_roots)
-        ]
         one = self.field.from_rational(1)
         for t in range(n_roots):
             if not (gram[t][t] == one):
                 raise CoxeterError("root table lost the unit normalization")
+        index = {self.field.key(root.coords): root.index + 1 for root in self.roots}
         act_rows: list[tuple[int, ...]] = []
         for t in range(n_roots):
             beta = self.roots[t].coords
@@ -318,19 +331,19 @@ class RootTable:
                 image = tuple(
                     v - factor * b for v, b in zip(self.roots[r].coords, beta)
                 )
-                row.append(self._signed_index(image))
+                row.append(self._signed_index(image, index))
             act_rows.append(tuple(row))
         self.act = tuple(act_rows)
 
-    def _signed_index(self, coords: tuple) -> int:
-        """Locate +/-(index+1) of a vector that must be a root of the table."""
-        for root in self.roots:
-            if root.coords == coords:
-                return root.index + 1
-        negated = tuple(-c for c in coords)
-        for root in self.roots:
-            if root.coords == negated:
-                return -(root.index + 1)
+    def _signed_index(self, coords: tuple, index: dict) -> int:
+        """+/-(index+1) of a vector that must be a root of the table, or of
+        its negative; index maps the key of each root to index+1."""
+        found = index.get(self.field.key(coords))
+        if found is not None:
+            return found
+        found = index.get(self.field.key(tuple(-c for c in coords)))
+        if found is not None:
+            return -found
         raise CoxeterError("reflection image is not a root of the table")
 
     # queries ---------------------------------------------------------------
@@ -352,50 +365,20 @@ class RootTable:
                 acc = term if acc is None else acc + term
         return self.field.from_rational(0) if acc is None else acc
 
-    def cone_mask(self, i: int, j: int) -> int:
-        """Bit-set of positive roots expressible as a*beta_i + b*beta_j, a,b >= 0.
+    def cone_words(self) -> np.ndarray:
+        """(n_roots, n_roots, n_words) uint64: row (i, j) is cone_mask(i, j).
 
-        Solved exactly by Cramer's rule on a coordinate pair with nonzero
-        minor, then verified on every coordinate.  Roots are pairwise
-        non-proportional, so i == j is the only parallel case.
+        Built on the first call and kept.
         """
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        cached = self._cone_cache.get(key)
-        if cached is not None:
-            return cached
-        if i == j:
-            self._cone_cache[key] = 1 << i
-            return self._cone_cache[key]
-        alpha = self.roots[i].coords
-        beta = self.roots[j].coords
-        n = self.graph.rank
-        pivot = None
-        for p in range(n):
-            for q in range(p + 1, n):
-                det = alpha[p] * beta[q] - alpha[q] * beta[p]
-                if det.sign() != 0:
-                    pivot = (p, q, det.inverse())
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            raise CoxeterError("distinct positive roots cannot be proportional")
-        p, q, det_inv = pivot
-        mask = (1 << i) | (1 << j)
-        for k in range(len(self.roots)):
-            if k == i or k == j:
-                continue
-            gamma = self.roots[k].coords
-            a = (gamma[p] * beta[q] - gamma[q] * beta[p]) * det_inv
-            b = (alpha[p] * gamma[q] - alpha[q] * gamma[p]) * det_inv
-            if a.sign() < 0 or b.sign() < 0:
-                continue
-            if all((a * alpha[c] + b * beta[c] - gamma[c]).is_zero() for c in range(n)):
-                mask |= 1 << k
-        self._cone_cache[key] = mask
-        return mask
+        if self._cones is None:
+            self._cones = _cone_table(self)
+        return self._cones
+
+    def cone_mask(self, i: int, j: int) -> int:
+        """Bit-set of positive roots expressible as a*beta_i + b*beta_j, a,b >= 0."""
+        return int.from_bytes(
+            self.cone_words()[i, j].astype("<u8").tobytes(), "little"
+        )
 
 
 def sum_scalars(field, items: Iterable):
@@ -411,6 +394,143 @@ def generate_positive_roots(
     """Close the simple roots under simple reflections, exactly."""
     field = make_field(graph.ring_parameter, backend)
     return RootTable(graph, field, cap=cap)
+
+
+# -- the cone table --------------------------------------------------------------
+
+
+class _PowerBasis:
+    """Root coordinates over Q(c), with their multiplication matrices.
+
+    Exact backend: coords[r, t] holds the integer coefficients of
+    D * beta_r[t] over the power basis 1, c, ..., c^(d-1) (D > 0 the lcm of
+    all coordinate denominators), and times[r, t] is the d x d integer matrix
+    of multiplication by that value mod psi_L.  Zero means all coefficients
+    are zero; a sign comes from integer bounds on the powers of c, or from
+    AlgebraicScalar.sign where those bounds leave it open.  Float backend:
+    d = 1 and float64 values, and zero means within FLOAT_TOL.
+    """
+
+    def __init__(self, table: RootTable):
+        self.ring = table.field.ring
+        roots = [root.coords for root in table.roots]
+        if self.ring is None:
+            values = [[x.value for x in coords] for coords in roots]
+            self.coords = np.array(values, dtype=np.float64)[..., None]
+            self.times = self.coords[..., None]
+            return
+        d = self.ring.degree
+        powers = [[int(j == k) for j in range(d)] for k in range(d)]
+        for _ in range(d - 1):
+            powers.append(self.ring.times_c(powers[-1]))
+        den = math.lcm(*(x.den for coords in roots for x in coords))
+        coeffs = [
+            [[a * (den // x.den) for a in x.num] for x in coords] for coords in roots
+        ]
+        # every sum of products _cone_table forms is below this bound
+        biggest = max(abs(a) for coords in coeffs for x in coords for a in x)
+        spread = max(
+            sum(abs(powers[a + j][i]) for a in range(d))
+            for i in range(d) for j in range(d)
+        )
+        bound = 2 * table.graph.rank * d**2 * biggest**3 * spread**2
+        dtype = np.int64 if bound < 1 << 63 else object
+        self.coords = np.array(coeffs, dtype=dtype)
+        # times[r, t, i, j] = sum_a coords[r, t, a] * (c^(a + j) mod psi)[i]
+        shift = np.array([powers[a:a + d] for a in range(d)], dtype=dtype)
+        self.times = np.tensordot(self.coords, shift, axes=(2, 0)).swapaxes(2, 3)
+        # c >= sqrt(2) > 0 when d > 1, so lo^t <= c^t <= hi^t; scaled by 2^64
+        lo, hi = self.ring.isolating_interval()
+        self.low = np.array([math.floor(lo**t * 2**64) for t in range(d)], dtype=object)
+        self.high = np.array([math.ceil(hi**t * 2**64) for t in range(d)], dtype=object)
+
+    def zero(self, x: np.ndarray, axis) -> np.ndarray:
+        """Whether the values along `axis` (which includes the last) are all 0."""
+        if self.ring is None:
+            return (np.abs(x) <= FLOAT_TOL).all(axis=axis)
+        return (x == 0).all(axis=axis)
+
+    def signs(self, x: np.ndarray) -> np.ndarray:
+        """Signs (-1, 0, 1) of the values in an (m, d) coefficient array."""
+        if self.ring is None:
+            value = np.where(np.abs(x[:, 0]) <= FLOAT_TOL, 0.0, x[:, 0])
+            return np.sign(value).astype(np.int8)
+        x = x.astype(object)
+        pos = np.where(x > 0, x, 0)
+        neg = x - pos
+        lower = pos @ self.low + neg @ self.high
+        upper = pos @ self.high + neg @ self.low
+        sign = (lower > 0).astype(np.int8) - (upper < 0).astype(np.int8)
+        for u in np.flatnonzero((lower <= 0) & (upper >= 0)):
+            sign[u] = AlgebraicScalar(self.ring, tuple(int(v) for v in x[u]), 1).sign()
+        return sign
+
+
+def _cone_table(table: RootTable, block: int | None = None) -> np.ndarray:
+    """cone[i, j]: the roots a*beta_i + b*beta_j, a, b >= 0, as uint64 words.
+
+    For alpha = beta_i and beta = beta_j (i != j, so not proportional) let
+    M_pq = alpha_p beta_q - alpha_q beta_p be the 2 x 2 minors and (p, q) the
+    first pair with M_pq != 0.  gamma lies in the plane of alpha and beta
+    exactly when gamma_p M_qc - gamma_q M_pc + gamma_c M_pq vanishes for
+    every other coordinate c (the 3 x 3 minors through p and q).  A root of
+    the plane is in the cone when its Cramer numerators
+    gamma_p beta_q - gamma_q beta_p and alpha_p gamma_q - alpha_q gamma_p
+    do not have the sign opposite to M_pq.  Pairs i < j go through `block`
+    at a time (by default as many as fit _CONE_BLOCK_CELLS): the plane test
+    is one matrix product over every root of a block, and signs are taken
+    only for the few roots of a plane.  Nothing divides.
+    """
+    basis = _PowerBasis(table)
+    x, times = basis.coords, basis.times
+    n, rank, d = x.shape
+    cone = np.zeros((n, n, -(-n // 64)), dtype=np.uint64)
+    cone[np.arange(n), np.arange(n)] = _pack_words(np.eye(n, dtype=bool))
+    first, second = np.triu_indices(n, 1)
+    width = max(rank - 2, 0)
+    if block is None:
+        block = max(1, _CONE_BLOCK_CELLS // (n * max(width, 1) * d * d))
+    minor_p, minor_q = np.triu_indices(rank, 1)
+    others = np.array(
+        [[c for c in range(rank) if c not in pq] for pq in zip(minor_p, minor_q)],
+        dtype=np.intp,
+    ).reshape(minor_p.size, width)
+    # row (t, j), column (r, i): entry (i, j) of the matrix of beta_r[t]
+    stacked = times.transpose(1, 3, 0, 2).reshape(rank * d, n * d)
+    for lo in range(0, first.size, block):
+        i, j = first[lo:lo + block], second[lo:lo + block]
+        rows = np.arange(i.size)
+        alpha, beta = x[i], x[j]
+        products = (times[i][:, :, None] @ beta[:, None, :, :, None])[..., 0]
+        minors = products - products.swapaxes(1, 2)
+        nonzero = ~basis.zero(minors[:, minor_p, minor_q], axis=-1)
+        if not nonzero.any(axis=1).all():
+            raise CoxeterError("distinct positive roots cannot be proportional")
+        pivot = nonzero.argmax(axis=1)
+        p, q, c = minor_p[pivot], minor_q[pivot], others[pivot]
+        det = minors[rows, p, q]
+        row, col = rows[:, None], np.arange(width)
+        forms = np.zeros((i.size, width, rank, d), dtype=x.dtype)
+        forms[row, col, p[:, None]] = minors[row, q[:, None], c]
+        forms[row, col, q[:, None]] = -minors[row, p[:, None], c]
+        forms[row, col, c] = det[:, None]
+        values = forms.reshape(-1, rank * d) @ stacked
+        plane = basis.zero(values.reshape(i.size, width, n, d), axis=(1, 3))
+        plane[rows, i] = plane[rows, j] = False
+        pair, k = np.nonzero(plane)
+        pp, qq = p[pair], q[pair]
+        gp, gq = times[k, pp], times[k, qq]
+        a_num = gp @ beta[pair, qq, :, None] - gq @ beta[pair, pp, :, None]
+        b_num = gq @ alpha[pair, pp, :, None] - gp @ alpha[pair, qq, :, None]
+        s_det = basis.signs(det[pair])
+        inside = (basis.signs(a_num[..., 0]) * s_det >= 0) & (
+            basis.signs(b_num[..., 0]) * s_det >= 0
+        )
+        mask = np.zeros((i.size, n), dtype=bool)
+        mask[rows, i] = mask[rows, j] = True
+        mask[pair[inside], k[inside]] = True
+        cone[i, j] = cone[j, i] = _pack_words(mask)
+    return cone
 
 
 # -- root subsets ----------------------------------------------------------------
@@ -543,11 +663,15 @@ def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     result is (n_bits, ceil(rows / 64)) uint64 whose row c has bit r set
     exactly when row r of the input has bit c set.
     """
-    rows = words.shape[0]
     as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     bits = np.unpackbits(as_bytes, axis=1, count=n_bits, bitorder="little")
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    out = np.zeros((n_bits, 8 * -(-rows // 64)), dtype=np.uint8)
+    return _pack_words(bits.T)
+
+
+def _pack_words(mask: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D bool array as ceil(columns / 64) little-endian uint64 words."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    out = np.zeros((mask.shape[0], 8 * -(-mask.shape[1] // 64)), dtype=np.uint8)
     out[:, :packed.shape[1]] = packed
     return out.view("<u8").astype(np.uint64, copy=False)
 
@@ -750,6 +874,7 @@ class CoxeterSystem:
     def __init__(self, table: RootTable, element_cap: int = DEFAULT_ELEMENT_CAP):
         self.table = table
         self.graph = table.graph
+        self._words: list[tuple[int, ...]] | None = None
         self._enumerate(element_cap)
         self._np_tables: _NumpyTables | None = None
 
@@ -763,7 +888,9 @@ class CoxeterSystem:
         of length k + 1 are the next level, numbered by first occurrence in
         (x, i) order; products of length k - 1 are looked up in the level
         before.  Ids, words and _right_by_gen are those of a FIFO
-        breadth-first search over x * s_i in the same order.
+        breadth-first search over x * s_i in the same order; each new
+        element records its parent x and letter i + 1, from which words
+        are spelled out on first use.
         """
         n = self.graph.rank
         n_roots = self.table.n_roots
@@ -780,7 +907,7 @@ class CoxeterSystem:
         sigmas = [level]
         by_gen = []
         self.inv_bits: list[int] = [0]
-        self.words: list[tuple[int, ...]] = [()]
+        parents, letters = [np.zeros(1, dtype=np.int32)], [np.zeros(1, dtype=np.int32)]
         self.lengths: list[int] = [0]
         below = None  # sorted keys and ids of the level before
         keys, ids = _row_keys(level < 0), np.zeros(1, dtype=np.intp)
@@ -827,14 +954,13 @@ class CoxeterSystem:
             self.inv_bits.extend(
                 int.from_bytes(key, "little") for key in fresh[order].tolist()
             )
-            self.words.extend(
-                self.words[start + p] + (g + 1,)
-                for p, g in zip(parent.tolist(), gen.tolist())
-            )
+            parents.append((start + parent).astype(np.int32))
+            letters.append((gen + 1).astype(np.int32))
             self.lengths.extend([k + 1] * fresh.size)
             below, keys, ids = (keys, ids), fresh, size + rank
             start = size
         self._sigmas = np.concatenate(sigmas)
+        self._parent, self._letter = np.concatenate(parents), np.concatenate(letters)
         self._right_by_gen: list[list[int]] = np.concatenate(by_gen).tolist()
         self._id_by_bits = {bits: x for x, bits in enumerate(self.inv_bits)}
         self.size = len(self.inv_bits)
@@ -858,6 +984,20 @@ class CoxeterSystem:
         self._w0 = self._id_by_bits[(1 << n_roots) - 1]
 
     # -- basic access -------------------------------------------------------
+
+    @property
+    def words(self) -> list[tuple[int, ...]]:
+        """A reduced word of every element, 1-based generator indices.
+
+        The word of x is the word of its breadth-first parent plus one
+        letter; the list is spelled out on first use and kept.
+        """
+        if self._words is None:
+            words: list[tuple[int, ...]] = [()]
+            for p, g in zip(self._parent[1:].tolist(), self._letter[1:].tolist()):
+                words.append(words[p] + (g,))
+            self._words = words
+        return self._words
 
     def element(self, index: int) -> GroupElement:
         return GroupElement(self, index)

@@ -192,6 +192,11 @@ class MinimalPolynomial:
         num = tuple(int(f * den) for f in fracs)
         return AlgebraicScalar(self, num, den)
 
+    def times_c(self, coeffs: Sequence[int]) -> list[int]:
+        """Power-basis coefficients of c * x, reduced mod psi, from those of x."""
+        top = coeffs[-1]
+        return [a - top * b for a, b in zip([0, *coeffs[:-1]], self.coefficients)]
+
     # -- exact evaluation of psi_L ------------------------------------------
 
     def eval_at(self, x: Fraction) -> Fraction:
@@ -385,57 +390,38 @@ class AlgebraicScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm mod psi."""
+        """Multiplicative inverse, in integer arithmetic only.
+
+        num * y = 1 is the linear system N y = e_0, where column k of the
+        integer matrix N holds num * c^k mod psi.  Fraction-free Gauss-Jordan
+        elimination (Bareiss) turns [N | e_0] into [D*I | D*y], D = +-det N,
+        dividing exactly at every step; the inverse is den * y.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero scalar")
-        if self.ring.degree == 1:
-            q = Fraction(self.num[0], self.den)
-            return self.ring.from_rational(1 / q)
-        # Extended Euclid in Q[x] on (self, psi); psi irreducible, so the
-        # gcd is a nonzero constant.
-        r0 = [Fraction(a, self.den) for a in self.num]
-        r1 = [Fraction(c) for c in self.ring.coefficients]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-
-        def trim(p: list[Fraction]) -> list[Fraction]:
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        r0, r1 = trim(r0), trim(r1)
-        while r1:
-            if len(r0) < len(r1):
-                r0, r1 = r1, r0
-                s0, s1 = s1, s0
-                continue
-            quot = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for k in range(len(rem) - 1, len(r1) - 2, -1):
-                if rem[k] == 0:
-                    continue
-                q = rem[k] / r1[-1]
-                quot[k - len(r1) + 1] = q
-                for j, b in enumerate(r1):
-                    rem[k - len(r1) + 1 + j] -= q * b
-            rem = trim(rem)
-            # s_new = s0 - quot * s1
-            s_new = list(s0) + [Fraction(0)] * max(
-                0, len(quot) + len(s1) - 1 - len(s0)
-            )
-            for i, qq in enumerate(quot):
-                if qq:
-                    for j, b in enumerate(s1):
-                        s_new[i + j] -= qq * b
-            r0, r1 = r1, rem
-            s0, s1 = s1, trim(s_new)
-        # r0 is the constant gcd; inverse = s0 / r0 reduced mod psi.
-        g = r0[0]
-        inv_fracs = [c / g for c in s0]
         d = self.ring.degree
-        inv_fracs += [Fraction(0)] * (d - len(inv_fracs))
-        result = self.ring.scalar(inv_fracs[:d])
+        columns = [list(self.num)]
+        for _ in range(d - 1):
+            columns.append(self.ring.times_c(columns[-1]))
+        rows = [[col[r] for col in columns] + [int(r == 0)] for r in range(d)]
+        prev = 1
+        for k in range(d):
+            # psi is irreducible, so N is invertible and a pivot exists
+            pivot = next(r for r in range(k, d) if rows[r][k])
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            top = rows[k]
+            for r in range(d):
+                if r != k:
+                    row = rows[r]
+                    rows[r] = [
+                        (top[k] * a - row[k] * b) // prev for a, b in zip(row, top)
+                    ]
+            prev = top[k]
+        result = AlgebraicScalar(
+            self.ring, tuple(self.den * row[d] for row in rows), prev
+        )
         if not (result * self) == self.ring.one():
-            raise ArithmeticError("extended Euclid returned a wrong inverse")
+            raise ArithmeticError("elimination returned a wrong inverse")
         return result
 
     def __truediv__(self, other: object) -> "AlgebraicScalar":
@@ -617,6 +603,14 @@ class ExactField:
     def from_rational(self, q: RationalLike):
         return self.ring.from_rational(q)
 
+    @staticmethod
+    def key(coords: Sequence) -> tuple:
+        """A hashable key, equal exactly for equal coordinate vectors.
+
+        The scalars are canonical, so the vector itself serves.
+        """
+        return tuple(coords)
+
 
 class FloatField:
     """Float scalar factory mirroring ExactField behind the same interface."""
@@ -632,6 +626,15 @@ class FloatField:
 
     def from_rational(self, q: RationalLike):
         return FloatScalar(float(Fraction(q)))
+
+    @staticmethod
+    def key(coords: Sequence) -> tuple:
+        """A hashable key for a coordinate vector: values rounded to 6 decimals.
+
+        Far coarser than the rounding error of the float arithmetic, and far
+        finer than the gaps between distinct root coordinates.
+        """
+        return tuple(round(c.value, 6) for c in coords)
 
 
 def make_field(L: int, backend: str = "exact"):

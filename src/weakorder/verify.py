@@ -166,9 +166,10 @@ def _sweep_unions(
     _POOL_STATE.update(
         system=system, unions=unions, want_left=want_left, want_right=want_right
     )
+    processes = min(workers, len(spans), os.cpu_count() or 1)
     try:
-        if workers > 1 and len(spans) > 1:
-            with get_context("fork").Pool(workers) as pool:
+        if processes > 1:
+            with get_context("fork").Pool(processes) as pool:
                 parts = pool.map(_process_chunk, spans)
         else:
             parts = [_process_chunk(s) for s in spans]
@@ -253,11 +254,13 @@ def _run_sweep(
 ) -> SweepReport:
     if conjecture not in _CONJECTURES:
         raise UsageError(f"conjecture must be one of {_CONJECTURES}")
+    workers = workers_from_env(1) if workers is None else workers
+    if workers < 1:
+        raise UsageError("workers must be a positive integer")
     start = time.perf_counter()
     system = _as_system(target, backend)
     if system.table.n_roots > 62:
         raise UsageError("sweeps support at most 62 positive roots")
-    workers = workers_from_env(1) if workers is None else workers
     # within the root guard every inversion set and union is one uint64 word
     words = system.numpy_tables().inv_words[:, 0]
     us, vs = _pair_arrays(system, sample, seed)

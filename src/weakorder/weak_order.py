@@ -9,7 +9,10 @@ Closure here is the pairwise-cone notion: A is closed when every positive
 root lying in the nonnegative span of two members of A is itself a member.
 Biclosed means A and its complement are both closed; the finite biclosed
 sets are exactly the inversion sets, which `enumerate_biclosed` can verify
-against a brute-force subset enumeration at small rank.
+against a brute-force subset enumeration at small rank.  The predicates
+read the root table's cone table (RootTable.cone_words, every pair's cone
+as packed words, built on the first query) and test all pairs of members
+in one gather.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .coxeter import (  # the join errors are re-exported from here
     NoUpperBound,
     RootSubset,
     RootTable,
+    bits_to_words,
     left_reflection_set,
     weak_joins,
 )
@@ -39,12 +43,16 @@ class OracleTooLarge(CoxeterError):
 
 
 def _closed_bits(table: RootTable, bits: int) -> bool:
-    indices = [i for i in range(table.n_roots) if bits >> i & 1]
-    for a_pos, i in enumerate(indices):
-        for j in indices[a_pos:]:
-            if table.cone_mask(i, j) & ~bits:
-                return False
-    return True
+    """No two members have a root of their cone outside the set.
+
+    One gather of the cone table over the members tests every pair at once.
+    """
+    cones = table.cone_words()
+    words = bits_to_words(bits, cones.shape[2])
+    members = np.flatnonzero(
+        np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    )
+    return not (cones[np.ix_(members, members)] & ~words).any()
 
 
 def is_closed(subset: RootSubset) -> bool:

@@ -10,6 +10,12 @@ Group model: the element-by-element Python loops the library used before
 its level-wise array code, a FIFO breadth-first search over signed
 permutations and the product tables built one (reflection, element) pair
 at a time.  They read only the root table's act.
+
+Root table: the scalar loops the library used before its keyed lookups
+and its cone table, positive roots generated with a linear scan for
+repeats, reflection images found by a scan over all roots, and cone masks
+solved one pair at a time by Cramer's rule with an exact inverse.  They
+read only the root coordinates and the bilinear form.
 """
 
 import collections
@@ -17,6 +23,9 @@ import functools
 import types
 
 import numpy as np
+
+from weakorder.coxeter import CoxeterError, bilinear_form, sum_scalars
+from weakorder.scalar import make_field
 
 
 def root_masks(bit_sets, n_roots):
@@ -178,3 +187,120 @@ def product_tables_loop(table, group):
             left[t, x] = group.id_by_bits[bits_l]
             right[t, x] = group.id_by_bits[bits_r]
     return left, right
+
+
+def roots_and_act_loop(graph, backend="exact"):
+    """Positive roots (coordinate tuples, in table order) and the act table.
+
+    Closes the simple roots under simple reflections with a linear scan for
+    repeats, orders them by (depth, exact lexicographic coordinates) after
+    the simple roots, and finds every reflection image s_t(beta_r) by a scan
+    over all roots.
+    """
+    field = make_field(graph.ring_parameter, backend)
+    form = bilinear_form(graph, field)
+    n = graph.rank
+    zero = field.from_rational(0)
+    one = field.from_rational(1)
+
+    def pair_with_simple(coords, i):
+        return sum_scalars(
+            field, (vj * form[j][i] for j, vj in enumerate(coords) if not vj.is_zero())
+        )
+
+    vectors = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
+    depths = [0] * n
+    frontier = list(range(n))
+    while frontier:
+        fresh = []
+        for idx in frontier:
+            coords = vectors[idx]
+            for i in range(n):
+                if depths[idx] == 0 and idx == i:
+                    continue
+                ci = coords[i] - 2 * pair_with_simple(coords, i)
+                cand = coords[:i] + (ci,) + coords[i + 1:]
+                if any(cand == v for v in vectors):
+                    continue
+                vectors.append(cand)
+                depths.append(depths[idx] + 1)
+                fresh.append(len(vectors) - 1)
+        frontier = fresh
+
+    def cmp_vectors(a, b):
+        if depths[a] != depths[b]:
+            return depths[a] - depths[b]
+        for x, y in zip(vectors[a], vectors[b]):
+            s = (x - y).sign()
+            if s:
+                return s
+        return 0
+
+    rest = sorted(range(n, len(vectors)), key=functools.cmp_to_key(cmp_vectors))
+    order = list(range(n)) + rest
+    roots = [vectors[old] for old in order]
+
+    def signed_index(coords):
+        for r, root in enumerate(roots):
+            if root == coords:
+                return r + 1
+        negated = tuple(-c for c in coords)
+        for r, root in enumerate(roots):
+            if root == negated:
+                return -(r + 1)
+        raise CoxeterError("reflection image is not a root of the table")
+
+    act = []
+    for t, beta in enumerate(roots):
+        row = []
+        for r, gamma in enumerate(roots):
+            if r == t:
+                row.append(-(t + 1))
+                continue
+            pairing = sum_scalars(
+                field,
+                (gi * form[i][j] * bj for i, gi in enumerate(gamma)
+                 for j, bj in enumerate(beta)),
+            )
+            image = tuple(v - 2 * pairing * b for v, b in zip(gamma, beta))
+            row.append(signed_index(image))
+        act.append(tuple(row))
+    return roots, tuple(act)
+
+
+def cone_mask_cramer(table, i, j):
+    """Bit-set of the positive roots a*beta_i + b*beta_j with a, b >= 0.
+
+    Solved by Cramer's rule on the first coordinate pair with a nonzero
+    minor, with the exact inverse of that minor, then verified on every
+    coordinate.
+    """
+    if i == j:
+        return 1 << i
+    alpha = table.roots[i].coords
+    beta = table.roots[j].coords
+    n = table.graph.rank
+    pivot = None
+    for p in range(n):
+        for q in range(p + 1, n):
+            det = alpha[p] * beta[q] - alpha[q] * beta[p]
+            if det.sign() != 0:
+                pivot = (p, q, det.inverse())
+                break
+        if pivot:
+            break
+    if pivot is None:
+        raise CoxeterError("distinct positive roots cannot be proportional")
+    p, q, det_inv = pivot
+    mask = (1 << i) | (1 << j)
+    for k in range(table.n_roots):
+        if k == i or k == j:
+            continue
+        gamma = table.roots[k].coords
+        a = (gamma[p] * beta[q] - gamma[q] * beta[p]) * det_inv
+        b = (alpha[p] * gamma[q] - alpha[q] * gamma[p]) * det_inv
+        if a.sign() < 0 or b.sign() < 0:
+            continue
+        if all((a * alpha[c] + b * beta[c] - gamma[c]).is_zero() for c in range(n)):
+            mask |= 1 << k
+    return mask

@@ -284,6 +284,12 @@ def test_bad_workers_env_is_usage_error(monkeypatch, capsys):
     assert err == "error: WEAKORDER_WORKERS must be a positive integer\n"
 
 
+def test_workers_flag_below_one_is_usage_error(capsys):
+    rc, out, err = run(capsys, "verify", "--type", "A2", "--workers", "0")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == "error: workers must be a positive integer\n"
+
+
 def test_sweep_past_the_root_guard_is_usage_error(capsys):
     rc, out, err = run(capsys, "verify", "--type", "I2(63)", "--backend", "float")
     assert (rc, out) == (EXIT_USAGE, "")

@@ -267,6 +267,54 @@ def test_sweep_reads_workers_env(monkeypatch):
     assert explicit.workers == 1
 
 
+def test_workers_below_one_are_a_usage_error(monkeypatch):
+    monkeypatch.delenv("WEAKORDER_WORKERS", raising=False)
+    for workers in (0, -3):
+        with pytest.raises(vf.UsageError, match="workers must be a positive integer"):
+            sweep_H("A2", workers=workers)
+
+
+def test_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
+    sizes = []
+
+    class FakePool:  # records its size and runs the chunks in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            return [fn(span) for span in spans]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(vf, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(vf.os, "cpu_count", lambda: 3)
+    system = build_system("A3")
+    words = _inv_words(system)
+    unions = np.unique(words[:, None] | words[None, :])
+    half = -(-unions.size // 2)
+    for chunk, workers, expected in (
+        (4, 100_000, [3]),  # many chunks: one process per CPU
+        (half, 100_000, [2]),  # two chunks
+        (4, 2, [2]),
+        (unions.size, 100_000, []),  # one chunk: no pool
+        (4, 1, []),
+    ):
+        sizes.clear()
+        report = sweep_H(system, workers=workers, chunk=chunk)
+        assert report.ok and report.workers == workers
+        assert sizes == expected, (chunk, workers)
+    monkeypatch.setattr(vf.os, "cpu_count", lambda: None)
+    sizes.clear()
+    assert sweep_H(system, workers=8, chunk=4).ok and sizes == []
+
+
 def test_report_dataclass_defaults():
     report = SweepReport(
         type="A2", conjecture="H", backend="exact", pairs_checked=36, failure_count=0
