@@ -46,9 +46,6 @@ from .scalar import (
 from .verify import (
     SweepReport,
     sweep,
-    sweep_D,
-    sweep_equivalence,
-    sweep_H,
     workers_from_env,
 )
 from .weak_order import (
@@ -109,9 +106,6 @@ __all__ = [
     "path_witness",
     "reachable_reflection_roots",
     "sweep",
-    "sweep_D",
-    "sweep_equivalence",
-    "sweep_H",
     "tau_reachable",
     "to_dot",
     "workers_from_env",

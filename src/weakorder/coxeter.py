@@ -1,11 +1,14 @@
 """Finite Coxeter systems: root tables, reflection tables, and group elements.
 
 Everything is exact.  A Coxeter graph with edge labels m_ij determines the
-bilinear form B_ii = 1, B_ij = -cos(pi/m_ij) over Q(2*cos(pi/L)) with L the
-lcm of the finite labels >= 3 (L = 3 when there are none).  Positive roots
-are generated by closing the simple roots under simple reflections; group
-elements are enumerated breadth-first and keyed canonically by their
-inversion bit-set over the positive-root indices.
+bilinear form B_ii = 1, B_ij = -cos(pi/m_ij) over Q(c), c = 2*cos(pi/L), with
+L the lcm of the finite labels >= 3 (L = 3 when there are none).  Every
+entry of 2B and every root coordinate lies in Z[c], so the root table is
+integer coefficient arrays over the power basis of c: positive roots are
+generated by closing the simple roots under simple reflections one depth
+level at a time, each level in one integer matrix product.  Group elements
+are enumerated breadth-first and keyed canonically by their inversion
+bit-set over the positive-root indices.
 
 The element model is permutation-based: each element w stores the signed
 action of w^{-1} on the positive-root indices, from which inversion sets,
@@ -26,13 +29,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .scalar import FLOAT_TOL, AlgebraicScalar, make_field
+from .scalar import FLOAT_TOL, AlgebraicScalar, FloatScalar, make_field
 
 DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ELEMENT_CAP = 2_000_000
@@ -190,259 +191,61 @@ class Root:
         return " + ".join(parts) if parts else "0"
 
 
-def bilinear_form(graph: CoxeterGraph, field) -> tuple[tuple, ...]:
-    """The symmetric form with B_ii = 1 and B_ij = -cos(pi/m_ij)."""
-    one = field.from_rational(1)
-    neg_half = field.from_rational(Fraction(-1, 2))
-    rows = []
-    for i in range(graph.rank):
-        row = []
-        for j in range(graph.rank):
-            row.append(one if i == j else field.two_cos(graph.m[i][j]) * neg_half)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-class RootTable:
-    """Deterministically ordered positive roots with the full reflection table.
-
-    Ordering: the simple roots first in generator order, then by generation
-    depth, ties broken by exact lexicographic coordinate comparison.  The
-    table act[t][r] records s_{beta_t}(beta_r) as a signed 1-based root
-    index; it is the only geometric data the group model needs.
-
-    The closure predicates read the cone table instead: cone_words()[i, j]
-    is the set of positive roots a*beta_i + b*beta_j with a, b >= 0, packed
-    in uint64 words, for every pair of roots.  It is built on the first
-    cone query, in one pass of exact integer array code (_cone_table), and
-    never by the constructor.
-    """
-
-    def __init__(self, graph: CoxeterGraph, field, cap: int = DEFAULT_ROOT_CAP):
-        self.graph = graph
-        self.field = field
-        self.form = bilinear_form(graph, field)
-        self.roots: list[Root] = []
-        self._cones: np.ndarray | None = None
-        self._generate(cap)
-        self._build_act()
-
-    # construction ---------------------------------------------------------
-
-    def _pair_with_simple(self, coords: Sequence, i: int):
-        acc = None
-        for j, vj in enumerate(coords):
-            if vj.is_zero():
-                continue
-            term = vj * self.form[j][i]
-            acc = term if acc is None else acc + term
-        return self.field.from_rational(0) if acc is None else acc
-
-    def _generate(self, cap: int) -> None:
-        n = self.graph.rank
-        zero = self.field.from_rational(0)
-        one = self.field.from_rational(1)
-        vectors: list[tuple] = [
-            tuple(one if j == i else zero for j in range(n)) for i in range(n)
-        ]
-        depths = [0] * n
-        seen = {self.field.key(v) for v in vectors}
-        frontier = list(range(n))
-        while frontier:
-            fresh: list[int] = []
-            for idx in frontier:
-                coords = vectors[idx]
-                for i in range(n):
-                    if depths[idx] == 0 and idx == i:
-                        continue  # s_i(alpha_i) = -alpha_i
-                    ci = coords[i] - 2 * self._pair_with_simple(coords, i)
-                    cand = coords[:i] + (ci,) + coords[i + 1:]
-                    key = self.field.key(cand)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    vectors.append(cand)
-                    depths.append(depths[idx] + 1)
-                    fresh.append(len(vectors) - 1)
-                    if len(vectors) > cap:
-                        raise FinitenessExceeded(
-                            f"more than {cap} positive roots; the group is "
-                            "infinite or the cap is too small"
-                        )
-            frontier = fresh
-
-        def cmp_vectors(a: int, b: int) -> int:
-            if depths[a] != depths[b]:
-                return depths[a] - depths[b]
-            for x, y in zip(vectors[a], vectors[b]):
-                s = (x - y).sign()
-                if s:
-                    return s
-            return 0
-
-        order = list(range(n)) + sorted(range(n, len(vectors)), key=cmp_to_key(cmp_vectors))
-        self.roots = [
-            Root(new_idx, vectors[old], depths[old])
-            for new_idx, old in enumerate(order)
-        ]
-        for root in self.roots:
-            signs = [c.sign() for c in root.coords]
-            if min(signs) < 0 or max(signs) <= 0:
-                raise CoxeterError("generated a non-positive root vector")
-
-    def _build_act(self) -> None:
-        n_roots = len(self.roots)
-        # Gram matrix via one B-image per root.
-        b_images = []
-        for root in self.roots:
-            img = []
-            for j in range(self.graph.rank):
-                acc = None
-                for i, vi in enumerate(root.coords):
-                    if vi.is_zero():
-                        continue
-                    term = vi * self.form[i][j]
-                    acc = term if acc is None else acc + term
-                img.append(self.field.from_rational(0) if acc is None else acc)
-            b_images.append(tuple(img))
-        # the form is symmetric: fill one triangle and mirror it
-        gram: list[list] = [[None] * n_roots for _ in range(n_roots)]
-        for t in range(n_roots):
-            for r in range(t, n_roots):
-                gram[t][r] = gram[r][t] = sum_scalars(
-                    self.field,
-                    (b_images[t][j] * self.roots[r].coords[j]
-                     for j in range(self.graph.rank)),
-                )
-        one = self.field.from_rational(1)
-        for t in range(n_roots):
-            if not (gram[t][t] == one):
-                raise CoxeterError("root table lost the unit normalization")
-        index = {self.field.key(root.coords): root.index + 1 for root in self.roots}
-        act_rows: list[tuple[int, ...]] = []
-        for t in range(n_roots):
-            beta = self.roots[t].coords
-            row = []
-            for r in range(n_roots):
-                if r == t:
-                    row.append(-(t + 1))
-                    continue
-                factor = 2 * gram[t][r]
-                image = tuple(
-                    v - factor * b for v, b in zip(self.roots[r].coords, beta)
-                )
-                row.append(self._signed_index(image, index))
-            act_rows.append(tuple(row))
-        self.act = tuple(act_rows)
-
-    def _signed_index(self, coords: tuple, index: dict) -> int:
-        """+/-(index+1) of a vector that must be a root of the table, or of
-        its negative; index maps the key of each root to index+1."""
-        found = index.get(self.field.key(coords))
-        if found is not None:
-            return found
-        found = index.get(self.field.key(tuple(-c for c in coords)))
-        if found is not None:
-            return -found
-        raise CoxeterError("reflection image is not a root of the table")
-
-    # queries ---------------------------------------------------------------
-
-    @property
-    def n_roots(self) -> int:
-        return len(self.roots)
-
-    def pairing(self, u: Sequence, v: Sequence):
-        """The bilinear form (u, v) on coordinate vectors."""
-        acc = None
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
-                term = ui * self.form[i][j] * vj
-                acc = term if acc is None else acc + term
-        return self.field.from_rational(0) if acc is None else acc
-
-    def cone_words(self) -> np.ndarray:
-        """(n_roots, n_roots, n_words) uint64: row (i, j) is cone_mask(i, j).
-
-        Built on the first call and kept.
-        """
-        if self._cones is None:
-            self._cones = _cone_table(self)
-        return self._cones
-
-    def cone_mask(self, i: int, j: int) -> int:
-        """Bit-set of positive roots expressible as a*beta_i + b*beta_j, a,b >= 0."""
-        return int.from_bytes(
-            self.cone_words()[i, j].astype("<u8").tobytes(), "little"
-        )
-
-
-def sum_scalars(field, items: Iterable):
-    acc = None
-    for x in items:
-        acc = x if acc is None else acc + x
-    return field.from_rational(0) if acc is None else acc
-
-
-def generate_positive_roots(
-    graph: CoxeterGraph, backend: str = "exact", cap: int = DEFAULT_ROOT_CAP
-) -> RootTable:
-    """Close the simple roots under simple reflections, exactly."""
-    field = make_field(graph.ring_parameter, backend)
-    return RootTable(graph, field, cap=cap)
-
-
-# -- the cone table --------------------------------------------------------------
-
-
 class _PowerBasis:
-    """Root coordinates over Q(c), with their multiplication matrices.
+    """Values of Q(c) as coefficient arrays over the power basis 1, c, ..., c^(d-1).
 
-    Exact backend: coords[r, t] holds the integer coefficients of
-    D * beta_r[t] over the power basis 1, c, ..., c^(d-1) (D > 0 the lcm of
-    all coordinate denominators), and times[r, t] is the d x d integer matrix
-    of multiplication by that value mod psi_L.  Zero means all coefficients
-    are zero; a sign comes from integer bounds on the powers of c, or from
-    AlgebraicScalar.sign where those bounds leave it open.  Float backend:
-    d = 1 and float64 values, and zero means within FLOAT_TOL.
+    Every root coordinate of a finite Coxeter system lies in Z[c], so on the
+    exact backend a value is d Python ints (object arrays: nothing can
+    overflow) and times() gives the d x d integer matrix of multiplication
+    by it mod psi_L.  Zero means all coefficients are zero; a sign comes
+    from integer bounds on the powers of c, or from AlgebraicScalar.sign
+    where those bounds leave it open.  Float backend: d = 1 and float64
+    values, zero means within FLOAT_TOL, and keys round to 6 decimals, far
+    coarser than the rounding error and far finer than the gaps between
+    distinct root coordinates.
     """
 
-    def __init__(self, table: RootTable):
-        self.ring = table.field.ring
-        roots = [root.coords for root in table.roots]
-        if self.ring is None:
-            values = [[x.value for x in coords] for coords in roots]
-            self.coords = np.array(values, dtype=np.float64)[..., None]
-            self.times = self.coords[..., None]
+    def __init__(self, ring):
+        self.ring = ring
+        if ring is None:
+            self.d = 1
             return
-        d = self.ring.degree
+        d = self.d = ring.degree
         powers = [[int(j == k) for j in range(d)] for k in range(d)]
         for _ in range(d - 1):
-            powers.append(self.ring.times_c(powers[-1]))
-        den = math.lcm(*(x.den for coords in roots for x in coords))
-        coeffs = [
-            [[a * (den // x.den) for a in x.num] for x in coords] for coords in roots
-        ]
-        # every sum of products _cone_table forms is below this bound
-        biggest = max(abs(a) for coords in coeffs for x in coords for a in x)
-        spread = max(
-            sum(abs(powers[a + j][i]) for a in range(d))
-            for i in range(d) for j in range(d)
-        )
-        bound = 2 * table.graph.rank * d**2 * biggest**3 * spread**2
-        dtype = np.int64 if bound < 1 << 63 else object
-        self.coords = np.array(coeffs, dtype=dtype)
-        # times[r, t, i, j] = sum_a coords[r, t, a] * (c^(a + j) mod psi)[i]
-        shift = np.array([powers[a:a + d] for a in range(d)], dtype=dtype)
-        self.times = np.tensordot(self.coords, shift, axes=(2, 0)).swapaxes(2, 3)
+            powers.append(ring.times_c(powers[-1]))
+        # shift[a, j] = c^(a + j) mod psi
+        self.shift = np.array([powers[a:a + d] for a in range(d)], dtype=object)
         # c >= sqrt(2) > 0 when d > 1, so lo^t <= c^t <= hi^t; scaled by 2^64
-        lo, hi = self.ring.isolating_interval()
+        lo, hi = ring.isolating_interval()
         self.low = np.array([math.floor(lo**t * 2**64) for t in range(d)], dtype=object)
         self.high = np.array([math.ceil(hi**t * 2**64) for t in range(d)], dtype=object)
+
+    def coefficients(self, values: Sequence) -> np.ndarray:
+        """(len(values), d) array of scalars whose denominators are 1."""
+        if self.ring is None:
+            return np.array([[v.value] for v in values], dtype=np.float64)
+        return np.array([v.num for v in values], dtype=object)
+
+    def scalars(self, x: np.ndarray) -> list:
+        """The scalars of the rows of an (m, d) coefficient array."""
+        if self.ring is None:
+            return [FloatScalar(v) for v in x[:, 0].tolist()]
+        return [AlgebraicScalar(self.ring, tuple(row), 1) for row in x.tolist()]
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """(..., d, d) multiplication matrices of the values in a (..., d) array."""
+        if self.ring is None:
+            return x[..., None]
+        shift = self.shift.astype(x.dtype)
+        return np.tensordot(x, shift, axes=(-1, 0)).swapaxes(-1, -2)
+
+    def keys(self, x: np.ndarray) -> np.ndarray:
+        """One sortable key per row of x, equal exactly for equal rows."""
+        rows = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+        if self.ring is None:
+            rows = np.round(rows, 6)
+        return np.fromiter(map(tuple, rows.tolist()), dtype=object, count=rows.shape[0])
 
     def zero(self, x: np.ndarray, axis) -> np.ndarray:
         """Whether the values along `axis` (which includes the last) are all 0."""
@@ -465,6 +268,186 @@ class _PowerBasis:
             sign[u] = AlgebraicScalar(self.ring, tuple(int(v) for v in x[u]), 1).sign()
         return sign
 
+    def narrow(self, x: np.ndarray) -> np.ndarray:
+        """x as int64 when every sum of products _cone_table forms fits."""
+        if self.ring is None:
+            return x
+        rank, d = x.shape[1:]
+        biggest = max(abs(a) for a in x.ravel().tolist())
+        spread = max(
+            sum(abs(v) for v in self.shift[:, j, i].tolist())
+            for i in range(d) for j in range(d)
+        )
+        bound = 2 * rank * d**2 * biggest**3 * spread**2
+        return x.astype(np.int64) if bound < 1 << 63 else x
+
+
+class RootTable:
+    """Deterministically ordered positive roots with the full reflection table.
+
+    Built as exact integer arrays over the power basis of c (_PowerBasis):
+    _coeffs[r, t] holds the coefficients of beta_r[t].  Positive roots come
+    from closing the simple roots under the simple reflections one depth
+    level at a time, a whole level reflected in one matrix product with the
+    integer matrix of 2B (B_ij = -cos(pi/m_ij)).  Repeats and reflection
+    images are found among sorted row keys, and Root.coords are made from
+    the arrays at the end.
+
+    Ordering: the simple roots first in generator order, then by generation
+    depth, ties broken by exact lexicographic coordinate comparison.  The
+    table act[t][r] records s_{beta_t}(beta_r) as a signed 1-based root
+    index; it is the only geometric data the group model needs.
+
+    The closure predicates read the cone table instead: cone_words()[i, j]
+    is the set of positive roots a*beta_i + b*beta_j with a, b >= 0, packed
+    in uint64 words, for every pair of roots.  It is built on the first
+    cone query, in one pass of exact integer array code (_cone_table), and
+    never by the constructor.
+    """
+
+    def __init__(self, graph: CoxeterGraph, field, cap: int = DEFAULT_ROOT_CAP):
+        self.graph = graph
+        self.field = field
+        self._cones: np.ndarray | None = None
+        self._basis = basis = _PowerBasis(field.ring)
+        n, d = graph.rank, basis.d
+        # row block j, column block i: multiplication by 2B_ij = -2cos(pi/m_ij)
+        entries = basis.coefficients([-field.two_cos(m) for row in graph.m for m in row])
+        blocks = basis.times(entries).reshape(n, n, d, d)
+        self._two_b = blocks.transpose(1, 3, 0, 2).reshape(n * d, n * d)
+        coeffs, depths = self._generate(cap)
+        order = self._order(coeffs, depths)
+        self._coeffs, depths = coeffs[order], depths[order].tolist()
+        scalars = basis.scalars(self._coeffs.reshape(-1, d))
+        self.roots = [
+            Root(r, tuple(scalars[r * n:(r + 1) * n]), depths[r])
+            for r in range(len(depths))
+        ]
+        self._build_act()
+
+    # construction ---------------------------------------------------------
+
+    def _generate(self, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients and depths of the positive roots, in order of discovery.
+
+        s_i(v) = v - 2B(v, alpha_i) alpha_i changes coordinate i only; a
+        level's candidates s_i(v) are new when their keys are neither among
+        the roots found before nor repeated earlier in the level.
+        """
+        basis, n = self._basis, self.graph.rank
+        d = basis.d
+        level = np.zeros((n, n, d), dtype=self._two_b.dtype)
+        diag = np.arange(n)
+        level[diag, diag, 0] = 1
+        found, depths = [level], [np.zeros(n, dtype=np.intp)]
+        seen = np.sort(basis.keys(level))
+        total = n
+        while True:
+            m = level.shape[0]
+            pairs = (level.reshape(m, n * d) @ self._two_b).reshape(m, n, d)
+            cands = np.repeat(level[:, None], n, axis=1)
+            cands[:, diag, diag] -= pairs
+            cands = cands.reshape(m * n, n, d)
+            if len(found) == 1:  # s_i(alpha_i) = -alpha_i
+                cands = np.delete(cands, diag * (n + 1), axis=0)
+            keys, first = np.unique(basis.keys(cands), return_index=True)
+            fresh = ~_match(seen, keys)[1]
+            if not fresh.any():
+                break
+            total += int(fresh.sum())
+            if total > cap:
+                raise FinitenessExceeded(
+                    f"more than {cap} positive roots; the group is "
+                    "infinite or the cap is too small"
+                )
+            level = cands[np.sort(first[fresh])]
+            found.append(level)
+            depths.append(np.full(level.shape[0], len(depths), dtype=np.intp))
+            seen = np.sort(np.concatenate([seen, keys[fresh]]), kind="stable")
+        coeffs = np.concatenate(found)
+        signs = basis.signs(coeffs.reshape(-1, d)).reshape(-1, n)
+        if (signs.min(axis=1) < 0).any() or (signs.max(axis=1) <= 0).any():
+            raise CoxeterError("generated a non-positive root vector")
+        return coeffs, np.concatenate(depths)
+
+    def _order(self, coeffs: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        """The simple roots, then the rest by depth and exact lexicographic order.
+
+        Each coordinate's distinct values are ranked by the signs of all
+        their differences, and the ranks are sorted as integers.
+        """
+        basis, n = self._basis, self.graph.rank
+        ranks = []
+        for t in range(n):
+            values = coeffs[:, t]
+            _, first, slot = np.unique(
+                basis.keys(values), return_index=True, return_inverse=True
+            )
+            distinct = values[first]
+            k = first.size
+            diff = (distinct[:, None] - distinct[None, :]).reshape(k * k, -1)
+            above = (basis.signs(diff).reshape(k, k) > 0).sum(axis=1)
+            ranks.append(above[slot][n:])
+        return np.concatenate([np.arange(n), n + np.lexsort([*ranks[::-1], depths[n:]])])
+
+    def _build_act(self) -> None:
+        """act[t][r] from s_t(beta_r) = beta_r - 2B(beta_t, beta_r) beta_t."""
+        basis, x = self._basis, self._coeffs
+        n_roots, n, d = x.shape
+        flat = x.reshape(n_roots, n * d)
+        dual = (flat @ self._two_b).reshape(n_roots, n, d)  # 2B beta_t
+        # row (t, a), column (i, b): entry (a, b) of the matrix of (2B beta_t)_i
+        stacked = basis.times(dual).transpose(0, 2, 1, 3).reshape(n_roots * d, n * d)
+        pairs = (stacked @ flat.T).reshape(n_roots, d, n_roots).transpose(0, 2, 1)
+        two = basis.coefficients([self.field.from_rational(2)])[0]
+        diag = np.arange(n_roots)
+        if not basis.zero(pairs[diag, diag] - two, axis=-1).all():
+            raise CoxeterError("root table lost the unit normalization")
+        scaled = (basis.times(x)[:, None] @ pairs[:, :, None, :, None])[..., 0]
+        images = (x[None] - scaled).reshape(n_roots * n_roots, n, d)
+        keys = basis.keys(x)
+        ids = np.argsort(keys)
+        keys = keys[ids]
+        pos, found = _match(keys, basis.keys(images))
+        act = ids[pos] + 1
+        act[~found] = -1 - _find(
+            keys, ids, basis.keys(-images[~found]),
+            "reflection image is not a root of the table",
+        )
+        self.act = tuple(map(tuple, act.reshape(n_roots, n_roots).tolist()))
+
+    # queries ---------------------------------------------------------------
+
+    @property
+    def n_roots(self) -> int:
+        return len(self.roots)
+
+    def cone_words(self) -> np.ndarray:
+        """(n_roots, n_roots, n_words) uint64: row (i, j) is cone_mask(i, j).
+
+        Built on the first call and kept.
+        """
+        if self._cones is None:
+            self._cones = _cone_table(self)
+        return self._cones
+
+    def cone_mask(self, i: int, j: int) -> int:
+        """Bit-set of positive roots expressible as a*beta_i + b*beta_j, a,b >= 0."""
+        return int.from_bytes(
+            self.cone_words()[i, j].astype("<u8").tobytes(), "little"
+        )
+
+
+def generate_positive_roots(
+    graph: CoxeterGraph, backend: str = "exact", cap: int = DEFAULT_ROOT_CAP
+) -> RootTable:
+    """Close the simple roots under simple reflections, exactly."""
+    field = make_field(graph.ring_parameter, backend)
+    return RootTable(graph, field, cap=cap)
+
+
+# -- the cone table --------------------------------------------------------------
+
 
 def _cone_table(table: RootTable, block: int | None = None) -> np.ndarray:
     """cone[i, j]: the roots a*beta_i + b*beta_j, a, b >= 0, as uint64 words.
@@ -481,8 +464,9 @@ def _cone_table(table: RootTable, block: int | None = None) -> np.ndarray:
     is one matrix product over every root of a block, and signs are taken
     only for the few roots of a plane.  Nothing divides.
     """
-    basis = _PowerBasis(table)
-    x, times = basis.coords, basis.times
+    basis = table._basis
+    x = basis.narrow(table._coeffs)
+    times = basis.times(x)
     n, rank, d = x.shape
     cone = np.zeros((n, n, -(-n // 64)), dtype=np.uint64)
     cone[np.arange(n), np.arange(n)] = _pack_words(np.eye(n, dtype=bool))
@@ -686,31 +670,34 @@ def _row_keys(mask: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
+def _match(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per key: a position in the sorted table, and whether the key is there."""
+    pos = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    return pos, table[pos] == keys
+
+
 def _find(table: np.ndarray, ids: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
     """ids[j] for the j with table[j] == key, per key; table is sorted.
 
     A key absent from the table raises CoxeterError(what).
     """
-    pos = np.minimum(np.searchsorted(table, keys), table.size - 1)
-    if (table[pos] != keys).any():
+    pos, found = _match(table, keys)
+    if not found.all():
         raise CoxeterError(what)
     return ids[pos]
 
 
-def _inverses(sigmas: np.ndarray) -> np.ndarray:
+def _inverses(system: "CoxeterSystem") -> np.ndarray:
     """Element id of x^-1 for every x, read from sigma_x.
 
     Phi_{x^-1} = {|sigma_x(v)| - 1 : sigma_x(v) < 0}, looked up among the
     inversion sets {v : sigma_x(v) < 0} of all elements.
     """
+    sigmas = system._sigmas
     x, v = np.nonzero(sigmas < 0)
     flipped = np.zeros(sigmas.shape, dtype=bool)
     flipped[x, -sigmas[x, v].astype(np.intp) - 1] = True
-    keys = _row_keys(sigmas < 0)
-    order = np.argsort(keys)
-    return _find(
-        keys[order], order, _row_keys(flipped), "an inverse is not an element"
-    ).astype(np.int32)
+    return system._ids_of(flipped, "an inverse is not an element").astype(np.int32)
 
 
 class _NumpyTables:
@@ -748,7 +735,7 @@ class _NumpyTables:
             .astype(np.uint64, copy=False)
         )
         # right[t, x] = x * t: walk the generator table along a word of t
-        by_gen = np.array(system._right_by_gen, dtype=np.int32).T.copy()
+        by_gen = system._right_by_gen.T.copy()
         right = np.empty((n_roots, size), dtype=np.int32)
         for t, elem in enumerate(system._refl_elem):
             row = np.arange(size, dtype=np.int32)
@@ -756,7 +743,7 @@ class _NumpyTables:
                 row = by_gen[letter - 1].take(row)
             right[t] = row
         # left[t, x] = t * x = (x^-1 * t)^-1
-        inverse = _inverses(system._sigmas)
+        inverse = _inverses(system)
         left = inverse.take(right.take(inverse, axis=1))
         self.left = left
         self.right = right
@@ -928,7 +915,7 @@ class CoxeterSystem:
                     "breadth-first word is not reduced: the root table "
                     "is inconsistent"
                 )
-            product = np.empty(m * n, dtype=np.intp)
+            product = np.empty(m * n, dtype=np.int32)
             if down.any():
                 product[down] = _find(
                     *below, found[down],
@@ -961,27 +948,29 @@ class CoxeterSystem:
             start = size
         self._sigmas = np.concatenate(sigmas)
         self._parent, self._letter = np.concatenate(parents), np.concatenate(letters)
-        self._right_by_gen: list[list[int]] = np.concatenate(by_gen).tolist()
-        self._id_by_bits = {bits: x for x, bits in enumerate(self.inv_bits)}
+        self._right_by_gen = np.concatenate(by_gen)
         self.size = len(self.inv_bits)
-        self._refl_elem: list[int] = []
-        self._root_of_elem: dict[int, int] = {}
-        for r in range(n_roots):
-            bits = 0
-            for v, image in enumerate(act[r]):
-                if image < 0:
-                    bits |= 1 << v
-            elem = self._id_by_bits.get(bits)
-            if elem is None:
-                raise CoxeterError(
-                    "a reflection is not an element of the group: the root "
-                    "table is inconsistent"
-                )
-            if self.lengths[elem] % 2 != 1:
-                raise CoxeterError("a reflection must have odd length")
-            self._refl_elem.append(elem)
-            self._root_of_elem[elem] = r
-        self._w0 = self._id_by_bits[(1 << n_roots) - 1]
+        keys = _row_keys(self._sigmas < 0)
+        self._by_key = np.argsort(keys)
+        self._sorted_keys = keys[self._by_key]
+        refl = self._ids_of(
+            act < 0,
+            "a reflection is not an element of the group: the root table "
+            "is inconsistent",
+        )
+        if (np.array(self.lengths)[refl] % 2 != 1).any():
+            raise CoxeterError("a reflection must have odd length")
+        self._refl_elem: list[int] = refl.tolist()
+        self._root_of_elem = {elem: r for r, elem in enumerate(self._refl_elem)}
+        full = np.ones((1, n_roots), dtype=bool)
+        self._w0 = int(self._ids_of(full, "the longest element is missing")[0])
+
+    def _ids_of(self, inversions: np.ndarray, what: str) -> np.ndarray:
+        """Element ids of the inversion sets in the rows of a bool array.
+
+        A set that is no element's raises CoxeterError(what).
+        """
+        return _find(self._sorted_keys, self._by_key, _row_keys(inversions), what)
 
     # -- basic access -------------------------------------------------------
 
@@ -1020,11 +1009,17 @@ class CoxeterSystem:
             i = int(letter) - 1
             if not 0 <= i < self.graph.rank:
                 raise ValueError(f"generator index {letter} out of range")
-            x = self._right_by_gen[x][i]
-        return GroupElement(self, x)
+            x = self._right_by_gen[x, i]
+        return GroupElement(self, int(x))
 
     def element_by_bits(self, bits: int) -> GroupElement:
-        return GroupElement(self, self._id_by_bits[bits])
+        """The element with inversion set `bits`; CoxeterError if there is none."""
+        n_roots = self.table.n_roots
+        what = f"no element has the inversion set {bits:#x}"
+        if not 0 <= bits < 1 << n_roots:
+            raise CoxeterError(what)
+        row = np.array([[bits >> r & 1 for r in range(n_roots)]], dtype=bool)
+        return GroupElement(self, int(self._ids_of(row, what)[0]))
 
     # -- reflections and phi --------------------------------------------------
 

@@ -603,14 +603,6 @@ class ExactField:
     def from_rational(self, q: RationalLike):
         return self.ring.from_rational(q)
 
-    @staticmethod
-    def key(coords: Sequence) -> tuple:
-        """A hashable key, equal exactly for equal coordinate vectors.
-
-        The scalars are canonical, so the vector itself serves.
-        """
-        return tuple(coords)
-
 
 class FloatField:
     """Float scalar factory mirroring ExactField behind the same interface."""
@@ -626,15 +618,6 @@ class FloatField:
 
     def from_rational(self, q: RationalLike):
         return FloatScalar(float(Fraction(q)))
-
-    @staticmethod
-    def key(coords: Sequence) -> tuple:
-        """A hashable key for a coordinate vector: values rounded to 6 decimals.
-
-        Far coarser than the rounding error of the float arithmetic, and far
-        finer than the gaps between distinct root coordinates.
-        """
-        return tuple(round(c.value, 6) for c in coords)
 
 
 def make_field(L: int, backend: str = "exact"):

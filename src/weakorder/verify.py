@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from random import Random
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -243,20 +242,30 @@ def _failure_records(
     return records
 
 
-def _run_sweep(
+def sweep(
     target: str | CoxeterGraph | CoxeterSystem,
     conjecture: str,
-    sample: int | None,
-    seed: int | None,
-    workers: int | None,
-    backend: str,
-    chunk: int,
+    sample: int | None = None,
+    seed: int | None = None,
+    workers: int | None = None,
+    backend: str = "exact",
+    chunk: int = DEFAULT_CHUNK,
 ) -> SweepReport:
+    """Check one conjecture over every ordered pair, or over `sample` seeded pairs.
+
+    conjecture "H" compares join inversion sets with left-product reachable
+    reflections, "D" with right-product ones, and "EQ" checks that the two
+    routes give identical verdicts and sets.
+    """
     if conjecture not in _CONJECTURES:
         raise UsageError(f"conjecture must be one of {_CONJECTURES}")
     workers = workers_from_env(1) if workers is None else workers
     if workers < 1:
         raise UsageError("workers must be a positive integer")
+    if sample is not None and sample < 1:
+        raise UsageError("sample must be a positive integer")
+    if chunk < 1:
+        raise UsageError("chunk must be a positive integer")
     start = time.perf_counter()
     system = _as_system(target, backend)
     if system.table.n_roots > 62:
@@ -292,52 +301,3 @@ def _run_sweep(
         seed=seed if sample is not None else None,
         workers=workers,
     )
-
-
-def sweep_H(
-    target: str | CoxeterGraph | CoxeterSystem,
-    sample: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
-    backend: str = "exact",
-    chunk: int = DEFAULT_CHUNK,
-) -> SweepReport:
-    """Compare join inversion sets with left-product reachable reflections."""
-    return _run_sweep(target, "H", sample, seed, workers, backend, chunk)
-
-
-def sweep_D(
-    target: str | CoxeterGraph | CoxeterSystem,
-    sample: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
-    backend: str = "exact",
-    chunk: int = DEFAULT_CHUNK,
-) -> SweepReport:
-    """Compare join inversion sets with right-product reachable reflections."""
-    return _run_sweep(target, "D", sample, seed, workers, backend, chunk)
-
-
-def sweep_equivalence(
-    target: str | CoxeterGraph | CoxeterSystem,
-    sample: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
-    backend: str = "exact",
-    chunk: int = DEFAULT_CHUNK,
-) -> SweepReport:
-    """Check the left and right routes give identical verdicts and sets."""
-    return _run_sweep(target, "EQ", sample, seed, workers, backend, chunk)
-
-
-def sweep(
-    target: str | CoxeterGraph | CoxeterSystem,
-    conjecture: str,
-    sample: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
-    backend: str = "exact",
-    chunk: int = DEFAULT_CHUNK,
-) -> SweepReport:
-    """Dispatch on the conjecture code ("H", "D" or "EQ")."""
-    return _run_sweep(target, conjecture, sample, seed, workers, backend, chunk)

@@ -21,10 +21,11 @@ read only the root coordinates and the bilinear form.
 import collections
 import functools
 import types
+from fractions import Fraction
 
 import numpy as np
 
-from weakorder.coxeter import CoxeterError, bilinear_form, sum_scalars
+from weakorder.coxeter import CoxeterError
 from weakorder.scalar import make_field
 
 
@@ -189,8 +190,28 @@ def product_tables_loop(table, group):
     return left, right
 
 
+def bilinear_form(graph, field):
+    """The symmetric form with B_ii = 1 and B_ij = -cos(pi/m_ij), as scalars."""
+    one = field.from_rational(1)
+    neg_half = field.from_rational(Fraction(-1, 2))
+    return tuple(
+        tuple(
+            one if i == j else field.two_cos(graph.m[i][j]) * neg_half
+            for j in range(graph.rank)
+        )
+        for i in range(graph.rank)
+    )
+
+
+def sum_scalars(field, items):
+    acc = None
+    for x in items:
+        acc = x if acc is None else acc + x
+    return field.from_rational(0) if acc is None else acc
+
+
 def roots_and_act_loop(graph, backend="exact"):
-    """Positive roots (coordinate tuples, in table order) and the act table.
+    """Positive roots (coordinate tuples, in table order), depths and the act table.
 
     Closes the simple roots under simple reflections with a linear scan for
     repeats, orders them by (depth, exact lexicographic coordinates) after
@@ -239,6 +260,7 @@ def roots_and_act_loop(graph, backend="exact"):
     rest = sorted(range(n, len(vectors)), key=functools.cmp_to_key(cmp_vectors))
     order = list(range(n)) + rest
     roots = [vectors[old] for old in order]
+    depths = [depths[old] for old in order]
 
     def signed_index(coords):
         for r, root in enumerate(roots):
@@ -265,7 +287,7 @@ def roots_and_act_loop(graph, backend="exact"):
             image = tuple(v - 2 * pairing * b for v, b in zip(gamma, beta))
             row.append(signed_index(image))
         act.append(tuple(row))
-    return roots, tuple(act)
+    return roots, depths, tuple(act)
 
 
 def cone_mask_cramer(table, i, j):

@@ -29,9 +29,7 @@ from weakorder import (
     build_ring,
     build_system,
     enumerate_biclosed,
-    sweep_D,
-    sweep_equivalence,
-    sweep_H,
+    sweep,
 )
 from weakorder import permutations as pm
 from weakorder.cli import main as cli_main
@@ -57,7 +55,7 @@ def test_small_type_left_sweeps():
     start = time.perf_counter()
     total = 0
     for name in SMALL_TYPES:
-        report = sweep_H(name)
+        report = sweep(name, "H")
         assert report.failure_count == 0, f"{name}: {report.failures[:3]}"
         assert report.pairs_checked == EXPECTED_PAIRS[name]
         total += report.pairs_checked
@@ -70,8 +68,8 @@ def test_small_type_left_sweeps():
 def test_f4_exhaustive_both_routes():
     start = time.perf_counter()
     system = build_system("F4")
-    for route in (sweep_H, sweep_D):
-        report = route(system, workers=8)
+    for code in ("H", "D"):
+        report = sweep(system, code, workers=8)
         assert report.pairs_checked == 1_327_104
         assert report.failure_count == 0, report.failures[:3]
     elapsed = time.perf_counter() - start
@@ -84,7 +82,7 @@ def test_route_equivalence_small_types():
     start = time.perf_counter()
     total = 0
     for name in SMALL_TYPES:
-        report = sweep_equivalence(name)
+        report = sweep(name, "EQ")
         assert report.failure_count == 0, f"{name}: {report.failures[:3]}"
         total += report.pairs_checked
     elapsed = time.perf_counter() - start
@@ -283,9 +281,9 @@ def test_backend_agreement():
             assert re_.depth == rf.depth
             for ce, cf in zip(re_.coords, rf.coords):
                 assert math.isclose(ce.to_float(), cf.to_float(), abs_tol=1e-9)
-        for route in (sweep_H, sweep_D):
-            a = route(exact, backend="exact")
-            b = route(approx, backend="float")
+        for code in ("H", "D"):
+            a = sweep(exact, code, backend="exact")
+            b = sweep(approx, code, backend="float")
             assert a.failure_count == b.failure_count == 0
             assert a.pairs_checked == b.pairs_checked
     elapsed = time.perf_counter() - start

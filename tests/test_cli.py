@@ -290,6 +290,13 @@ def test_workers_flag_below_one_is_usage_error(capsys):
     assert err == "error: workers must be a positive integer\n"
 
 
+@pytest.mark.parametrize("sample", ["0", "-5"])
+def test_sample_below_one_is_usage_error(capsys, sample):
+    rc, out, err = run(capsys, "verify", "--type", "A2", "--sample", sample)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == "error: sample must be a positive integer\n"
+
+
 def test_sweep_past_the_root_guard_is_usage_error(capsys):
     rc, out, err = run(capsys, "verify", "--type", "I2(63)", "--backend", "float")
     assert (rc, out) == (EXIT_USAGE, "")

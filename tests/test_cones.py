@@ -1,7 +1,8 @@
-"""The root table against the scalar loops in oracles.py: root order and act
-from keyed lookups, and the cone table bit for bit against Cramer's rule one
-pair at a time, over several block sizes, plus the closure predicates that
-read it on H4 and the float backend's table.
+"""The root table against the scalar loops in oracles.py: roots, depths,
+order and act from the integer array construction on both backends, its
+root cap, and the cone table bit for bit against Cramer's rule one pair at
+a time, over several block sizes, plus the closure predicates that read it
+on H4 and the float backend's table.
 """
 
 import functools
@@ -13,6 +14,7 @@ import pytest
 from oracles import cone_mask_cramer, roots_and_act_loop
 from weakorder.coxeter import (
     CoxeterGraph,
+    FinitenessExceeded,
     RootSubset,
     _cone_table,
     enumerate_group,
@@ -42,12 +44,38 @@ def as_ints(cone):
     ]
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "H3", "F4", "H4"])
-def test_roots_and_act_match_the_scan_oracle(name):
-    table = exact_table(name)
-    roots, act = roots_and_act_loop(table.graph)
+ORACLE_TYPES = ["A3", "B3", "H3", "I2(7)", "I2(12)", "D4", "F4", "B5", "E6", "H4"]
+
+
+@pytest.mark.parametrize(
+    "name,backend",
+    [(t, "exact") for t in ORACLE_TYPES]
+    + [(t, "float") for t in ("B3", "H3", "I2(7)", "F4")],
+)
+def test_roots_and_act_match_the_scan_oracle(name, backend):
+    graph = CoxeterGraph.from_name(name)
+    table = generate_positive_roots(graph, backend=backend)
+    roots, depths, act = roots_and_act_loop(graph, backend)
     assert [root.coords for root in table.roots] == roots
+    assert [root.depth for root in table.roots] == depths
+    assert [root.index for root in table.roots] == list(range(len(roots)))
     assert table.act == act
+
+
+@pytest.mark.parametrize("name,n_roots", [("H3", 15), ("F4", 24)])
+def test_root_cap_boundary(name, n_roots):
+    graph = CoxeterGraph.from_name(name)
+    assert generate_positive_roots(graph, cap=n_roots).n_roots == n_roots
+    with pytest.raises(FinitenessExceeded, match=f"more than {n_roots - 1} positive"):
+        generate_positive_roots(graph, cap=n_roots - 1)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_hyperbolic_triangle_exceeds_the_root_cap(backend):
+    # 1/2 + 1/3 + 1/7 < 1: the (2, 3, 7) triangle group is infinite
+    graph = CoxeterGraph.from_matrix([[1, 2, 3], [2, 1, 7], [3, 7, 1]])
+    with pytest.raises(FinitenessExceeded, match="more than 10000 positive roots"):
+        generate_positive_roots(graph, backend=backend)
 
 
 @pytest.mark.parametrize("block", [1, 7, None])

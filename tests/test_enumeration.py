@@ -31,7 +31,7 @@ def test_enumeration_and_tables_match_oracles(name, tables):
     assert system.inv_bits == oracle.inv_bits
     assert system.words == oracle.words
     assert system.lengths == oracle.lengths
-    assert system._right_by_gen == oracle.right_by_gen
+    assert system._right_by_gen.tolist() == oracle.right_by_gen
     assert [r.index for r in system.reflections()] == oracle.refl_elem
     assert system.longest_element.index == oracle.w0
     if tables:
@@ -94,6 +94,16 @@ def test_indices_are_python_ints():
     assert all(type(b) is int for b in system.inv_bits)
     assert all(type(n) is int for n in system.lengths)
     assert all(type(i) is int for word in system.words for i in word)
-    assert all(type(y) is int for row in system._right_by_gen for y in row)
-    json.dumps([indices, system.words[-1], system._right_by_gen[-1]])
+    json.dumps([indices, system.words[-1]])
     assert hash(elements[0]) == hash((id(system), indices[0]))
+
+
+def test_element_by_bits_rejects_a_set_that_is_no_inversion_set():
+    system = build_system("B3")
+    w0 = system.longest_element
+    assert system.element_by_bits(w0.inversion_bits) == w0
+    assert system.element_by_bits(0) == system.identity
+    # {a1, a2} is not closed: it lacks a1 + a2 (a root of B3)
+    for bits in (0b11, -1, 1 << system.table.n_roots):
+        with pytest.raises(CoxeterError, match="no element has the inversion set"):
+            system.element_by_bits(bits)

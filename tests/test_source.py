@@ -1,6 +1,8 @@
 """Properties of the library source itself."""
 
 import ast
+import doctest
+import importlib
 from pathlib import Path
 
 import weakorder
@@ -17,3 +19,14 @@ def test_no_invariant_rests_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_docstring_examples_run():
+    failed, attempted = 0, 0
+    for path in sorted(SRC.glob("*.py")):
+        name = "weakorder" if path.stem == "__init__" else f"weakorder.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        failed += result.failed
+        attempted += result.attempted
+    assert failed == 0
+    assert attempted >= 15

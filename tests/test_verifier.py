@@ -20,9 +20,6 @@ from weakorder import (
     join_bruteforce,
     left_reflection_set,
     sweep,
-    sweep_D,
-    sweep_equivalence,
-    sweep_H,
     workers_from_env,
 )
 from weakorder import verify as vf
@@ -107,32 +104,32 @@ def test_reachable_bits_match_single_pair_route():
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "I2(5)", "I2(7)", "H3"])
 def test_exhaustive_sweeps_hold(name):
-    for fn in (sweep_H, sweep_D, sweep_equivalence):
-        report = fn(name)
+    for code in ("H", "D", "EQ"):
+        report = sweep(name, code)
         assert report.ok
         assert report.failure_count == 0
         assert report.failures == []
         assert report.pairs_checked == build_system(name).size ** 2
 
 
-def test_sweep_dispatch_matches_direct_calls():
-    for code, fn in (("H", sweep_H), ("D", sweep_D), ("EQ", sweep_equivalence)):
-        assert sweep("A3", code).as_dict()["conjecture"] == fn("A3").as_dict()["conjecture"]
+def test_sweep_reports_its_conjecture_code():
+    for code in ("H", "D", "EQ"):
+        assert sweep("A3", code).as_dict()["conjecture"] == code
     with pytest.raises(ValueError):
         sweep("A3", "X")
 
 
 def test_sweep_accepts_prebuilt_system():
     system = build_system("A3")
-    report = sweep_H(system)
+    report = sweep(system, "H")
     assert report.ok
     assert report.type == "A3"
     assert report.pairs_checked == 24 * 24
 
 
 def test_sampled_sweep_is_deterministic():
-    a = sweep_H("B3", sample=200, seed=11)
-    b = sweep_H("B3", sample=200, seed=11)
+    a = sweep("B3", "H", sample=200, seed=11)
+    b = sweep("B3", "H", sample=200, seed=11)
     assert a.pairs_checked == b.pairs_checked == 200
     assert a.seed == b.seed == 11
     assert a.ok and b.ok
@@ -144,15 +141,15 @@ def test_sampled_sweep_is_deterministic():
 
 
 def test_exhaustive_sweep_reports_no_seed():
-    report = sweep_H("A2", seed=99)
+    report = sweep("A2", "H", seed=99)
     assert report.seed is None
-    sampled = sweep_H("A2", sample=10, seed=99)
+    sampled = sweep("A2", "H", sample=10, seed=99)
     assert sampled.seed == 99
 
 
 def test_worker_pool_matches_single_process():
-    solo = sweep_H("A3", workers=1, chunk=32)
-    pooled = sweep_H("A3", workers=2, chunk=32)
+    solo = sweep("A3", "H", workers=1, chunk=32)
+    pooled = sweep("A3", "H", workers=2, chunk=32)
     assert pooled.workers == 2
     assert solo.ok and pooled.ok
     assert solo.pairs_checked == pooled.pairs_checked
@@ -160,9 +157,9 @@ def test_worker_pool_matches_single_process():
 
 def test_root_count_guard():
     with pytest.raises(ValueError):
-        sweep_H("I2(63)", backend="float")
+        sweep("I2(63)", "H", backend="float")
     # 62 roots is the boundary and must still work
-    report = sweep_H("I2(62)", sample=50, seed=1, backend="float")
+    report = sweep("I2(62)", "H", sample=50, seed=1, backend="float")
     assert report.ok
 
 
@@ -170,7 +167,7 @@ def test_root_count_guard():
 
 
 def test_report_key_order_is_stable():
-    report = sweep_H("A2")
+    report = sweep("A2", "H")
     assert list(report.as_dict().keys()) == [
         "schema",
         "type",
@@ -195,7 +192,7 @@ def test_report_names_matrix_builds():
     from weakorder import CoxeterGraph
 
     graph = CoxeterGraph(2, ((1, 3), (3, 1)))
-    report = sweep_H(graph)
+    report = sweep(graph, "H")
     assert report.type.startswith("matrix")
 
 
@@ -261,9 +258,9 @@ def test_workers_from_env(monkeypatch):
 
 def test_sweep_reads_workers_env(monkeypatch):
     monkeypatch.setenv("WEAKORDER_WORKERS", "2")
-    report = sweep_H("A2")
+    report = sweep("A2", "H")
     assert report.workers == 2
-    explicit = sweep_H("A2", workers=1)
+    explicit = sweep("A2", "H", workers=1)
     assert explicit.workers == 1
 
 
@@ -271,7 +268,16 @@ def test_workers_below_one_are_a_usage_error(monkeypatch):
     monkeypatch.delenv("WEAKORDER_WORKERS", raising=False)
     for workers in (0, -3):
         with pytest.raises(vf.UsageError, match="workers must be a positive integer"):
-            sweep_H("A2", workers=workers)
+            sweep("A2", "H", workers=workers)
+
+
+def test_empty_samples_and_chunks_are_usage_errors():
+    for sample in (0, -1):
+        with pytest.raises(vf.UsageError, match="sample must be a positive integer"):
+            sweep("A2", "H", sample=sample, seed=1)
+    for chunk in (0, -4):
+        with pytest.raises(vf.UsageError, match="chunk must be a positive integer"):
+            sweep("A2", "H", chunk=chunk)
 
 
 def test_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
@@ -307,12 +313,12 @@ def test_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
         (4, 1, []),
     ):
         sizes.clear()
-        report = sweep_H(system, workers=workers, chunk=chunk)
+        report = sweep(system, "H", workers=workers, chunk=chunk)
         assert report.ok and report.workers == workers
         assert sizes == expected, (chunk, workers)
     monkeypatch.setattr(vf.os, "cpu_count", lambda: None)
     sizes.clear()
-    assert sweep_H(system, workers=8, chunk=4).ok and sizes == []
+    assert sweep(system, "H", workers=8, chunk=4).ok and sizes == []
 
 
 def test_report_dataclass_defaults():
