@@ -35,13 +35,9 @@ from .coxeter import (
 )
 from .scalar import (
     AlgebraicScalar,
-    ExactField,
-    FloatField,
-    FloatScalar,
     MinimalPolynomial,
     build_ring,
     embed_cos,
-    make_field,
 )
 from .verify import (
     SweepReport,
@@ -69,10 +65,7 @@ __all__ = [
     "CoxeterError",
     "CoxeterGraph",
     "CoxeterSystem",
-    "ExactField",
     "FinitenessExceeded",
-    "FloatField",
-    "FloatScalar",
     "GroupElement",
     "HVerdict",
     "MinimalPolynomial",
@@ -101,7 +94,6 @@ __all__ = [
     "join_bruteforce",
     "left_reflection_set",
     "leq_weak",
-    "make_field",
     "path_vertices",
     "path_witness",
     "reachable_reflection_roots",

@@ -30,9 +30,7 @@ def bruhat_reachable(
 
     The identity is included (the empty path).
     """
-    if labels.table is not system.table:
-        raise ValueError("label subset belongs to a different root table")
-    visited = system.reachable_ids(labels.bits, side="left")
+    visited, _ = system.reach(labels, "left")
     return frozenset(system.element(i) for i in np.nonzero(visited)[0])
 
 
@@ -44,12 +42,7 @@ def path_vertices(u: GroupElement, v: GroupElement) -> frozenset[GroupElement]:
 
 def reachable_reflection_roots(system: CoxeterSystem, labels: RootSubset) -> RootSubset:
     """The roots of the reflections inside the reachable vertex set."""
-    visited = system.reachable_ids(labels.bits, side="left")
-    npt = system.numpy_tables()
-    bits = 0
-    for r in np.nonzero(visited[npt.refl_ids])[0]:
-        bits |= 1 << int(r)
-    return RootSubset(system.table, bits)
+    return system.reach(labels, "left")[1]
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,7 @@ def to_dot(u: GroupElement, v: GroupElement) -> str:
     """Graphviz rendering of V_W(u, v): reflections doubled, edges labelled."""
     system = u.system
     labels = left_reflection_set(u) | left_reflection_set(v)
-    visited = system.reachable_ids(labels.bits, side="left")
+    visited, _ = system.reach(labels, "left")
     ids = sorted(
         (int(i) for i in np.nonzero(visited)[0]),
         key=lambda i: (system.lengths[i], system.words[i]),

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from .bruhat import check_conjecture_H, to_dot
 from .coxeter import (
@@ -22,7 +21,7 @@ from .coxeter import (
     GroupElement,
     build_system,
 )
-from .verify import UsageError, sweep, workers_from_env
+from .verify import UsageError, sweep
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -47,11 +46,10 @@ def _graph_from_args(args: argparse.Namespace) -> CoxeterGraph:
 
 
 def _build(args: argparse.Namespace) -> CoxeterSystem:
-    kwargs = {"backend": args.backend}
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-        kwargs["element_cap"] = args.cap
-    return build_system(_graph_from_args(args), **kwargs)
+    graph = _graph_from_args(args)
+    if args.cap is None:
+        return build_system(graph)
+    return build_system(graph, cap=args.cap, element_cap=args.cap)
 
 
 def parse_element(system: CoxeterSystem, text: str) -> GroupElement:
@@ -83,9 +81,8 @@ def parse_element(system: CoxeterSystem, text: str) -> GroupElement:
 
 
 def _scalar_json(value) -> dict:
-    coeffs = getattr(value, "coeffs", None)
     return {
-        "coeffs": [str(Fraction(c)) for c in coeffs] if coeffs is not None else None,
+        "coeffs": [str(c) for c in value.coeffs],
         "approx": round(value.to_float(), 12),
     }
 
@@ -119,7 +116,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     system = _build(args)
     payload = {
         "schema": 1,
-        "type": system.graph.name or f"matrix{system.graph.m}",
+        "type": system.graph.display_name,
         "count": system.table.n_roots,
         "roots": [_root_json(system, r) for r in range(system.table.n_roots)],
     }
@@ -140,7 +137,7 @@ def cmd_join(args: argparse.Namespace) -> int:
     join = verdict.join
     payload = {
         "schema": 1,
-        "type": system.graph.name or f"matrix{system.graph.m}",
+        "type": system.graph.display_name,
         "u": u.word_str(),
         "v": v.word_str(),
         "join": join.word_str(),
@@ -175,14 +172,12 @@ def cmd_join(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     system = _build(args)
-    workers = args.workers if args.workers is not None else workers_from_env(1)
     report = sweep(
         system,
         args.conjecture,
         sample=args.sample,
         seed=args.seed,
-        workers=workers,
-        backend=args.backend,
+        workers=args.workers,
     )
     body = report.to_json()
     if args.report:
@@ -209,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--type", help='named type, e.g. "A3", "B4", "H3", "I2(7)"')
         p.add_argument("--matrix", help="path to a JSON Coxeter-matrix file")
-        p.add_argument("--backend", choices=("exact", "float"), default="exact")
         p.add_argument("--cap", type=int, default=None,
                        help="abort construction beyond this many roots/elements")
         p.add_argument("--format", choices=("text", "json"), default="text")

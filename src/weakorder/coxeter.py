@@ -33,7 +33,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .scalar import FLOAT_TOL, AlgebraicScalar, FloatScalar, make_field
+from .permutations import perm_of_word, word_of_perm
+from .scalar import AlgebraicScalar, build_ring, embed_cos
 
 DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ELEMENT_CAP = 2_000_000
@@ -86,6 +87,11 @@ class CoxeterGraph:
                     raise ValueError("off-diagonal entries must be >= 2")
                 if mij != self.m[j][i]:
                     raise ValueError("Coxeter matrix must be symmetric")
+
+    @property
+    def display_name(self) -> str:
+        """The display name, or the matrix itself for an unnamed graph."""
+        return self.name or f"matrix{self.m}"
 
     @property
     def ring_parameter(self) -> int:
@@ -194,22 +200,16 @@ class Root:
 class _PowerBasis:
     """Values of Q(c) as coefficient arrays over the power basis 1, c, ..., c^(d-1).
 
-    Every root coordinate of a finite Coxeter system lies in Z[c], so on the
-    exact backend a value is d Python ints (object arrays: nothing can
-    overflow) and times() gives the d x d integer matrix of multiplication
-    by it mod psi_L.  Zero means all coefficients are zero; a sign comes
-    from integer bounds on the powers of c, or from AlgebraicScalar.sign
-    where those bounds leave it open.  Float backend: d = 1 and float64
-    values, zero means within FLOAT_TOL, and keys round to 6 decimals, far
-    coarser than the rounding error and far finer than the gaps between
-    distinct root coordinates.
+    Every root coordinate of a finite Coxeter system lies in Z[c], so a
+    value is d Python ints (object arrays: nothing can overflow) and times()
+    gives the d x d integer matrix of multiplication by it mod psi_L.  Zero
+    means all coefficients are zero; a sign comes from integer bounds on the
+    powers of c, or from AlgebraicScalar.sign where those bounds leave it
+    open.
     """
 
     def __init__(self, ring):
         self.ring = ring
-        if ring is None:
-            self.d = 1
-            return
         d = self.d = ring.degree
         powers = [[int(j == k) for j in range(d)] for k in range(d)]
         for _ in range(d - 1):
@@ -223,41 +223,28 @@ class _PowerBasis:
 
     def coefficients(self, values: Sequence) -> np.ndarray:
         """(len(values), d) array of scalars whose denominators are 1."""
-        if self.ring is None:
-            return np.array([[v.value] for v in values], dtype=np.float64)
         return np.array([v.num for v in values], dtype=object)
 
     def scalars(self, x: np.ndarray) -> list:
         """The scalars of the rows of an (m, d) coefficient array."""
-        if self.ring is None:
-            return [FloatScalar(v) for v in x[:, 0].tolist()]
         return [AlgebraicScalar(self.ring, tuple(row), 1) for row in x.tolist()]
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """(..., d, d) multiplication matrices of the values in a (..., d) array."""
-        if self.ring is None:
-            return x[..., None]
         shift = self.shift.astype(x.dtype)
         return np.tensordot(x, shift, axes=(-1, 0)).swapaxes(-1, -2)
 
     def keys(self, x: np.ndarray) -> np.ndarray:
         """One sortable key per row of x, equal exactly for equal rows."""
         rows = x.reshape(x.shape[0], math.prod(x.shape[1:]))
-        if self.ring is None:
-            rows = np.round(rows, 6)
         return np.fromiter(map(tuple, rows.tolist()), dtype=object, count=rows.shape[0])
 
     def zero(self, x: np.ndarray, axis) -> np.ndarray:
         """Whether the values along `axis` (which includes the last) are all 0."""
-        if self.ring is None:
-            return (np.abs(x) <= FLOAT_TOL).all(axis=axis)
         return (x == 0).all(axis=axis)
 
     def signs(self, x: np.ndarray) -> np.ndarray:
         """Signs (-1, 0, 1) of the values in an (m, d) coefficient array."""
-        if self.ring is None:
-            value = np.where(np.abs(x[:, 0]) <= FLOAT_TOL, 0.0, x[:, 0])
-            return np.sign(value).astype(np.int8)
         x = x.astype(object)
         pos = np.where(x > 0, x, 0)
         neg = x - pos
@@ -270,8 +257,6 @@ class _PowerBasis:
 
     def narrow(self, x: np.ndarray) -> np.ndarray:
         """x as int64 when every sum of products _cone_table forms fits."""
-        if self.ring is None:
-            return x
         rank, d = x.shape[1:]
         biggest = max(abs(a) for a in x.ravel().tolist())
         spread = max(
@@ -285,8 +270,10 @@ class _PowerBasis:
 class RootTable:
     """Deterministically ordered positive roots with the full reflection table.
 
-    Built as exact integer arrays over the power basis of c (_PowerBasis):
-    _coeffs[r, t] holds the coefficients of beta_r[t].  Positive roots come
+    Built over the ring Q(c) of the graph, c = 2cos(pi/L) with L its
+    ring_parameter, as exact integer arrays over the power basis of c
+    (_PowerBasis): _coeffs[r, t] holds the coefficients of beta_r[t], and
+    there is no other scalar representation.  Positive roots come
     from closing the simple roots under the simple reflections one depth
     level at a time, a whole level reflected in one matrix product with the
     integer matrix of 2B (B_ij = -cos(pi/m_ij)).  Repeats and reflection
@@ -305,14 +292,14 @@ class RootTable:
     never by the constructor.
     """
 
-    def __init__(self, graph: CoxeterGraph, field, cap: int = DEFAULT_ROOT_CAP):
+    def __init__(self, graph: CoxeterGraph, cap: int = DEFAULT_ROOT_CAP):
         self.graph = graph
-        self.field = field
+        self.ring = ring = build_ring(graph.ring_parameter)
         self._cones: np.ndarray | None = None
-        self._basis = basis = _PowerBasis(field.ring)
+        self._basis = basis = _PowerBasis(ring)
         n, d = graph.rank, basis.d
         # row block j, column block i: multiplication by 2B_ij = -2cos(pi/m_ij)
-        entries = basis.coefficients([-field.two_cos(m) for row in graph.m for m in row])
+        entries = basis.coefficients([-embed_cos(m, ring) for row in graph.m for m in row])
         blocks = basis.times(entries).reshape(n, n, d, d)
         self._two_b = blocks.transpose(1, 3, 0, 2).reshape(n * d, n * d)
         coeffs, depths = self._generate(cap)
@@ -399,7 +386,7 @@ class RootTable:
         # row (t, a), column (i, b): entry (a, b) of the matrix of (2B beta_t)_i
         stacked = basis.times(dual).transpose(0, 2, 1, 3).reshape(n_roots * d, n * d)
         pairs = (stacked @ flat.T).reshape(n_roots, d, n_roots).transpose(0, 2, 1)
-        two = basis.coefficients([self.field.from_rational(2)])[0]
+        two = basis.coefficients([self.ring.from_rational(2)])[0]
         diag = np.arange(n_roots)
         if not basis.zero(pairs[diag, diag] - two, axis=-1).all():
             raise CoxeterError("root table lost the unit normalization")
@@ -438,12 +425,9 @@ class RootTable:
         )
 
 
-def generate_positive_roots(
-    graph: CoxeterGraph, backend: str = "exact", cap: int = DEFAULT_ROOT_CAP
-) -> RootTable:
+def generate_positive_roots(graph: CoxeterGraph, cap: int = DEFAULT_ROOT_CAP) -> RootTable:
     """Close the simple roots under simple reflections, exactly."""
-    field = make_field(graph.ring_parameter, backend)
-    return RootTable(graph, field, cap=cap)
+    return RootTable(graph, cap=cap)
 
 
 # -- the cone table --------------------------------------------------------------
@@ -795,14 +779,15 @@ def reach_words(tables: _NumpyTables, unions: np.ndarray, side: str) -> np.ndarr
     x is set when x is reachable under union j, by steps x -> s_alpha * x
     (side="left") or x -> x * s_alpha (side="right") with alpha in the union
     and length going up.  A level dynamic program: reach[x] is the OR of
-    reach[p] & labels[r] over the descent steps (r, p) into x.
+    reach[p] & labels[r] over the descent steps (r, p) into x.  Any other
+    side raises ValueError.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     labels = transpose_bits(unions, tables.n_roots)
     reach = np.zeros((tables.lengths.size, labels.shape[1]), dtype=np.uint64)
     reach[0] = _WORD_MASK
-    for lo, hi, root, pred, segments in tables.steps[
-        "left" if side == "left" else "right"
-    ]:
+    for lo, hi, root, pred, segments in tables.steps[side]:
         step = reach.take(pred, axis=0)
         step &= labels.take(root, axis=0)
         np.bitwise_or.reduceat(step, segments, axis=0, out=reach[lo:hi])
@@ -1066,6 +1051,18 @@ class CoxeterSystem:
         npt = self.numpy_tables()
         return reach_words(npt, npt.words(label_bits), side)[:, 0] & 1 != 0
 
+    def reach(self, labels: RootSubset, side: str) -> tuple[np.ndarray, RootSubset]:
+        """reachable_ids for a root subset, and the roots of the reached reflections.
+
+        The subset must belong to this system's root table; one of another
+        table raises ValueError.
+        """
+        if labels.table is not self.table:
+            raise ValueError("label subset belongs to a different root table")
+        visited = self.reachable_ids(labels.bits, side)
+        hit = np.flatnonzero(visited[self.numpy_tables().refl_ids])
+        return visited, RootSubset.from_indices(self.table, hit.tolist())
+
     # -- type-A permutation dictionary ----------------------------------------
 
     def is_type_a(self) -> bool:
@@ -1081,28 +1078,14 @@ class CoxeterSystem:
         """One-line notation in S_{rank+1} under s_i <-> t_{i,i+1}."""
         if not self.is_type_a():
             raise WrongType("one-line notation needs a type-A chain graph")
-        line = list(range(1, self.graph.rank + 2))
-        for i in element.word:
-            line[i - 1], line[i] = line[i], line[i - 1]
-        return tuple(line)
+        return perm_of_word(self.graph.rank + 1, element.word)
 
     def element_of_permutation(self, line: Sequence[int]) -> GroupElement:
         if not self.is_type_a():
             raise WrongType("one-line notation needs a type-A chain graph")
         if sorted(line) != list(range(1, self.graph.rank + 2)):
             raise ValueError(f"{line!r} is not a permutation of 1..{self.graph.rank + 1}")
-        work = list(line)
-        letters = []
-        flag = True
-        while flag:
-            flag = False
-            for i in range(len(work) - 1):
-                if work[i] > work[i + 1]:
-                    work[i], work[i + 1] = work[i + 1], work[i]
-                    letters.append(i + 1)
-                    flag = True
-        letters.reverse()
-        return self.element_from_word(letters)
+        return self.element_from_word(word_of_perm(tuple(line)))
 
 
 def enumerate_group(
@@ -1118,7 +1101,6 @@ def enumerate_group(
 
 def build_system(
     type_or_graph: str | CoxeterGraph,
-    backend: str = "exact",
     cap: int = DEFAULT_ROOT_CAP,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> CoxeterSystem:
@@ -1129,7 +1111,7 @@ def build_system(
         else type_or_graph
     )
     return enumerate_group(
-        generate_positive_roots(graph, backend=backend, cap=cap),
+        generate_positive_roots(graph, cap=cap),
         element_cap=element_cap,
     )
 

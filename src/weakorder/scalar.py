@@ -20,9 +20,8 @@ deg(psi_L) = phi(2L)/2 for L >= 2.
 Sign determination never touches floating point: an isolating rational
 interval for c (seeded from a double, then verified and refined by exact
 bisection on psi_L) is evaluated with interval arithmetic until the sign
-is decided.  A 64-bit float backend with tolerance 1e-9 implements the
-same scalar interface for use as a cross-check oracle in tests; verdicts
-are always taken from the exact backend.
+is decided.  This is the only scalar layer: every root coordinate, sign
+and verdict is exact.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
-
-FLOAT_TOL = 1e-9
 
 RationalLike = Union[int, Fraction]
 
@@ -508,121 +505,3 @@ class AlgebraicScalar:
     def __repr__(self) -> str:
         return f"<{self.render()} ~ {self.to_float():.6f}>"
 
-
-# -- float backend ------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class FloatScalar:
-    """Double-precision stand-in for AlgebraicScalar (tolerance 1e-9).
-
-    Used only as a cross-check oracle in tests; verdicts always come from
-    the exact backend.  Unhashable: equality within a tolerance is not
-    transitive, so no hash can agree with it.
-    """
-
-    value: float
-
-    __hash__ = None
-
-    def _val(self, other: object) -> float | None:
-        if isinstance(other, FloatScalar):
-            return other.value
-        if isinstance(other, (int, Fraction)):
-            return float(other)
-        return None
-
-    def __add__(self, other):
-        v = self._val(other)
-        return NotImplemented if v is None else FloatScalar(self.value + v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FloatScalar(-self.value)
-
-    def __sub__(self, other):
-        v = self._val(other)
-        return NotImplemented if v is None else FloatScalar(self.value - v)
-
-    def __rsub__(self, other):
-        v = self._val(other)
-        return NotImplemented if v is None else FloatScalar(v - self.value)
-
-    def __mul__(self, other):
-        v = self._val(other)
-        return NotImplemented if v is None else FloatScalar(self.value * v)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero scalar")
-        return FloatScalar(1.0 / self.value)
-
-    def __truediv__(self, other):
-        v = self._val(other)
-        return NotImplemented if v is None else FloatScalar(self.value / v)
-
-    def is_zero(self) -> bool:
-        return abs(self.value) <= FLOAT_TOL
-
-    def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        return 1 if self.value > 0 else -1
-
-    def __eq__(self, other: object) -> bool:
-        v = self._val(other)
-        return v is not None and abs(self.value - v) <= FLOAT_TOL
-
-    def to_float(self) -> float:
-        return self.value
-
-    def render(self) -> str:
-        return repr(round(self.value, 12))
-
-    def __repr__(self) -> str:
-        return f"<~{self.value:.6f}>"
-
-
-# -- backend contexts ----------------------------------------------------------
-
-
-class ExactField:
-    """Exact scalar factory for a Coxeter graph whose labels divide L."""
-
-    name = "exact"
-
-    def __init__(self, L: int):
-        self.ring = build_ring(L)
-
-    def two_cos(self, m: int):
-        return embed_cos(m, self.ring)
-
-    def from_rational(self, q: RationalLike):
-        return self.ring.from_rational(q)
-
-
-class FloatField:
-    """Float scalar factory mirroring ExactField behind the same interface."""
-
-    name = "float"
-
-    def __init__(self, L: int):
-        self.ring = None
-        self.L = L
-
-    def two_cos(self, m: int):
-        return FloatScalar(2.0 * math.cos(math.pi / m))
-
-    def from_rational(self, q: RationalLike):
-        return FloatScalar(float(Fraction(q)))
-
-
-def make_field(L: int, backend: str = "exact"):
-    if backend == "exact":
-        return ExactField(L)
-    if backend == "float":
-        return FloatField(L)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -70,7 +70,6 @@ class SweepReport:
 
     type: str
     conjecture: str
-    backend: str
     pairs_checked: int
     failure_count: int
     failures: list[dict] = field(default_factory=list)
@@ -88,7 +87,7 @@ class SweepReport:
             "schema": self.schema,
             "type": self.type,
             "conjecture": self.conjecture,
-            "backend": self.backend,
+            "backend": "exact",
             "pairs_checked": self.pairs_checked,
             "failures": self.failures,
             "failure_count": self.failure_count,
@@ -101,15 +100,10 @@ class SweepReport:
         return json.dumps(self.as_dict(), indent=2, sort_keys=False)
 
 
-def _as_system(target: str | CoxeterGraph | CoxeterSystem, backend: str) -> CoxeterSystem:
+def _as_system(target: str | CoxeterGraph | CoxeterSystem) -> CoxeterSystem:
     if isinstance(target, CoxeterSystem):
         return target
-    return build_system(target, backend=backend)
-
-
-def _describe(system: CoxeterSystem) -> str:
-    graph = system.graph
-    return graph.name if graph.name else f"matrix{graph.m}"
+    return build_system(target)
 
 
 # -- batched per-union computations ---------------------------------------------------
@@ -199,11 +193,6 @@ def _pair_arrays(
     return us, vs
 
 
-def _word_text(system: CoxeterSystem, element_id: int) -> str:
-    word = system.words[element_id]
-    return " ".join(str(i) for i in word) if word else "e"
-
-
 def _root_names(system: CoxeterSystem, bits: int) -> list[str]:
     return [
         system.table.roots[r].render()
@@ -230,8 +219,8 @@ def _failure_records(
     for p in ids[order][:MAX_RECORDED_FAILURES]:
         k = int(inverse[p])
         rec = {
-            "u": _word_text(system, int(us[p])),
-            "v": _word_text(system, int(vs[p])),
+            "u": system.element(int(us[p])).word_str(),
+            "v": system.element(int(vs[p])).word_str(),
             "join_inversions": _root_names(system, int(lhs[k])),
         }
         if conjecture in ("H", "EQ"):
@@ -248,7 +237,6 @@ def sweep(
     sample: int | None = None,
     seed: int | None = None,
     workers: int | None = None,
-    backend: str = "exact",
     chunk: int = DEFAULT_CHUNK,
 ) -> SweepReport:
     """Check one conjecture over every ordered pair, or over `sample` seeded pairs.
@@ -267,7 +255,7 @@ def sweep(
     if chunk < 1:
         raise UsageError("chunk must be a positive integer")
     start = time.perf_counter()
-    system = _as_system(target, backend)
+    system = _as_system(target)
     if system.table.n_roots > 62:
         raise UsageError("sweeps support at most 62 positive roots")
     # within the root guard every inversion set and union is one uint64 word
@@ -291,9 +279,8 @@ def sweep(
         system, us, vs, bad, lhs, rhs_left, rhs_right, inverse, conjecture
     )
     return SweepReport(
-        type=_describe(system),
+        type=system.graph.display_name,
         conjecture=conjecture,
-        backend=backend,
         pairs_checked=int(us.size),
         failure_count=int(bad.sum()),
         failures=failures,

@@ -139,9 +139,7 @@ def tau_reachable(system: CoxeterSystem, subset: RootSubset) -> frozenset[GroupE
     x steps to x * s_alpha for alpha in the subset whenever the length goes
     up; the identity itself is not part of the image.
     """
-    if subset.table is not system.table:
-        raise ValueError("subset belongs to a different root table")
-    visited = system.reachable_ids(subset.bits, side="right")
+    visited, _ = system.reach(subset, "right")
     return frozenset(
         system.element(i) for i in np.nonzero(visited)[0] if i != 0
     )
@@ -151,11 +149,4 @@ def conjectural_join_D(
     system: CoxeterSystem, a: RootSubset, b: RootSubset
 ) -> RootSubset:
     """The root set J(A, B): reflections reachable by tau from A union B."""
-    union = a | b
-    visited = system.reachable_ids(union.bits, side="right")
-    npt = system.numpy_tables()
-    hit = visited[npt.refl_ids]
-    bits = 0
-    for r in np.nonzero(hit)[0]:
-        bits |= 1 << int(r)
-    return RootSubset(system.table, bits)
+    return system.reach(a | b, "right")[1]

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from weakorder.coxeter import CoxeterError
-from weakorder.scalar import make_field
+from weakorder.scalar import build_ring, embed_cos
 
 
 def root_masks(bit_sets, n_roots):
@@ -190,27 +190,27 @@ def product_tables_loop(table, group):
     return left, right
 
 
-def bilinear_form(graph, field):
+def bilinear_form(graph, ring):
     """The symmetric form with B_ii = 1 and B_ij = -cos(pi/m_ij), as scalars."""
-    one = field.from_rational(1)
-    neg_half = field.from_rational(Fraction(-1, 2))
+    one = ring.from_rational(1)
+    neg_half = ring.from_rational(Fraction(-1, 2))
     return tuple(
         tuple(
-            one if i == j else field.two_cos(graph.m[i][j]) * neg_half
+            one if i == j else embed_cos(graph.m[i][j], ring) * neg_half
             for j in range(graph.rank)
         )
         for i in range(graph.rank)
     )
 
 
-def sum_scalars(field, items):
+def sum_scalars(ring, items):
     acc = None
     for x in items:
         acc = x if acc is None else acc + x
-    return field.from_rational(0) if acc is None else acc
+    return ring.from_rational(0) if acc is None else acc
 
 
-def roots_and_act_loop(graph, backend="exact"):
+def roots_and_act_loop(graph):
     """Positive roots (coordinate tuples, in table order), depths and the act table.
 
     Closes the simple roots under simple reflections with a linear scan for
@@ -218,15 +218,15 @@ def roots_and_act_loop(graph, backend="exact"):
     the simple roots, and finds every reflection image s_t(beta_r) by a scan
     over all roots.
     """
-    field = make_field(graph.ring_parameter, backend)
-    form = bilinear_form(graph, field)
+    ring = build_ring(graph.ring_parameter)
+    form = bilinear_form(graph, ring)
     n = graph.rank
-    zero = field.from_rational(0)
-    one = field.from_rational(1)
+    zero = ring.from_rational(0)
+    one = ring.from_rational(1)
 
     def pair_with_simple(coords, i):
         return sum_scalars(
-            field, (vj * form[j][i] for j, vj in enumerate(coords) if not vj.is_zero())
+            ring, (vj * form[j][i] for j, vj in enumerate(coords) if not vj.is_zero())
         )
 
     vectors = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
@@ -280,7 +280,7 @@ def roots_and_act_loop(graph, backend="exact"):
                 row.append(-(t + 1))
                 continue
             pairing = sum_scalars(
-                field,
+                ring,
                 (gi * form[i][j] * bj for i, gi in enumerate(gamma)
                  for j, bj in enumerate(beta)),
             )

@@ -10,7 +10,8 @@ The guarantees, in order:
 5.  the shipped golden JSON outputs are byte-stable;
 6.  the symmetric-group model: closure joins, palindromic paths,
     interval confinement and chain extraction, against brute force;
-7.  exact and float backends build the same tables and verdicts;
+7.  the exact root tables agree with a float64 evaluation of the form:
+    unit norms, nonnegative coordinates and every reflection image;
 8.  the scalar layer has the right degrees and satisfies the field axioms.
 """
 
@@ -22,13 +23,16 @@ import time
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from weakorder import (
     AlgebraicScalar,
+    CoxeterGraph,
     build_ring,
     build_system,
     enumerate_biclosed,
+    generate_positive_roots,
     sweep,
 )
 from weakorder import permutations as pm
@@ -269,26 +273,24 @@ def test_symmetric_group_model():
           f"10000 sampled chains, {elapsed:.2f}s")
 
 
-def test_backend_agreement():
+def test_exact_tables_match_float_geometry():
     start = time.perf_counter()
-    names = ["A3", "B3", "H3", "I2(5)", "I2(7)"]
+    names = ["A3", "B3", "H3", "I2(5)", "I2(7)", "F4", "H4"]
     for name in names:
-        exact = build_system(name, backend="exact")
-        approx = build_system(name, backend="float")
-        assert exact.table.n_roots == approx.table.n_roots
-        for r in range(exact.table.n_roots):
-            re_, rf = exact.table.roots[r], approx.table.roots[r]
-            assert re_.depth == rf.depth
-            for ce, cf in zip(re_.coords, rf.coords):
-                assert math.isclose(ce.to_float(), cf.to_float(), abs_tol=1e-9)
-        for code in ("H", "D"):
-            a = sweep(exact, code, backend="exact")
-            b = sweep(approx, code, backend="float")
-            assert a.failure_count == b.failure_count == 0
-            assert a.pairs_checked == b.pairs_checked
+        table = generate_positive_roots(CoxeterGraph.from_name(name))
+        # B_ij = -cos(pi/m_ij), so B_ii = -cos(pi) = 1
+        form = -np.cos(np.pi / np.array(table.graph.m, dtype=float))
+        roots = np.array([[c.to_float() for c in r.coords] for r in table.roots])
+        assert (roots >= -1e-12).all() and (roots.max(axis=1) > 0).all()
+        pairing = 2 * roots @ form @ roots.T  # [t, r] = 2B(beta_t, beta_r)
+        assert np.allclose(np.diag(pairing), 2, atol=1e-9)
+        act = np.array(table.act)
+        images = roots[None, :, :] - pairing[:, :, None] * roots[:, None, :]
+        expected = np.sign(act)[..., None] * roots[np.abs(act) - 1]
+        assert np.allclose(images, expected, atol=1e-9)
     elapsed = time.perf_counter() - start
-    print(f"PASS backend agreement: {len(names)} types, identical tables "
-          f"and verdicts, {elapsed:.2f}s")
+    print(f"PASS float geometry: {len(names)} types, unit norms and every "
+          f"reflection image within 1e-9, {elapsed:.2f}s")
 
 
 def _phi(n):

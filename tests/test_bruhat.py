@@ -19,7 +19,7 @@ from weakorder.bruhat import (
     reachable_reflection_roots,
     to_dot,
 )
-from weakorder.weak_order import join_bruteforce
+from weakorder.weak_order import conjectural_join_D, join_bruteforce, tau_reachable
 
 
 def subset_by_names(system, names):
@@ -225,3 +225,24 @@ def test_to_dot_structure():
         system, left_reflection_set(u) | left_reflection_set(v)
     )
     assert dot.count("peripheries=2") == len(rhs)
+
+
+@pytest.mark.parametrize(
+    "helper",
+    [
+        bruhat_reachable,
+        reachable_reflection_roots,
+        tau_reachable,
+        lambda system, labels: conjectural_join_D(system, labels, labels),
+    ],
+    ids=["bruhat_reachable", "reachable_reflection_roots", "tau_reachable",
+         "conjectural_join_D"],
+)
+def test_label_sets_of_another_table_are_rejected(helper):
+    a3 = build_system("A3")
+    b3_full = RootSubset.full(build_system("B3").table)
+    with pytest.raises(ValueError, match="different root table"):
+        helper(a3, b3_full)
+    # a table with the same number of roots is still a different table
+    with pytest.raises(ValueError, match="different root table"):
+        helper(a3, RootSubset.full(build_system("A3").table))

@@ -63,14 +63,17 @@ def test_roots_count_i2_5(capsys):
     assert json.loads(out)["count"] == 5
 
 
-def test_roots_float_backend(capsys):
-    rc, out, _ = run(capsys, "roots", "--type", "H3", "--backend", "float",
-                     "--format", "json")
+def test_roots_backend_option_is_rejected(capsys):
+    # the roots are exact; there is no backend to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--type", "A2", "--backend", "float"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--backend" in capsys.readouterr().err
+    rc, out, _ = run(capsys, "roots", "--type", "H3", "--format", "json")
     assert rc == EXIT_OK
     doc = json.loads(out)
     assert doc["count"] == 15
-    # the float backend carries no exact coefficient vectors
-    assert doc["roots"][0]["coords"][0]["coeffs"] is None
+    assert all(c["coeffs"] is not None for r in doc["roots"] for c in r["coords"])
 
 
 # -- join ------------------------------------------------------------------------------
@@ -298,7 +301,7 @@ def test_sample_below_one_is_usage_error(capsys, sample):
 
 
 def test_sweep_past_the_root_guard_is_usage_error(capsys):
-    rc, out, err = run(capsys, "verify", "--type", "I2(63)", "--backend", "float")
+    rc, out, err = run(capsys, "verify", "--type", "I2(63)")
     assert (rc, out) == (EXIT_USAGE, "")
     assert err == "error: sweeps support at most 62 positive roots\n"
 

@@ -1,8 +1,7 @@
 """The root table against the scalar loops in oracles.py: roots, depths,
-order and act from the integer array construction on both backends, its
-root cap, and the cone table bit for bit against Cramer's rule one pair at
-a time, over several block sizes, plus the closure predicates that read it
-on H4 and the float backend's table.
+order and act from the integer array construction, its root cap, and the
+cone table bit for bit against Cramer's rule one pair at a time, over
+several block sizes, plus the closure predicates that read it on H4.
 """
 
 import functools
@@ -47,24 +46,15 @@ def as_ints(cone):
 ORACLE_TYPES = ["A3", "B3", "H3", "I2(7)", "I2(12)", "D4", "F4", "B5", "E6", "H4"]
 
 
-def check_against_scan_oracle(name, backend):
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_roots_and_act_match_the_scan_oracle(name):
     graph = CoxeterGraph.from_name(name)
-    table = generate_positive_roots(graph, backend=backend)
-    roots, depths, act = roots_and_act_loop(graph, backend)
+    table = generate_positive_roots(graph)
+    roots, depths, act = roots_and_act_loop(graph)
     assert [root.coords for root in table.roots] == roots
     assert [root.depth for root in table.roots] == depths
     assert [root.index for root in table.roots] == list(range(len(roots)))
     assert table.act == act
-
-
-@pytest.mark.parametrize("name", ORACLE_TYPES)
-def test_roots_and_act_match_the_scan_oracle(name):
-    check_against_scan_oracle(name, "exact")
-
-
-@pytest.mark.parametrize("name", ["B3", "H3", "I2(7)", "F4"])
-def test_float_roots_and_act_match_the_scan_oracle(name):
-    check_against_scan_oracle(name, "float")
 
 
 @pytest.mark.parametrize("name,n_roots", [("H3", 15), ("F4", 24)])
@@ -75,12 +65,11 @@ def test_root_cap_boundary(name, n_roots):
         generate_positive_roots(graph, cap=n_roots - 1)
 
 
-@pytest.mark.parametrize("backend", ["exact", "float"])
-def test_hyperbolic_triangle_exceeds_the_root_cap(backend):
+def test_hyperbolic_triangle_exceeds_the_root_cap():
     # 1/2 + 1/3 + 1/7 < 1: the (2, 3, 7) triangle group is infinite
     graph = CoxeterGraph.from_matrix([[1, 2, 3], [2, 1, 7], [3, 7, 1]])
     with pytest.raises(FinitenessExceeded, match="more than 10000 positive roots"):
-        generate_positive_roots(graph, backend=backend)
+        generate_positive_roots(graph)
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
@@ -123,8 +112,3 @@ def test_h4_biclosed_sets_are_the_inversion_sets():
         biclosed = is_biclosed(subset)
         assert biclosed == (bits in inversion_sets), hex(bits)
         assert biclosed == (is_closed(subset) and is_coclosed(subset))
-
-
-def test_float_backend_builds_the_same_h3_cone_table():
-    approx = generate_positive_roots(CoxeterGraph.from_name("H3"), backend="float")
-    assert np.array_equal(approx.cone_words(), exact_table("H3").cone_words())

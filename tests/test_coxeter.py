@@ -321,12 +321,11 @@ def test_root_subset_operations():
     assert len(a) == 2 and a.indices() == (0, 1)
 
 
-def test_backends_produce_identical_tables():
-    for name in ("A3", "B3", "I2(5)"):
-        exact = build_system(name, backend="exact")
-        approx = build_system(name, backend="float")
-        assert exact.table.n_roots == approx.table.n_roots
-        assert exact.table.act == approx.table.act
-        for r in range(exact.table.n_roots):
-            for ce, cf in zip(exact.table.roots[r].coords, approx.table.roots[r].coords):
-                assert abs(ce.to_float() - cf.to_float()) <= 1e-9
+
+@pytest.mark.parametrize("side", ["sideways", "Left", "", None])
+def test_reachability_rejects_an_unknown_side(side):
+    system = build_system("A2")
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        system.reachable_ids(0b111, side)
+    assert system.reachable_ids(0b111, "left").all()
+    assert system.reachable_ids(0b111, "right").all()

@@ -76,7 +76,7 @@ def test_kernels_match_oracles_bit_for_bit(name, chunk):
 
 
 def test_more_than_62_roots():
-    system = build_system("I2(64)", backend="float")
+    system = build_system("I2(64)")
     assert system.table.n_roots == 64 and system.size == 128
     npt = system.numpy_tables()
     assert npt.n_words == 1
@@ -102,7 +102,7 @@ def test_more_than_62_roots():
 
 
 def test_multi_word_inversion_sets():
-    system = build_system("I2(65)", backend="float")
+    system = build_system("I2(65)")
     npt = system.numpy_tables()
     assert npt.n_words == 2
     top = (1 << 65) - 1

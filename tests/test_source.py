@@ -30,3 +30,10 @@ def test_docstring_examples_run():
         attempted += result.attempted
     assert failed == 0
     assert attempted >= 15
+
+
+def test_public_names_resolve_once():
+    names = weakorder.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(weakorder, name)]
+    assert missing == []

@@ -157,9 +157,9 @@ def test_worker_pool_matches_single_process():
 
 def test_root_count_guard():
     with pytest.raises(ValueError):
-        sweep("I2(63)", "H", backend="float")
+        sweep("I2(63)", "H")
     # 62 roots is the boundary and must still work
-    report = sweep("I2(62)", "H", sample=50, seed=1, backend="float")
+    report = sweep("I2(62)", "H", sample=50, seed=1)
     assert report.ok
 
 
@@ -323,7 +323,7 @@ def test_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
 
 def test_report_dataclass_defaults():
     report = SweepReport(
-        type="A2", conjecture="H", backend="exact", pairs_checked=36, failure_count=0
+        type="A2", conjecture="H", pairs_checked=36, failure_count=0
     )
     assert report.ok
     assert report.schema == 1
