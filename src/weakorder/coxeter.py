@@ -1060,8 +1060,8 @@ class CoxeterSystem:
         if labels.table is not self.table:
             raise ValueError("label subset belongs to a different root table")
         visited = self.reachable_ids(labels.bits, side)
-        hit = np.flatnonzero(visited[self.numpy_tables().refl_ids])
-        return visited, RootSubset.from_indices(self.table, hit.tolist())
+        hit = np.packbits(visited[self.numpy_tables().refl_ids], bitorder="little")
+        return visited, RootSubset(self.table, int.from_bytes(hit.tobytes(), "little"))
 
     # -- type-A permutation dictionary ----------------------------------------
 
