@@ -99,8 +99,11 @@ def path_witness(
 
     Returns {"labels": [root indices], "vertices": [word strings]} or None
     when the reflection is not reachable.  Deterministic: breadth-first
-    with labels scanned in index order.
+    with labels scanned in index order.  A label subset of another root
+    table raises ValueError.
     """
+    if labels.table is not system.table:
+        raise ValueError("label subset belongs to a different root table")
     target = system.reflection(target_root).index
     parent: dict[int, tuple[int, int]] = {0: (-1, -1)}
     frontier = [0]

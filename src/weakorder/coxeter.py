@@ -4,7 +4,8 @@ Everything is exact.  A Coxeter graph with edge labels m_ij determines the
 bilinear form B_ii = 1, B_ij = -cos(pi/m_ij) over Q(c), c = 2*cos(pi/L), with
 L the lcm of the finite labels >= 3 (L = 3 when there are none).  Every
 entry of 2B and every root coordinate lies in Z[c], so the root table is
-integer coefficient arrays over the power basis of c: positive roots are
+integer coefficient arrays over the power basis of c, which the ring
+(scalar.MinimalPolynomial) multiplies and signs: positive roots are
 generated by closing the simple roots under simple reflections one depth
 level at a time, each level in one integer matrix product.  Group elements
 are enumerated breadth-first and keyed canonically by their inversion
@@ -197,83 +198,20 @@ class Root:
         return " + ".join(parts) if parts else "0"
 
 
-class _PowerBasis:
-    """Values of Q(c) as coefficient arrays over the power basis 1, c, ..., c^(d-1).
-
-    Every root coordinate of a finite Coxeter system lies in Z[c], so a
-    value is d Python ints (object arrays: nothing can overflow) and times()
-    gives the d x d integer matrix of multiplication by it mod psi_L.  Zero
-    means all coefficients are zero; a sign comes from integer bounds on the
-    powers of c, or from AlgebraicScalar.sign where those bounds leave it
-    open.
-    """
-
-    def __init__(self, ring):
-        self.ring = ring
-        d = self.d = ring.degree
-        powers = [[int(j == k) for j in range(d)] for k in range(d)]
-        for _ in range(d - 1):
-            powers.append(ring.times_c(powers[-1]))
-        # shift[a, j] = c^(a + j) mod psi
-        self.shift = np.array([powers[a:a + d] for a in range(d)], dtype=object)
-        # c >= sqrt(2) > 0 when d > 1, so lo^t <= c^t <= hi^t; scaled by 2^64
-        lo, hi = ring.isolating_interval()
-        self.low = np.array([math.floor(lo**t * 2**64) for t in range(d)], dtype=object)
-        self.high = np.array([math.ceil(hi**t * 2**64) for t in range(d)], dtype=object)
-
-    def coefficients(self, values: Sequence) -> np.ndarray:
-        """(len(values), d) array of scalars whose denominators are 1."""
-        return np.array([v.num for v in values], dtype=object)
-
-    def scalars(self, x: np.ndarray) -> list:
-        """The scalars of the rows of an (m, d) coefficient array."""
-        return [AlgebraicScalar(self.ring, tuple(row), 1) for row in x.tolist()]
-
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """(..., d, d) multiplication matrices of the values in a (..., d) array."""
-        shift = self.shift.astype(x.dtype)
-        return np.tensordot(x, shift, axes=(-1, 0)).swapaxes(-1, -2)
-
-    def keys(self, x: np.ndarray) -> np.ndarray:
-        """One sortable key per row of x, equal exactly for equal rows."""
-        rows = x.reshape(x.shape[0], math.prod(x.shape[1:]))
-        return np.fromiter(map(tuple, rows.tolist()), dtype=object, count=rows.shape[0])
-
-    def zero(self, x: np.ndarray, axis) -> np.ndarray:
-        """Whether the values along `axis` (which includes the last) are all 0."""
-        return (x == 0).all(axis=axis)
-
-    def signs(self, x: np.ndarray) -> np.ndarray:
-        """Signs (-1, 0, 1) of the values in an (m, d) coefficient array."""
-        x = x.astype(object)
-        pos = np.where(x > 0, x, 0)
-        neg = x - pos
-        lower = pos @ self.low + neg @ self.high
-        upper = pos @ self.high + neg @ self.low
-        sign = (lower > 0).astype(np.int8) - (upper < 0).astype(np.int8)
-        for u in np.flatnonzero((lower <= 0) & (upper >= 0)):
-            sign[u] = AlgebraicScalar(self.ring, tuple(int(v) for v in x[u]), 1).sign()
-        return sign
-
-    def narrow(self, x: np.ndarray) -> np.ndarray:
-        """x as int64 when every sum of products _cone_table forms fits."""
-        rank, d = x.shape[1:]
-        biggest = max(abs(a) for a in x.ravel().tolist())
-        spread = max(
-            sum(abs(v) for v in self.shift[:, j, i].tolist())
-            for i in range(d) for j in range(d)
-        )
-        bound = 2 * rank * d**2 * biggest**3 * spread**2
-        return x.astype(np.int64) if bound < 1 << 63 else x
+def _keys(x: np.ndarray) -> np.ndarray:
+    """One sortable key per row of x, its entries as a tuple: equal for equal rows."""
+    rows = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    return np.fromiter(map(tuple, rows.tolist()), dtype=object, count=rows.shape[0])
 
 
 class RootTable:
     """Deterministically ordered positive roots with the full reflection table.
 
     Built over the ring Q(c) of the graph, c = 2cos(pi/L) with L its
-    ring_parameter, as exact integer arrays over the power basis of c
-    (_PowerBasis): _coeffs[r, t] holds the coefficients of beta_r[t], and
-    there is no other scalar representation.  Positive roots come
+    ring_parameter, as exact integer arrays over the power basis of c:
+    _coeffs[r, t] holds the coefficients of beta_r[t], and there is no
+    other scalar representation.  The ring multiplies and signs them
+    (MinimalPolynomial.times and .signs).  Positive roots come
     from closing the simple roots under the simple reflections one depth
     level at a time, a whole level reflected in one matrix product with the
     integer matrix of 2B (B_ij = -cos(pi/m_ij)).  Repeats and reflection
@@ -296,19 +234,19 @@ class RootTable:
         self.graph = graph
         self.ring = ring = build_ring(graph.ring_parameter)
         self._cones: np.ndarray | None = None
-        self._basis = basis = _PowerBasis(ring)
-        n, d = graph.rank, basis.d
+        n, d = graph.rank, ring.degree
         # row block j, column block i: multiplication by 2B_ij = -2cos(pi/m_ij)
-        entries = basis.coefficients([-embed_cos(m, ring) for row in graph.m for m in row])
-        blocks = basis.times(entries).reshape(n, n, d, d)
+        entries = np.array(
+            [(-embed_cos(m, ring)).num for row in graph.m for m in row], dtype=object
+        )
+        blocks = ring.times(entries).reshape(n, n, d, d)
         self._two_b = blocks.transpose(1, 3, 0, 2).reshape(n * d, n * d)
         coeffs, depths = self._generate(cap)
         order = self._order(coeffs, depths)
         self._coeffs, depths = coeffs[order], depths[order].tolist()
-        scalars = basis.scalars(self._coeffs.reshape(-1, d))
         self.roots = [
-            Root(r, tuple(scalars[r * n:(r + 1) * n]), depths[r])
-            for r in range(len(depths))
+            Root(r, tuple(AlgebraicScalar(ring, tuple(v), 1) for v in root), depths[r])
+            for r, root in enumerate(self._coeffs.tolist())
         ]
         self._build_act()
 
@@ -321,13 +259,12 @@ class RootTable:
         level's candidates s_i(v) are new when their keys are neither among
         the roots found before nor repeated earlier in the level.
         """
-        basis, n = self._basis, self.graph.rank
-        d = basis.d
+        n, d = self.graph.rank, self.ring.degree
         level = np.zeros((n, n, d), dtype=self._two_b.dtype)
         diag = np.arange(n)
         level[diag, diag, 0] = 1
         found, depths = [level], [np.zeros(n, dtype=np.intp)]
-        seen = np.sort(basis.keys(level))
+        seen = np.sort(_keys(level))
         total = n
         while True:
             m = level.shape[0]
@@ -337,7 +274,7 @@ class RootTable:
             cands = cands.reshape(m * n, n, d)
             if len(found) == 1:  # s_i(alpha_i) = -alpha_i
                 cands = np.delete(cands, diag * (n + 1), axis=0)
-            keys, first = np.unique(basis.keys(cands), return_index=True)
+            keys, first = np.unique(_keys(cands), return_index=True)
             fresh = ~_match(seen, keys)[1]
             if not fresh.any():
                 break
@@ -352,7 +289,7 @@ class RootTable:
             depths.append(np.full(level.shape[0], len(depths), dtype=np.intp))
             seen = np.sort(np.concatenate([seen, keys[fresh]]), kind="stable")
         coeffs = np.concatenate(found)
-        signs = basis.signs(coeffs.reshape(-1, d)).reshape(-1, n)
+        signs = self.ring.signs(coeffs.reshape(-1, d)).reshape(-1, n)
         if (signs.min(axis=1) < 0).any() or (signs.max(axis=1) <= 0).any():
             raise CoxeterError("generated a non-positive root vector")
         return coeffs, np.concatenate(depths)
@@ -363,42 +300,41 @@ class RootTable:
         Each coordinate's distinct values are ranked by the signs of all
         their differences, and the ranks are sorted as integers.
         """
-        basis, n = self._basis, self.graph.rank
+        n = self.graph.rank
         ranks = []
         for t in range(n):
             values = coeffs[:, t]
             _, first, slot = np.unique(
-                basis.keys(values), return_index=True, return_inverse=True
+                _keys(values), return_index=True, return_inverse=True
             )
             distinct = values[first]
             k = first.size
             diff = (distinct[:, None] - distinct[None, :]).reshape(k * k, -1)
-            above = (basis.signs(diff).reshape(k, k) > 0).sum(axis=1)
+            above = (self.ring.signs(diff).reshape(k, k) > 0).sum(axis=1)
             ranks.append(above[slot][n:])
         return np.concatenate([np.arange(n), n + np.lexsort([*ranks[::-1], depths[n:]])])
 
     def _build_act(self) -> None:
         """act[t][r] from s_t(beta_r) = beta_r - 2B(beta_t, beta_r) beta_t."""
-        basis, x = self._basis, self._coeffs
+        ring, x = self.ring, self._coeffs
         n_roots, n, d = x.shape
         flat = x.reshape(n_roots, n * d)
         dual = (flat @ self._two_b).reshape(n_roots, n, d)  # 2B beta_t
         # row (t, a), column (i, b): entry (a, b) of the matrix of (2B beta_t)_i
-        stacked = basis.times(dual).transpose(0, 2, 1, 3).reshape(n_roots * d, n * d)
+        stacked = ring.times(dual).transpose(0, 2, 1, 3).reshape(n_roots * d, n * d)
         pairs = (stacked @ flat.T).reshape(n_roots, d, n_roots).transpose(0, 2, 1)
-        two = basis.coefficients([self.ring.from_rational(2)])[0]
         diag = np.arange(n_roots)
-        if not basis.zero(pairs[diag, diag] - two, axis=-1).all():
+        if (pairs[diag, diag] != 2 * np.eye(1, d, dtype=np.int64)).any():
             raise CoxeterError("root table lost the unit normalization")
-        scaled = (basis.times(x)[:, None] @ pairs[:, :, None, :, None])[..., 0]
+        scaled = (ring.times(x)[:, None] @ pairs[:, :, None, :, None])[..., 0]
         images = (x[None] - scaled).reshape(n_roots * n_roots, n, d)
-        keys = basis.keys(x)
+        keys = _keys(x)
         ids = np.argsort(keys)
         keys = keys[ids]
-        pos, found = _match(keys, basis.keys(images))
+        pos, found = _match(keys, _keys(images))
         act = ids[pos] + 1
         act[~found] = -1 - _find(
-            keys, ids, basis.keys(-images[~found]),
+            keys, ids, _keys(-images[~found]),
             "reflection image is not a root of the table",
         )
         self.act = tuple(map(tuple, act.reshape(n_roots, n_roots).tolist()))
@@ -433,6 +369,16 @@ def generate_positive_roots(graph: CoxeterGraph, cap: int = DEFAULT_ROOT_CAP) ->
 # -- the cone table --------------------------------------------------------------
 
 
+def _narrow(ring, x: np.ndarray) -> np.ndarray:
+    """x as int64 when every sum of products _cone_table forms fits."""
+    rank, d = x.shape[1:]
+    biggest = max(abs(a) for a in x.ravel().tolist())
+    # the largest entry sum of c^a's multiplication matrices over a < d
+    spread = np.abs(ring.times(np.eye(d, dtype=object))).sum(axis=0).max()
+    bound = 2 * rank * d**2 * biggest**3 * spread**2
+    return x.astype(np.int64) if bound < 1 << 63 else x
+
+
 def _cone_table(table: RootTable, block: int | None = None) -> np.ndarray:
     """cone[i, j]: the roots a*beta_i + b*beta_j, a, b >= 0, as uint64 words.
 
@@ -448,9 +394,9 @@ def _cone_table(table: RootTable, block: int | None = None) -> np.ndarray:
     is one matrix product over every root of a block, and signs are taken
     only for the few roots of a plane.  Nothing divides.
     """
-    basis = table._basis
-    x = basis.narrow(table._coeffs)
-    times = basis.times(x)
+    ring = table.ring
+    x = _narrow(ring, table._coeffs)
+    times = ring.times(x)
     n, rank, d = x.shape
     cone = np.zeros((n, n, -(-n // 64)), dtype=np.uint64)
     cone[np.arange(n), np.arange(n)] = _pack_words(np.eye(n, dtype=bool))
@@ -471,7 +417,7 @@ def _cone_table(table: RootTable, block: int | None = None) -> np.ndarray:
         alpha, beta = x[i], x[j]
         products = (times[i][:, :, None] @ beta[:, None, :, :, None])[..., 0]
         minors = products - products.swapaxes(1, 2)
-        nonzero = ~basis.zero(minors[:, minor_p, minor_q], axis=-1)
+        nonzero = (minors[:, minor_p, minor_q] != 0).any(axis=-1)
         if not nonzero.any(axis=1).all():
             raise CoxeterError("distinct positive roots cannot be proportional")
         pivot = nonzero.argmax(axis=1)
@@ -483,16 +429,16 @@ def _cone_table(table: RootTable, block: int | None = None) -> np.ndarray:
         forms[row, col, q[:, None]] = -minors[row, p[:, None], c]
         forms[row, col, c] = det[:, None]
         values = forms.reshape(-1, rank * d) @ stacked
-        plane = basis.zero(values.reshape(i.size, width, n, d), axis=(1, 3))
+        plane = (values.reshape(i.size, width, n, d) == 0).all(axis=(1, 3))
         plane[rows, i] = plane[rows, j] = False
         pair, k = np.nonzero(plane)
         pp, qq = p[pair], q[pair]
         gp, gq = times[k, pp], times[k, qq]
         a_num = gp @ beta[pair, qq, :, None] - gq @ beta[pair, pp, :, None]
         b_num = gq @ alpha[pair, pp, :, None] - gp @ alpha[pair, qq, :, None]
-        s_det = basis.signs(det[pair])
-        inside = (basis.signs(a_num[..., 0]) * s_det >= 0) & (
-            basis.signs(b_num[..., 0]) * s_det >= 0
+        s_det = ring.signs(det[pair])
+        inside = (ring.signs(a_num[..., 0]) * s_det >= 0) & (
+            ring.signs(b_num[..., 0]) * s_det >= 0
         )
         mask = np.zeros((i.size, n), dtype=bool)
         mask[rows, i] = mask[rows, j] = True
@@ -1034,10 +980,20 @@ class CoxeterSystem:
         return self._np_tables
 
     def left_mul_reflection(self, root_index: int, element_index: int) -> int:
+        """Element id of t * x for the reflection t of a root and the element x."""
+        self._check_indices(root_index, element_index)
         return int(self.numpy_tables().left[root_index, element_index])
 
     def right_mul_reflection(self, element_index: int, root_index: int) -> int:
+        """Element id of x * t for the element x and the reflection t of a root."""
+        self._check_indices(root_index, element_index)
         return int(self.numpy_tables().right[root_index, element_index])
+
+    def _check_indices(self, root_index: int, element_index: int) -> None:
+        if not 0 <= root_index < self.table.n_roots:
+            raise ValueError(f"root index {root_index} out of range")
+        if not 0 <= element_index < self.size:
+            raise ValueError(f"element index {element_index} out of range")
 
     def reachable_ids(self, label_bits: int, side: str) -> np.ndarray:
         """Length-increasing reachability from the identity, as a bool vector.

@@ -17,11 +17,15 @@ deg(psi_L) = phi(2L)/2 for L >= 2.
 >>> embed_cos(4, build_ring(4)).sign()
 1
 
-Sign determination never touches floating point: an isolating rational
-interval for c (seeded from a double, then verified and refined by exact
-bisection on psi_L) is evaluated with interval arithmetic until the sign
-is decided.  This is the only scalar layer: every root coordinate, sign
-and verdict is exact.
+The ring also works on whole arrays of values, each an integer vector of
+coefficients over 1, c, ..., c^(d-1): times() gives their multiplication
+matrices and signs() their signs.  signs() is the only sign algorithm;
+AlgebraicScalar.sign is a batch of one.  It never touches floating point:
+an isolating rational interval for c (seeded from a double, then verified
+and refined by exact bisection on psi_L) bounds the powers of c by
+integers at a scale of 2^bits, and bits doubles until every sign is
+decided.  This is the only scalar layer: every root coordinate, sign and
+verdict is exact.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
+
+import numpy as np
+
+_SIGN_BITS_CAP = 1 << 15  # signs() gives up past this precision
 
 RationalLike = Union[int, Fraction]
 
@@ -129,19 +137,25 @@ def _symmetric_rewrite(pal: Sequence[int]) -> tuple[int, ...]:
 
 
 class MinimalPolynomial:
-    """The ring tag for Q(2*cos(pi/L)): psi_L plus scalar construction helpers.
+    """The ring tag for Q(2*cos(pi/L)): psi_L, scalar constructors, array ops.
 
     The instance owns a monotonically shrinking rational isolating interval
     for c (the largest real root of psi_L), shared by all sign computations
-    on scalars of this ring.
+    in this ring, and the table of c^(a + j) mod psi that times() reads.
     """
 
     def __init__(self, L: int, coefficients: tuple[int, ...]):
         self.L = L
         self.coefficients = coefficients
-        self.degree = len(coefficients) - 1
+        self.degree = d = len(coefficients) - 1
         self._approx = 2.0 * math.cos(math.pi / L)
         self._interval: tuple[Fraction, Fraction] | None = None
+        self._bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        powers = [[int(j == k) for j in range(d)] for k in range(d)]
+        for _ in range(d - 1):
+            powers.append(self.times_c(powers[-1]))
+        # shift[a, j] = c^(a + j) mod psi
+        self._shift = np.array([powers[a:a + d] for a in range(d)], dtype=object)
 
     def __repr__(self) -> str:
         return f"MinimalPolynomial(L={self.L}, coefficients={self.coefficients})"
@@ -179,20 +193,71 @@ class MinimalPolynomial:
         num[0] = q.numerator
         return AlgebraicScalar(self, tuple(num), q.denominator)
 
-    def scalar(self, coeffs: Sequence[RationalLike]) -> "AlgebraicScalar":
-        """Scalar from rational coefficients in the power basis 1, c, c^2, ..."""
-        fracs = [Fraction(x) for x in coeffs]
-        if len(fracs) > self.degree:
-            raise ValueError("coefficient vector longer than the ring degree")
-        fracs += [Fraction(0)] * (self.degree - len(fracs))
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        num = tuple(int(f * den) for f in fracs)
-        return AlgebraicScalar(self, num, den)
-
     def times_c(self, coeffs: Sequence[int]) -> list[int]:
         """Power-basis coefficients of c * x, reduced mod psi, from those of x."""
         top = coeffs[-1]
         return [a - top * b for a, b in zip([0, *coeffs[:-1]], self.coefficients)]
+
+    # -- coefficient arrays -------------------------------------------------
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """(..., d, d) matrices of multiplication by the values of a (..., d) array.
+
+        A value is its d integer coefficients over 1, c, ..., c^(d-1); the
+        matrix M of x has x * c^a in column a, so M @ y holds x * y.
+        """
+        shift = self._shift.astype(x.dtype)
+        return np.tensordot(x, shift, axes=(-1, 0)).swapaxes(-1, -2)
+
+    def signs(self, x: np.ndarray) -> np.ndarray:
+        """Exact signs (-1, 0, 1) of the values in an (m, d) integer coefficient array.
+
+        With lo < c < hi the isolating interval, c^t * 2^bits lies between
+        floor(lo^t * 2^bits) and ceil(hi^t * 2^bits) (c > 0 when d > 1), so
+        two integer dot products bound each value.  bits starts at 64; the
+        rows whose bounds straddle zero are tried again with bits doubled,
+        over the interval bisected until narrower than 2^-bits.  A nonzero
+        value does not vanish at c (psi is its minimal polynomial), so its
+        bounds close in on its sign.
+
+        >>> ring = build_ring(5)          # c^2 = c + 1
+        >>> tiny = [7778742049, -4807526976]        # (c - 2)^24, about 1e-10
+        >>> ring.signs(np.array([[0, 0], [1, -1], tiny], dtype=object)).tolist()
+        [0, -1, 1]
+        """
+        values = np.asarray(x, dtype=object)
+        sign = np.zeros(values.shape[0], dtype=np.int8)
+        rows = np.arange(values.shape[0])
+        bits = 64
+        while True:
+            low, high = self._power_bounds(bits)
+            pos = np.where(values > 0, values, 0)
+            neg = values - pos
+            lower = pos @ low + neg @ high
+            upper = pos @ high + neg @ low
+            sign[rows] = (lower > 0).astype(np.int8) - (upper < 0)
+            # lower == upper only for a zero value, whose sign 0 is decided
+            undecided = (lower < upper) & (lower <= 0) & (upper >= 0)
+            if not undecided.any():
+                return sign
+            rows, values = rows[undecided], values[undecided]
+            bits *= 2
+            if bits > _SIGN_BITS_CAP:
+                raise ArithmeticError("sign determination failed to converge")
+            lo, hi = self.isolating_interval()
+            while hi - lo >= Fraction(1, 1 << bits):
+                lo, hi = self.refine_interval()
+
+    def _power_bounds(self, bits: int) -> tuple[np.ndarray, np.ndarray]:
+        """floor(lo^t * 2^bits) and ceil(hi^t * 2^bits) for t < d, kept per bits."""
+        if bits not in self._bounds:
+            lo, hi = self.isolating_interval()
+            scale, powers = 1 << bits, range(self.degree)
+            self._bounds[bits] = (
+                np.array([math.floor(lo**t * scale) for t in powers], dtype=object),
+                np.array([math.ceil(hi**t * scale) for t in powers], dtype=object),
+            )
+        return self._bounds[bits]
 
     # -- exact evaluation of psi_L ------------------------------------------
 
@@ -212,7 +277,7 @@ class MinimalPolynomial:
         if self._interval is not None:
             return self._interval
         seed = Fraction(self._approx)
-        delta = Fraction(1, 10**12)
+        delta = Fraction(1, 1 << 40)
         for _ in range(80):
             lo, hi = seed - delta, seed + delta
             if self.eval_at(lo) < 0 < self.eval_at(hi):
@@ -230,6 +295,7 @@ class MinimalPolynomial:
         if v == 0:
             raise ArithmeticError(f"psi_{self.L} has a rational root")
         self._interval = (lo, mid) if v > 0 else (mid, hi)
+        self._bounds.clear()
         return self._interval
 
 
@@ -280,18 +346,6 @@ def embed_cos(m: int, ring: MinimalPolynomial) -> "AlgebraicScalar":
     for _ in range(k - 1):
         p_prev, p_cur = p_cur, c * p_cur - p_prev
     return p_cur
-
-
-def _interval_eval(
-    coeffs: Sequence[int], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation of an integer polynomial on [lo, hi]."""
-    rlo = rhi = Fraction(coeffs[-1])
-    for coef in reversed(coeffs[:-1]):
-        products = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
-        rlo = min(products) + coef
-        rhi = max(products) + coef
-    return rlo, rhi
 
 
 @dataclass(frozen=True)
@@ -445,26 +499,8 @@ class AlgebraicScalar:
         return not any(self.num)
 
     def sign(self) -> int:
-        """Exact sign: 0 iff the canonical form is zero, else +/-1.
-
-        Decided by interval arithmetic over a shrinking exact isolating
-        interval for c; terminates because a nonzero residue cannot vanish
-        at c (psi is its minimal polynomial).
-        """
-        if self.is_zero():
-            return 0
-        if self.ring.degree == 1:
-            # the ring is Q itself: the single coefficient decides (den > 0)
-            return 1 if self.num[0] > 0 else -1
-        lo, hi = self.ring.isolating_interval()
-        for _ in range(20000):
-            vlo, vhi = _interval_eval(self.num, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            lo, hi = self.ring.refine_interval()
-        raise ArithmeticError("sign determination failed to converge")
+        """Exact sign: 0 iff the canonical form is zero, else +/-1 (den > 0)."""
+        return int(self.ring.signs(np.array([self.num], dtype=object))[0])
 
     # -- conversion / rendering ----------------------------------------------
 

@@ -15,11 +15,13 @@ Root table: the scalar loops the library used before its keyed lookups
 and its cone table, positive roots generated with a linear scan for
 repeats, reflection images found by a scan over all roots, and cone masks
 solved one pair at a time by Cramer's rule with an exact inverse.  They
-read only the root coordinates and the bilinear form.
+read only the root coordinates and the bilinear form, and they sign
+scalars with interval_sign, not with the library's MinimalPolynomial.signs.
 """
 
 import collections
 import functools
+import math
 import types
 from fractions import Fraction
 
@@ -27,6 +29,49 @@ import numpy as np
 
 from weakorder.coxeter import CoxeterError
 from weakorder.scalar import build_ring, embed_cos
+
+
+_BRACKETS = {}  # L -> the narrowest (lo, hi) around 2cos(pi/L) bisected so far
+
+
+def _horner(coeffs, x):
+    acc = Fraction(0)
+    for coef in reversed(coeffs):
+        acc = acc * x + coef
+    return acc
+
+
+def interval_sign(value):
+    """Exact sign of a scalar by interval Horner evaluation over a bisected bracket of c.
+
+    The bracket (lo, hi) of c = 2cos(pi/L), with psi_L(lo) < 0 < psi_L(hi),
+    is seeded from a double, checked exactly, kept per L and bisected until
+    the interval image of the numerator (den > 0) excludes zero.
+    """
+    if value.is_zero():
+        return 0
+    ring = value.ring
+    psi = ring.coefficients
+    if ring.L not in _BRACKETS:
+        seed = Fraction(2 * math.cos(math.pi / ring.L))
+        lo, hi = seed - Fraction(1, 1 << 40), seed + Fraction(1, 1 << 40)
+        if not _horner(psi, lo) < 0 < _horner(psi, hi):
+            raise ArithmeticError(f"failed to bracket 2cos(pi/{ring.L})")
+        _BRACKETS[ring.L] = lo, hi
+    coeffs = value.num
+    for _ in range(20000):
+        lo, hi = _BRACKETS[ring.L]
+        vlo = vhi = Fraction(coeffs[-1])
+        for coef in reversed(coeffs[:-1]):
+            products = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+            vlo, vhi = min(products) + coef, max(products) + coef
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        mid = (lo + hi) / 2
+        _BRACKETS[ring.L] = (lo, mid) if _horner(psi, mid) > 0 else (mid, hi)
+    raise ArithmeticError("sign determination failed to converge")
 
 
 def root_masks(bit_sets, n_roots):
@@ -252,7 +297,7 @@ def roots_and_act_loop(graph):
         if depths[a] != depths[b]:
             return depths[a] - depths[b]
         for x, y in zip(vectors[a], vectors[b]):
-            s = (x - y).sign()
+            s = interval_sign(x - y)
             if s:
                 return s
         return 0
@@ -306,7 +351,7 @@ def cone_mask_cramer(table, i, j):
     for p in range(n):
         for q in range(p + 1, n):
             det = alpha[p] * beta[q] - alpha[q] * beta[p]
-            if det.sign() != 0:
+            if interval_sign(det) != 0:
                 pivot = (p, q, det.inverse())
                 break
         if pivot:
@@ -321,7 +366,7 @@ def cone_mask_cramer(table, i, j):
         gamma = table.roots[k].coords
         a = (gamma[p] * beta[q] - gamma[q] * beta[p]) * det_inv
         b = (alpha[p] * gamma[q] - alpha[q] * gamma[p]) * det_inv
-        if a.sign() < 0 or b.sign() < 0:
+        if interval_sign(a) < 0 or interval_sign(b) < 0:
             continue
         if all((a * alpha[c] + b * beta[c] - gamma[c]).is_zero() for c in range(n)):
             mask |= 1 << k

@@ -234,9 +234,10 @@ def test_to_dot_structure():
         reachable_reflection_roots,
         tau_reachable,
         lambda system, labels: conjectural_join_D(system, labels, labels),
+        lambda system, labels: path_witness(system, labels, 5),
     ],
     ids=["bruhat_reachable", "reachable_reflection_roots", "tau_reachable",
-         "conjectural_join_D"],
+         "conjectural_join_D", "path_witness"],
 )
 def test_label_sets_of_another_table_are_rejected(helper):
     a3 = build_system("A3")

@@ -43,7 +43,10 @@ def as_ints(cone):
     ]
 
 
-ORACLE_TYPES = ["A3", "B3", "H3", "I2(7)", "I2(12)", "D4", "F4", "B5", "E6", "H4"]
+# I2(64) is the one type here whose table leaves signs open at 2^64
+ORACLE_TYPES = [
+    "A3", "B3", "H3", "I2(7)", "I2(12)", "D4", "F4", "B5", "E6", "H4", "I2(64)"
+]
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)

@@ -241,6 +241,21 @@ def test_left_product_by_reflection_agrees_with_word_composition():
             assert system.right_mul_reflection(x.index, r) == product.index
 
 
+def test_products_by_reflection_reject_out_of_range_indices():
+    system = build_system("A3")  # 6 roots, 24 elements
+    for root, element in [(-1, 0), (6, 0), (0, -1), (0, 24)]:
+        with pytest.raises(ValueError, match="index .* out of range"):
+            system.left_mul_reflection(root, element)
+        with pytest.raises(ValueError, match="index .* out of range"):
+            system.right_mul_reflection(element, root)
+    # the last valid indices still answer
+    t, x = system.reflection(5), system.element(23)
+    left = system.element_from_word(t.word + x.word)
+    right = system.element_from_word(x.word + t.word)
+    assert system.left_mul_reflection(5, 23) == left.index
+    assert system.right_mul_reflection(23, 5) == right.index
+
+
 def test_permutation_dictionary_is_a_bijection_on_s4():
     import itertools
 

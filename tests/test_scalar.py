@@ -4,8 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import interval_sign
 from weakorder.scalar import (
     AlgebraicScalar,
     MinimalPolynomial,
@@ -217,3 +219,40 @@ def test_interval_refinement_narrows():
         lo2, hi2 = ring.refine_interval()
     assert lo <= lo2 < hi2 <= hi
     assert (hi2 - lo2) <= (hi - lo) / 100
+
+
+def near_zero_powers(ring):
+    """(c - 2)^k and k, for the first k with |(c - 2)^k| < 2^-70 * max |coefficient|.
+
+    -1 < c - 2 < 0 when L >= 4: the powers shrink and alternate in sign
+    while their coefficients grow.
+    """
+    u = ring.generator() - 2
+    power, k = u, 1
+    while interval_sign(power * (-1) ** k * 2**70 - max(map(abs, power.num))) >= 0:
+        power, k = power * u, k + 1
+    return power, k
+
+
+@pytest.mark.parametrize("L", [5, 12, 59, 64, 100])
+def test_batched_signs_match_the_interval_oracle(L):
+    shared = build_ring(L)
+    # a fresh ring, so its isolating interval starts unrefined
+    ring = MinimalPolynomial(L, shared.coefficients)
+    d = ring.degree
+    rng = random.Random(L)
+    tiny, k = near_zero_powers(shared)
+    assert interval_sign(tiny) == (-1) ** k
+    u = shared.generator() - 2
+    rows = [[0] * d for _ in range(3)]
+    rows += [[rng.randint(-9, 9) for _ in range(d)] for _ in range(10)]
+    rows += [[rng.randint(-(2**70), 2**70) for _ in range(d)] for _ in range(10)]
+    rows += [list(v.num) for v in (tiny, -tiny, tiny * u, -(tiny * u), tiny * (1 + u))]
+    rng.shuffle(rows)
+    expected = [interval_sign(AlgebraicScalar(shared, tuple(r), 1)) for r in rows]
+    lo, hi = ring.isolating_interval()
+    assert hi - lo > Fraction(1, 1 << 64)
+    assert ring.signs(np.array(rows, dtype=object)).tolist() == expected
+    # the near-zero rows were left open at 2^64 and decided after refining
+    lo, hi = ring.isolating_interval()
+    assert hi - lo < Fraction(1, 1 << 64)
