@@ -86,8 +86,7 @@ def dihedral_TL_profile(v: GroupElement) -> RootSubset:
     r = 3 - s  # the other 1-based generator index
     bits = 0
     for k in range(v.length):
-        word = (s, r) * k + (s,)
-        elem = system.element_from_word(word)
+        elem = system.element_from_word((s, r) * k + (s,))
         bits |= 1 << system.reflection_root(elem)
     return RootSubset(system.table, bits)
 

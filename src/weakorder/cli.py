@@ -19,6 +19,7 @@ from .coxeter import (
     CoxeterGraph,
     CoxeterSystem,
     GroupElement,
+    RootSubset,
     build_system,
 )
 from .verify import UsageError, sweep
@@ -98,7 +99,7 @@ def _root_json(system: CoxeterSystem, index: int) -> dict:
 
 
 def _subset_json(system: CoxeterSystem, bits: int) -> dict:
-    indices = [r for r in range(system.table.n_roots) if bits >> r & 1]
+    indices = list(RootSubset(system.table, bits).indices())
     return {
         "indices": indices,
         "roots": [system.table.roots[r].render() for r in indices],

@@ -2,14 +2,14 @@
 
 Everything is exact.  A Coxeter graph with edge labels m_ij determines the
 bilinear form B_ii = 1, B_ij = -cos(pi/m_ij) over Q(c), c = 2*cos(pi/L), with
-L the lcm of the finite labels >= 3 (L = 3 when there are none).  Every
-entry of 2B and every root coordinate lies in Z[c], so the root table is
-integer coefficient arrays over the power basis of c, which the ring
-(scalar.MinimalPolynomial) multiplies and signs: positive roots are
-generated by closing the simple roots under simple reflections one depth
-level at a time, each level in one integer matrix product.  Group elements
-are enumerated breadth-first and keyed canonically by their inversion
-bit-set over the positive-root indices.
+L the lcm of the labels >= 4 (L = 3 when there are none: 2cos(pi/m) is
+rational for m <= 3).  Every entry of 2B and every root coordinate lies in
+Z[c], so the root table is integer coefficient arrays over the power basis
+of c, which the ring (scalar.MinimalPolynomial) multiplies and signs:
+positive roots are generated by closing the simple roots under simple
+reflections one depth level at a time, each level in one integer matrix
+product.  Group elements are enumerated breadth-first and keyed canonically
+by their inversion sets, each packed once in the root-set codec's words.
 
 The element model is permutation-based: each element w stores the signed
 action of w^{-1} on the positive-root indices, from which inversion sets,
@@ -96,12 +96,8 @@ class CoxeterGraph:
 
     @property
     def ring_parameter(self) -> int:
-        """L = lcm of the labels >= 3 (3 when there are none)."""
-        L = 1
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if self.m[i][j] >= 3:
-                    L = math.lcm(L, self.m[i][j])
+        """L = lcm of the labels >= 4, or 3: 2cos(pi/m) is rational for m <= 3."""
+        L = math.lcm(*(m for row in self.m for m in row if m >= 4))
         return L if L > 1 else 3
 
     @classmethod
@@ -172,6 +168,58 @@ class CoxeterGraph:
         return graph
 
 
+# -- the root-set codec ----------------------------------------------------------
+# The one packed format of a root set: root r is bit r % 64 of word r // 64 in
+# ceil(n_roots / 64) little-endian uint64 words, or bit r of a Python int.
+# Only these helpers convert between words, bool rows and ints.
+
+
+def _pack_words(mask: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D bool array as ceil(columns / 64) uint64 words."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    out = np.zeros((mask.shape[0], 8 * -(-mask.shape[1] // 64)), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _unpack_words(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """Bits 0..n_bits-1 of each row of a 2-D uint64 word array, as bools."""
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=n_bits, bitorder="little").view(bool)
+
+
+def bits_to_words(bits: int, n_words: int) -> np.ndarray:
+    """A root bit-set as n_words little-endian uint64 words."""
+    return np.array(
+        [bits >> (64 * w) & _WORD_MASK for w in range(n_words)], dtype=np.uint64
+    )
+
+
+def words_to_bits(words: np.ndarray) -> list[int]:
+    """Each row of a 2-D uint64 word array as a Python int bit-set."""
+    return [int.from_bytes(row, "little") for row in _word_keys(words).tolist()]
+
+
+def _word_keys(words: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D uint64 word array as one void scalar, a view.
+
+    Equal rows give equal keys and keys compare bytewise, so np.unique and
+    np.searchsorted work on them whatever the number of words.
+    """
+    rows = np.ascontiguousarray(words, dtype="<u8")
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """Bit-matrix transpose between row-packed and column-packed layouts.
+
+    words is (rows, w) uint64 and holds bits 0..n_bits-1 of every row; the
+    result is (n_bits, ceil(rows / 64)) uint64 whose row c has bit r set
+    exactly when row r of the input has bit c set.
+    """
+    return _pack_words(_unpack_words(words, n_bits).T)
+
+
 # -- positive roots --------------------------------------------------------------
 
 
@@ -224,8 +272,8 @@ class RootTable:
     index; it is the only geometric data the group model needs.
 
     The closure predicates read the cone table instead: cone_words()[i, j]
-    is the set of positive roots a*beta_i + b*beta_j with a, b >= 0, packed
-    in uint64 words, for every pair of roots.  It is built on the first
+    is the set of positive roots a*beta_i + b*beta_j with a, b >= 0, in the
+    codec's words, for every pair of roots.  It is built on the first
     cone query, in one pass of exact integer array code (_cone_table), and
     never by the constructor.
     """
@@ -356,9 +404,7 @@ class RootTable:
 
     def cone_mask(self, i: int, j: int) -> int:
         """Bit-set of positive roots expressible as a*beta_i + b*beta_j, a,b >= 0."""
-        return int.from_bytes(
-            self.cone_words()[i, j].astype("<u8").tobytes(), "little"
-        )
+        return words_to_bits(self.cone_words()[i, j][None])[0]
 
 
 def generate_positive_roots(graph: CoxeterGraph, cap: int = DEFAULT_ROOT_CAP) -> RootTable:
@@ -457,25 +503,18 @@ class RootSubset:
     table: RootTable
     bits: int
 
-    @classmethod
-    def from_indices(cls, table: RootTable, indices: Iterable[int]) -> "RootSubset":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < table.n_roots:
-                raise ValueError(f"root index {i} out of range")
-            bits |= 1 << i
-        return cls(table, bits)
-
-    @classmethod
-    def empty(cls, table: RootTable) -> "RootSubset":
-        return cls(table, 0)
+    def __post_init__(self) -> None:
+        if not 0 <= self.bits < 1 << self.table.n_roots:
+            raise ValueError(f"bits outside the {self.table.n_roots} positive roots")
 
     @classmethod
     def full(cls, table: RootTable) -> "RootSubset":
         return cls(table, (1 << table.n_roots) - 1)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.table.n_roots) if self.bits >> i & 1)
+        n = self.table.n_roots
+        row = _unpack_words(bits_to_words(self.bits, -(-n // 64))[None], n)[0]
+        return tuple(np.flatnonzero(row).tolist())
 
     def __contains__(self, index: int) -> bool:
         return bool(self.bits >> index & 1)
@@ -500,10 +539,6 @@ class RootSubset:
 
     def complement(self) -> "RootSubset":
         return RootSubset(self.table, ~self.bits & ((1 << self.table.n_roots) - 1))
-
-    def issubset(self, other: "RootSubset") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
 
     def _check(self, other: "RootSubset") -> None:
         if self.table is not other.table:
@@ -563,43 +598,6 @@ class NonUniqueMinimal(CoxeterError):
     """The minimal upper bounds are not unique, so the join does not exist."""
 
 
-def bits_to_words(bits: int, n_words: int) -> np.ndarray:
-    """A root bit-set as n_words little-endian uint64 words."""
-    return np.array(
-        [bits >> (64 * w) & _WORD_MASK for w in range(n_words)], dtype=np.uint64
-    )
-
-
-def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Bit-matrix transpose between row-packed and column-packed layouts.
-
-    words is (rows, w) uint64 and holds bits 0..n_bits-1 of every row; the
-    result is (n_bits, ceil(rows / 64)) uint64 whose row c has bit r set
-    exactly when row r of the input has bit c set.
-    """
-    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, count=n_bits, bitorder="little")
-    return _pack_words(bits.T)
-
-
-def _pack_words(mask: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D bool array as ceil(columns / 64) little-endian uint64 words."""
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    out = np.zeros((mask.shape[0], 8 * -(-mask.shape[1] // 64)), dtype=np.uint8)
-    out[:, :packed.shape[1]] = packed
-    return out.view("<u8").astype(np.uint64, copy=False)
-
-
-def _row_keys(mask: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D bool array, packed little-endian, as one void scalar.
-
-    Equal rows give equal keys and keys compare bytewise, so np.unique and
-    np.searchsorted work on them whatever the row length.
-    """
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-
-
 def _match(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per key: a position in the sorted table, and whether the key is there."""
     pos = np.minimum(np.searchsorted(table, keys), table.size - 1)
@@ -627,12 +625,14 @@ def _inverses(system: "CoxeterSystem") -> np.ndarray:
     x, v = np.nonzero(sigmas < 0)
     flipped = np.zeros(sigmas.shape, dtype=bool)
     flipped[x, -sigmas[x, v].astype(np.intp) - 1] = True
-    return system._ids_of(flipped, "an inverse is not an element").astype(np.int32)
+    ids = system._ids_of(_pack_words(flipped), "an inverse is not an element")
+    return ids.astype(np.int32)
 
 
 class _NumpyTables:
     """Vectorized product tables, packed inversion sets and descent steps.
 
+    inv_words and refl_ids are the system's own arrays, not copies.
     right[t, x] = x * t and left[t, x] = t * x for the reflection t of root
     t.  The right table walks the generator table _right_by_gen along a
     reduced word of t, one gather per letter; the left table is
@@ -654,20 +654,13 @@ class _NumpyTables:
         n_roots = system.table.n_roots
         size = system.size
         self.n_roots = n_roots
-        self.n_words = -(-n_roots // 64)
-        self.refl_ids = np.array(system._refl_elem, dtype=np.int32)
-        packed = bytearray().join(
-            bits.to_bytes(8 * self.n_words, "little") for bits in system.inv_bits
-        )
-        self.inv_words = (
-            np.frombuffer(packed, dtype="<u8")
-            .reshape(size, self.n_words)
-            .astype(np.uint64, copy=False)
-        )
+        self.inv_words = system.inv_words
+        self.n_words = self.inv_words.shape[1]
+        self.refl_ids = system.refl_ids
         # right[t, x] = x * t: walk the generator table along a word of t
         by_gen = system._right_by_gen.T.copy()
         right = np.empty((n_roots, size), dtype=np.int32)
-        for t, elem in enumerate(system._refl_elem):
+        for t, elem in enumerate(self.refl_ids.tolist()):
             row = np.arange(size, dtype=np.int32)
             for letter in system.words[elem]:
                 row = by_gen[letter - 1].take(row)
@@ -809,6 +802,9 @@ class CoxeterSystem:
         breadth-first search over x * s_i in the same order; each new
         element records its parent x and letter i + 1, from which words
         are spelled out on first use.
+
+        Each inversion set is packed once: inv_words, whose void views are
+        the sorted lookup keys and from which inv_bits is spelled out.
         """
         n = self.graph.rank
         n_roots = self.table.n_roots
@@ -824,11 +820,11 @@ class CoxeterSystem:
         level = np.arange(1, n_roots + 1, dtype=dtype)[None, :]
         sigmas = [level]
         by_gen = []
-        self.inv_bits: list[int] = [0]
+        inv_words = [np.zeros((1, -(-n_roots // 64)), dtype=np.uint64)]
         parents, letters = [np.zeros(1, dtype=np.int32)], [np.zeros(1, dtype=np.int32)]
         self.lengths: list[int] = [0]
         below = None  # sorted keys and ids of the level before
-        keys, ids = _row_keys(level < 0), np.zeros(1, dtype=np.intp)
+        keys, ids = _word_keys(inv_words[0]), np.zeros(1, dtype=np.intp)
         start = 0
         for k in range(n_roots + 1):  # lengths run from 0 to n_roots
             m = level.shape[0]
@@ -837,8 +833,9 @@ class CoxeterSystem:
                 negative = images.take(level[lo:lo + rows, None, :] + offsets) < 0
                 negative = negative.reshape(-1, n_roots)
                 length.append(np.count_nonzero(negative, axis=1))
-                found.append(_row_keys(negative))
+                found.append(_pack_words(negative))
             length, found = np.concatenate(length), np.concatenate(found)
+            found_keys = _word_keys(found)
             up = length == k + 1
             down = length == k - 1
             if not (up | down).all():
@@ -849,12 +846,12 @@ class CoxeterSystem:
             product = np.empty(m * n, dtype=np.int32)
             if down.any():
                 product[down] = _find(
-                    *below, found[down],
+                    *below, found_keys[down],
                     "a shorter product is not in the level before: the root "
                     "table is inconsistent",
                 )
             fresh, first, slot = np.unique(
-                found[up], return_index=True, return_inverse=True
+                found_keys[up], return_index=True, return_inverse=True
             )
             size = start + m
             if size + fresh.size > element_cap:
@@ -866,12 +863,11 @@ class CoxeterSystem:
             by_gen.append(product.reshape(m, n))
             if not fresh.size:
                 break
-            parent, gen = np.divmod(np.flatnonzero(up)[first[order]], n)
+            new = np.flatnonzero(up)[first[order]]
+            parent, gen = np.divmod(new, n)
             level = images.take(level[parent] + offsets[gen])
             sigmas.append(level)
-            self.inv_bits.extend(
-                int.from_bytes(key, "little") for key in fresh[order].tolist()
-            )
+            inv_words.append(found[new])
             parents.append((start + parent).astype(np.int32))
             letters.append((gen + 1).astype(np.int32))
             self.lengths.extend([k + 1] * fresh.size)
@@ -880,28 +876,29 @@ class CoxeterSystem:
         self._sigmas = np.concatenate(sigmas)
         self._parent, self._letter = np.concatenate(parents), np.concatenate(letters)
         self._right_by_gen = np.concatenate(by_gen)
+        self.inv_words = np.concatenate(inv_words)
+        self.inv_bits = words_to_bits(self.inv_words)
         self.size = len(self.inv_bits)
-        keys = _row_keys(self._sigmas < 0)
+        keys = _word_keys(self.inv_words)
         self._by_key = np.argsort(keys)
         self._sorted_keys = keys[self._by_key]
         refl = self._ids_of(
-            act < 0,
+            _pack_words(act < 0),
             "a reflection is not an element of the group: the root table "
             "is inconsistent",
         )
         if (np.array(self.lengths)[refl] % 2 != 1).any():
             raise CoxeterError("a reflection must have odd length")
-        self._refl_elem: list[int] = refl.tolist()
-        self._root_of_elem = {elem: r for r, elem in enumerate(self._refl_elem)}
-        full = np.ones((1, n_roots), dtype=bool)
+        self.refl_ids = refl.astype(np.int32)
+        full = bits_to_words((1 << n_roots) - 1, self.inv_words.shape[1])[None]
         self._w0 = int(self._ids_of(full, "the longest element is missing")[0])
 
-    def _ids_of(self, inversions: np.ndarray, what: str) -> np.ndarray:
-        """Element ids of the inversion sets in the rows of a bool array.
+    def _ids_of(self, words: np.ndarray, what: str) -> np.ndarray:
+        """Element ids of the inversion sets in the rows of a word array.
 
         A set that is no element's raises CoxeterError(what).
         """
-        return _find(self._sorted_keys, self._by_key, _row_keys(inversions), what)
+        return _find(self._sorted_keys, self._by_key, _word_keys(words), what)
 
     # -- basic access -------------------------------------------------------
 
@@ -920,6 +917,9 @@ class CoxeterSystem:
         return self._words
 
     def element(self, index: int) -> GroupElement:
+        """The element with id `index`; ValueError outside [0, size)."""
+        if not 0 <= index < self.size:
+            raise ValueError(f"element index {index} out of range")
         return GroupElement(self, index)
 
     @property
@@ -949,8 +949,8 @@ class CoxeterSystem:
         what = f"no element has the inversion set {bits:#x}"
         if not 0 <= bits < 1 << n_roots:
             raise CoxeterError(what)
-        row = np.array([[bits >> r & 1 for r in range(n_roots)]], dtype=bool)
-        return GroupElement(self, int(self._ids_of(row, what)[0]))
+        words = bits_to_words(bits, self.inv_words.shape[1])[None]
+        return GroupElement(self, int(self._ids_of(words, what)[0]))
 
     # -- reflections and phi --------------------------------------------------
 
@@ -958,19 +958,19 @@ class CoxeterSystem:
         """phi: positive root index -> the reflection through that root."""
         if not 0 <= root_index < self.table.n_roots:
             raise ValueError(f"root index {root_index} out of range")
-        return GroupElement(self, self._refl_elem[root_index])
+        return GroupElement(self, int(self.refl_ids[root_index]))
 
     def reflection_root(self, element: GroupElement) -> int:
         """phi^{-1}: reflection element -> its positive root index."""
         if element.system is not self:
             raise ValueError("element belongs to a different system")
-        root = self._root_of_elem.get(element.index)
-        if root is None:
+        roots = np.flatnonzero(self.refl_ids == element.index)
+        if not roots.size:
             raise NotAReflection(f"{element!r} is not a reflection")
-        return root
+        return int(roots[0])
 
     def reflections(self) -> list[GroupElement]:
-        return [GroupElement(self, i) for i in self._refl_elem]
+        return [GroupElement(self, i) for i in self.refl_ids.tolist()]
 
     # -- products by reflections ----------------------------------------------
 
@@ -1016,8 +1016,8 @@ class CoxeterSystem:
         if labels.table is not self.table:
             raise ValueError("label subset belongs to a different root table")
         visited = self.reachable_ids(labels.bits, side)
-        hit = np.packbits(visited[self.numpy_tables().refl_ids], bitorder="little")
-        return visited, RootSubset(self.table, int.from_bytes(hit.tobytes(), "little"))
+        hit = words_to_bits(_pack_words(visited[None, self.refl_ids]))[0]
+        return visited, RootSubset(self.table, hit)
 
     # -- type-A permutation dictionary ----------------------------------------
 

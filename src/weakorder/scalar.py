@@ -326,8 +326,8 @@ def embed_cos(m: int, ring: MinimalPolynomial) -> "AlgebraicScalar":
     """The scalar 2*cos(pi/m) inside Q(2*cos(pi/L)).
 
     Uses the recursion p_0 = 2, p_1 = c, p_{k+1} = c*p_k - p_{k-1}, which
-    yields p_k = 2*cos(k*pi/L); the wanted value is p_{L/m}.  m = 1 and
-    m = 2 are exact rationals (-2 and 0) available in every ring; any other
+    yields p_k = 2*cos(k*pi/L); the wanted value is p_{L/m}.  m = 1, 2 and
+    3 are exact rationals (-2, 0 and 1) available in every ring; any other
     m must divide L.
 
     >>> embed_cos(3, build_ring(3)).coeffs
@@ -337,6 +337,8 @@ def embed_cos(m: int, ring: MinimalPolynomial) -> "AlgebraicScalar":
         return ring.from_rational(-2)
     if m == 2:
         return ring.zero()
+    if m == 3:
+        return ring.one()
     if ring.L % m != 0:
         raise ValueError(f"m={m} does not divide the ring parameter L={ring.L}")
     k = ring.L // m

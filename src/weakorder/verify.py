@@ -34,6 +34,7 @@ import numpy as np
 from .coxeter import (
     CoxeterGraph,
     CoxeterSystem,
+    RootSubset,
     build_system,
     reach_words,
     transpose_bits,
@@ -194,11 +195,8 @@ def _pair_arrays(
 
 
 def _root_names(system: CoxeterSystem, bits: int) -> list[str]:
-    return [
-        system.table.roots[r].render()
-        for r in range(system.table.n_roots)
-        if bits >> r & 1
-    ]
+    roots = system.table.roots
+    return [roots[r].render() for r in RootSubset(system.table, bits).indices()]
 
 
 def _failure_records(

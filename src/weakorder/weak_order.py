@@ -27,6 +27,7 @@ from .coxeter import (  # the join errors are re-exported from here
     NoUpperBound,
     RootSubset,
     RootTable,
+    _unpack_words,
     bits_to_words,
     left_reflection_set,
     weak_joins,
@@ -49,9 +50,7 @@ def _closed_bits(table: RootTable, bits: int) -> bool:
     """
     cones = table.cone_words()
     words = bits_to_words(bits, cones.shape[2])
-    members = np.flatnonzero(
-        np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
-    )
+    members = np.flatnonzero(_unpack_words(words[None], table.n_roots)[0])
     return not (cones[np.ix_(members, members)] & ~words).any()
 
 

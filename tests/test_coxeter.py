@@ -304,10 +304,11 @@ def test_graph_from_json_round_trip():
 
 
 def test_ring_parameter_is_lcm_of_labels():
+    # label 3 adds nothing: 2cos(pi/3) = 1 lies in every ring
     assert CoxeterGraph.from_name("A3").ring_parameter == 3
-    assert CoxeterGraph.from_name("B3").ring_parameter == 12
-    assert CoxeterGraph.from_name("H3").ring_parameter == 15
-    assert CoxeterGraph.from_name("F4").ring_parameter == 12
+    assert CoxeterGraph.from_name("B3").ring_parameter == 4
+    assert CoxeterGraph.from_name("H3").ring_parameter == 5
+    assert CoxeterGraph.from_name("F4").ring_parameter == 4
     assert CoxeterGraph.from_name("I2(7)").ring_parameter == 7
 
 
@@ -334,6 +335,23 @@ def test_root_subset_operations():
     assert (a - b).bits == 0b001
     assert a.complement().bits == 0b100
     assert len(a) == 2 and a.indices() == (0, 1)
+
+
+def test_root_subset_rejects_bits_outside_its_roots():
+    table = build_system("A3").table
+    assert RootSubset(table, (1 << 6) - 1).indices() == (0, 1, 2, 3, 4, 5)
+    for bits in (1 << 6, 1 << 7, -1):
+        with pytest.raises(ValueError, match="outside the 6 positive roots"):
+            RootSubset(table, bits)
+
+
+def test_element_index_must_name_an_element():
+    system = build_system("A3")
+    assert system.element(system.size - 1).index == system.size - 1
+    assert system.element(0) == system.identity
+    for index in (-1, system.size, 10**6):
+        with pytest.raises(ValueError, match="out of range"):
+            system.element(index)
 
 
 

@@ -1,10 +1,13 @@
 """Level-wise enumeration and the product tables, bit for bit against the
 element-by-element oracles in oracles.py, plus the checks enumeration makes
 on its input: the element cap at its exact boundary, inconsistent root
-tables, and Python-int indices.
+tables, and Python-int indices; and the root-set codec every packed
+inversion set goes through.
 """
 
 import json
+from functools import lru_cache
+from random import Random
 
 import numpy as np
 import pytest
@@ -15,8 +18,14 @@ from weakorder.coxeter import (
     CoxeterGraph,
     CoxeterSystem,
     FinitenessExceeded,
+    RootSubset,
+    _pack_words,
+    _unpack_words,
+    bits_to_words,
     build_system,
     generate_positive_roots,
+    transpose_bits,
+    words_to_bits,
 )
 
 TYPES = ["A3", "B3", "H3", "I2(7)", "I2(65)", "D4", "F4", "D5"]
@@ -107,3 +116,49 @@ def test_element_by_bits_rejects_a_set_that_is_no_inversion_set():
     for bits in (0b11, -1, 1 << system.table.n_roots):
         with pytest.raises(CoxeterError, match="no element has the inversion set"):
             system.element_by_bits(bits)
+
+
+@lru_cache(maxsize=None)
+def _system(name):
+    return build_system(name)
+
+
+# 6, 60, 64 and 65 roots: one word, one word nearly full, exactly full, two words
+@pytest.mark.parametrize("name", ["A3", "H4", "I2(64)", "I2(65)"])
+def test_root_set_codec_round_trips(name):
+    system = _system(name)
+    n = system.table.n_roots
+    n_words = -(-n // 64)
+    rng = Random(n)
+    sets = [0, 1, 1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) for _ in range(50)]
+    words = np.stack([bits_to_words(bits, n_words) for bits in sets])
+    assert words.shape == (len(sets), n_words) and words.dtype == np.uint64
+    assert words_to_bits(words) == sets
+    rows = _unpack_words(words, n)
+    assert rows.tolist() == [[bool(bits >> r & 1) for r in range(n)] for bits in sets]
+    assert np.array_equal(_pack_words(rows), words)
+    assert np.array_equal(transpose_bits(transpose_bits(words, n), len(sets)), words)
+    for bits, row in zip(sets, rows):
+        assert RootSubset(system.table, bits).indices() == tuple(np.flatnonzero(row))
+
+
+@pytest.mark.parametrize("name", TYPES + ["H4"])
+def test_inversion_words_are_the_inversion_bits(name):
+    system = _system(name)
+    npt = system.numpy_tables()
+    assert npt.inv_words is system.inv_words
+    assert npt.n_words == system.inv_words.shape[1] == -(-system.table.n_roots // 64)
+    assert words_to_bits(npt.inv_words) == system.inv_bits
+    for x, bits in enumerate(system.inv_bits):
+        assert np.array_equal(npt.inv_words[x], bits_to_words(bits, npt.n_words))
+
+
+@pytest.mark.parametrize("name", TYPES + ["H4"])
+def test_refl_ids_agree_with_the_reflection_dictionary(name):
+    system = _system(name)
+    refl_ids = system.numpy_tables().refl_ids
+    assert refl_ids.dtype == np.int32 and refl_ids.shape == (system.table.n_roots,)
+    for r, x in enumerate(refl_ids.tolist()):
+        assert system.reflection(r).index == x
+        assert system.reflection_root(system.element(x)) == r
+    assert [t.index for t in system.reflections()] == refl_ids.tolist()

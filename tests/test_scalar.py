@@ -175,6 +175,11 @@ def test_embed_cos_values():
     assert embed_cos(4, ring).sign() == 1
 
 
+def test_embed_cos_three_is_one_in_every_ring():
+    for L in (1, 2, 3, 4, 5, 7):
+        assert embed_cos(3, build_ring(L)) == build_ring(L).one()
+
+
 def test_embed_cos_rejects_non_divisors():
     ring = build_ring(6)
     with pytest.raises(ValueError):

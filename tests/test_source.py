@@ -21,6 +21,33 @@ def test_no_invariant_rests_on_assert():
     assert found == []
 
 
+# the root-set codec in coxeter.py: the only code that packs or unpacks bits
+CODEC = {"_pack_words", "_unpack_words", "bits_to_words", "words_to_bits", "_word_keys"}
+BIT_FORMAT = {"packbits", "unpackbits", "from_bytes", "to_bytes"}
+
+
+def test_bit_packing_stays_in_the_root_set_codec():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            line
+            for node in ast.walk(tree)
+            if path.name == "coxeter.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name in CODEC
+            for line in range(node.lineno, node.end_lineno + 1)
+        }
+        found += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in BIT_FORMAT
+            and node.lineno not in allowed
+        ]
+    assert found == []
+
+
 def test_docstring_examples_run():
     failed, attempted = 0, 0
     for path in sorted(SRC.glob("*.py")):
