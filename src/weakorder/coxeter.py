@@ -8,8 +8,9 @@ Z[c], so the root table is integer coefficient arrays over the power basis
 of c, which the ring (scalar.MinimalPolynomial) multiplies and signs:
 positive roots are generated by closing the simple roots under simple
 reflections one depth level at a time, each level in one integer matrix
-product.  Group elements are enumerated breadth-first and keyed canonically
-by their inversion sets, each packed once in the root-set codec's words.
+product, and only the simple reflections are computed from coordinates.
+Group elements are enumerated breadth-first and keyed canonically by their
+inversion sets, each packed once in the root-set codec's words.
 
 The element model is permutation-based: each element w stores the signed
 action of w^{-1} on the positive-root indices, from which inversion sets,
@@ -21,8 +22,9 @@ products by reflections are walks along reflection words, one gather per
 letter.
 
 For the closure predicates the root table also keeps the cone of every
-pair of positive roots as a packed bit-set, built on first use by exact
-integer array code over all pairs at once.
+pair of positive roots as a packed bit-set, built on first use: exact
+integer array code for the cones of the simple roots, conjugation for the
+rest.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
 _JOIN_BLOCK_CELLS = 1 << 20  # (union, element) cells per block of the subset test
 _ENUM_BLOCK_CELLS = 1 << 22  # (element, generator, root) cells per enumeration gather
-_CONE_BLOCK_CELLS = 1 << 16  # (pair, root, coordinate, coefficient^2) cells per block
 
 
 class CoxeterError(Exception):
@@ -175,17 +176,17 @@ class CoxeterGraph:
 
 
 def _pack_words(mask: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D bool array as ceil(columns / 64) uint64 words."""
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    out = np.zeros((mask.shape[0], 8 * -(-mask.shape[1] // 64)), dtype=np.uint8)
-    out[:, :packed.shape[1]] = packed
+    """Each row (last axis) of a bool array as ceil(columns / 64) uint64 words."""
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    out = np.zeros((*mask.shape[:-1], 8 * -(-mask.shape[-1] // 64)), dtype=np.uint8)
+    out[..., :packed.shape[-1]] = packed
     return out.view("<u8").astype(np.uint64, copy=False)
 
 
 def _unpack_words(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Bits 0..n_bits-1 of each row of a 2-D uint64 word array, as bools."""
+    """Bits 0..n_bits-1 of each row (last axis) of a uint64 word array, as bools."""
     as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, count=n_bits, bitorder="little").view(bool)
+    return np.unpackbits(as_bytes, axis=-1, count=n_bits, bitorder="little").view(bool)
 
 
 def bits_to_words(bits: int, n_words: int) -> np.ndarray:
@@ -262,20 +263,20 @@ class RootTable:
     (MinimalPolynomial.times and .signs).  Positive roots come
     from closing the simple roots under the simple reflections one depth
     level at a time, a whole level reflected in one matrix product with the
-    integer matrix of 2B (B_ij = -cos(pi/m_ij)).  Repeats and reflection
-    images are found among sorted row keys, and Root.coords are made from
-    the arrays at the end.
+    integer matrix of 2B (B_ij = -cos(pi/m_ij)).  Repeats and simple
+    reflection images are found among sorted row keys, and Root.coords are
+    made from the arrays at the end.
 
     Ordering: the simple roots first in generator order, then by generation
     depth, ties broken by exact lexicographic coordinate comparison.  The
     table act[t][r] records s_{beta_t}(beta_r) as a signed 1-based root
-    index; it is the only geometric data the group model needs.
+    index, the only geometric data the group model needs; past the simple
+    rows, each row is a conjugate s_i s_u s_i of a row one depth level up.
 
     The closure predicates read the cone table instead: cone_words()[i, j]
     is the set of positive roots a*beta_i + b*beta_j with a, b >= 0, in the
     codec's words, for every pair of roots.  It is built on the first
-    cone query, in one pass of exact integer array code (_cone_table), and
-    never by the constructor.
+    cone query (_cone_table), never by the constructor.
     """
 
     def __init__(self, graph: CoxeterGraph, cap: int = DEFAULT_ROOT_CAP):
@@ -315,11 +316,7 @@ class RootTable:
         seen = np.sort(_keys(level))
         total = n
         while True:
-            m = level.shape[0]
-            pairs = (level.reshape(m, n * d) @ self._two_b).reshape(m, n, d)
-            cands = np.repeat(level[:, None], n, axis=1)
-            cands[:, diag, diag] -= pairs
-            cands = cands.reshape(m * n, n, d)
+            cands = self._reflect(level).reshape(-1, n, d)
             if len(found) == 1:  # s_i(alpha_i) = -alpha_i
                 cands = np.delete(cands, diag * (n + 1), axis=0)
             keys, first = np.unique(_keys(cands), return_index=True)
@@ -362,30 +359,31 @@ class RootTable:
             ranks.append(above[slot][n:])
         return np.concatenate([np.arange(n), n + np.lexsort([*ranks[::-1], depths[n:]])])
 
+    def _reflect(self, x: np.ndarray) -> np.ndarray:
+        """images[v, i] = s_i(x[v]) for an (m, n, d) coefficient array x."""
+        diag = np.arange(x.shape[1])
+        images = np.repeat(x[:, None], x.shape[1], axis=1)
+        images[:, diag, diag] -= (x.reshape(len(x), -1) @ self._two_b).reshape(x.shape)
+        return images
+
     def _build_act(self) -> None:
-        """act[t][r] from s_t(beta_r) = beta_r - 2B(beta_t, beta_r) beta_t."""
-        ring, x = self.ring, self._coeffs
-        n_roots, n, d = x.shape
-        flat = x.reshape(n_roots, n * d)
-        dual = (flat @ self._two_b).reshape(n_roots, n, d)  # 2B beta_t
-        # row (t, a), column (i, b): entry (a, b) of the matrix of (2B beta_t)_i
-        stacked = ring.times(dual).transpose(0, 2, 1, 3).reshape(n_roots * d, n * d)
-        pairs = (stacked @ flat.T).reshape(n_roots, d, n_roots).transpose(0, 2, 1)
-        diag = np.arange(n_roots)
-        if (pairs[diag, diag] != 2 * np.eye(1, d, dtype=np.int64)).any():
-            raise CoxeterError("root table lost the unit normalization")
-        scaled = (ring.times(x)[:, None] @ pairs[:, :, None, :, None])[..., 0]
-        images = (x[None] - scaled).reshape(n_roots * n_roots, n, d)
-        keys = _keys(x)
-        ids = np.argsort(keys)
-        keys = keys[ids]
-        pos, found = _match(keys, _keys(images))
-        act = ids[pos] + 1
-        act[~found] = -1 - _find(
-            keys, ids, _keys(-images[~found]),
-            "reflection image is not a root of the table",
-        )
-        self.act = tuple(map(tuple, act.reshape(n_roots, n_roots).tolist()))
+        """Simple rows by key lookup, then s_t = s_i s_u s_i for beta_t = s_i(beta_u);
+        every row must negate its own root and square to the identity."""
+        x = self._coeffs
+        n_roots, n = x.shape[:2]
+        rows = np.arange(n_roots)
+        keys = _keys(np.concatenate([x, -x]))
+        order = np.argsort(keys)
+        ids = np.concatenate([rows + 1, -rows - 1])[order]
+        images = self._reflect(x).swapaxes(0, 1).reshape(-1, *x.shape[1:])
+        what = "reflection image is not a root of the table"
+        simple = _find(keys[order], ids, _keys(images), what).reshape(n, n_roots)
+        act = np.pad(simple, [(0, n_roots - n), (0, 0)])  # the other rows by level
+        for roots, gens, parents in _descents(simple, self.roots):
+            act[roots] = _compose(simple[gens], _compose(act[parents], simple[gens]))
+        if (np.diag(act) != -rows - 1).any() or (_compose(act, act) != rows + 1).any():
+            raise CoxeterError("act is not a table of reflections")
+        self.act = tuple(map(tuple, act.tolist()))
 
     # queries ---------------------------------------------------------------
 
@@ -415,81 +413,80 @@ def generate_positive_roots(graph: CoxeterGraph, cap: int = DEFAULT_ROOT_CAP) ->
 # -- the cone table --------------------------------------------------------------
 
 
+def _compose(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row by row f o g of signed 1-based root maps."""
+    return np.take_along_axis(f, np.abs(g) - 1, axis=1) * np.sign(g)
+
+
+def _descents(simple: np.ndarray, roots: list[Root]) -> list[tuple]:
+    """Per depth level k >= 1 (a run of the table order): roots t, the first i
+    with beta_t = s_i(beta_u) for a root u of depth k - 1, and u."""
+    depths = np.array([root.depth for root in roots])
+    image = np.abs(simple) - 1
+    down = (simple > 0) & (depths[image] == depths - 1)
+    if not down[:, simple.shape[0]:].any(axis=0).all():
+        raise CoxeterError("a root of positive depth has no simple descent")
+    gens = down.argmax(axis=0)
+    parents = image[gens, np.arange(depths.size)]
+    ends = np.searchsorted(depths, np.arange(1, depths[-1] + 2)).tolist()
+    return [(np.arange(a, b), gens[a:b], parents[a:b]) for a, b in zip(ends, ends[1:])]
+
+
 def _narrow(ring, x: np.ndarray) -> np.ndarray:
-    """x as int64 when every sum of products _cone_table forms fits."""
-    rank, d = x.shape[1:]
+    """x as int64 when every form _base_cones builds fits."""
+    d = x.shape[-1]
     biggest = max(abs(a) for a in x.ravel().tolist())
     # the largest entry sum of c^a's multiplication matrices over a < d
     spread = np.abs(ring.times(np.eye(d, dtype=object))).sum(axis=0).max()
-    bound = 2 * rank * d**2 * biggest**3 * spread**2
-    return x.astype(np.int64) if bound < 1 << 63 else x
+    return x.astype(np.int64) if 2 * d * biggest**2 * spread < 1 << 63 else x
 
 
-def _cone_table(table: RootTable, block: int | None = None) -> np.ndarray:
-    """cone[i, j]: the roots a*beta_i + b*beta_j, a, b >= 0, as uint64 words.
+def _base_cones(table: RootTable) -> np.ndarray:
+    """base[k, j, g]: whether beta_g lies in the cone of alpha_k and beta_j.
 
-    For alpha = beta_i and beta = beta_j (i != j, so not proportional) let
-    M_pq = alpha_p beta_q - alpha_q beta_p be the 2 x 2 minors and (p, q) the
-    first pair with M_pq != 0.  gamma lies in the plane of alpha and beta
-    exactly when gamma_p M_qc - gamma_q M_pc + gamma_c M_pq vanishes for
-    every other coordinate c (the 3 x 3 minors through p and q).  A root of
-    the plane is in the cone when its Cramer numerators
-    gamma_p beta_q - gamma_q beta_p and alpha_p gamma_q - alpha_q gamma_p
-    do not have the sign opposite to M_pq.  Pairs i < j go through `block`
-    at a time (by default as many as fit _CONE_BLOCK_CELLS): the plane test
-    is one matrix product over every root of a block, and signs are taken
-    only for the few roots of a plane.  Nothing divides.
+    Let q be the first coordinate other than k where beta = beta_j is
+    nonzero (so beta_q > 0), or k when beta = alpha_k.  gamma is in the plane
+    of alpha_k and beta when gamma_c beta_q - gamma_q beta_c vanishes for
+    every c != k; it is then a alpha_k + b beta, b = gamma_q / beta_q >= 0,
+    and in the cone when a beta_q, that form at c = k, is >= 0.
     """
     ring = table.ring
     x = _narrow(ring, table._coeffs)
-    times = ring.times(x)
-    n, rank, d = x.shape
-    cone = np.zeros((n, n, -(-n // 64)), dtype=np.uint64)
-    cone[np.arange(n), np.arange(n)] = _pack_words(np.eye(n, dtype=bool))
-    first, second = np.triu_indices(n, 1)
-    width = max(rank - 2, 0)
-    if block is None:
-        block = max(1, _CONE_BLOCK_CELLS // (n * max(width, 1) * d * d))
-    minor_p, minor_q = np.triu_indices(rank, 1)
-    others = np.array(
-        [[c for c in range(rank) if c not in pq] for pq in zip(minor_p, minor_q)],
-        dtype=np.intp,
-    ).reshape(minor_p.size, width)
-    # row (t, j), column (r, i): entry (i, j) of the matrix of beta_r[t]
-    stacked = times.transpose(1, 3, 0, 2).reshape(rank * d, n * d)
-    for lo in range(0, first.size, block):
-        i, j = first[lo:lo + block], second[lo:lo + block]
-        rows = np.arange(i.size)
-        alpha, beta = x[i], x[j]
-        products = (times[i][:, :, None] @ beta[:, None, :, :, None])[..., 0]
-        minors = products - products.swapaxes(1, 2)
-        nonzero = (minors[:, minor_p, minor_q] != 0).any(axis=-1)
-        if not nonzero.any(axis=1).all():
+    n_roots, n = x.shape[:2]
+    ks = np.arange(n)
+    planes = []
+    for j, nonzero in enumerate((x != 0).any(axis=2)):
+        if j >= n and nonzero.sum() < 2:
             raise CoxeterError("distinct positive roots cannot be proportional")
-        pivot = nonzero.argmax(axis=1)
-        p, q, c = minor_p[pivot], minor_q[pivot], others[pivot]
-        det = minors[rows, p, q]
-        row, col = rows[:, None], np.arange(width)
-        forms = np.zeros((i.size, width, rank, d), dtype=x.dtype)
-        forms[row, col, p[:, None]] = minors[row, q[:, None], c]
-        forms[row, col, q[:, None]] = -minors[row, p[:, None], c]
-        forms[row, col, c] = det[:, None]
-        values = forms.reshape(-1, rank * d) @ stacked
-        plane = (values.reshape(i.size, width, n, d) == 0).all(axis=(1, 3))
-        plane[rows, i] = plane[rows, j] = False
-        pair, k = np.nonzero(plane)
-        pp, qq = p[pair], q[pair]
-        gp, gq = times[k, pp], times[k, qq]
-        a_num = gp @ beta[pair, qq, :, None] - gq @ beta[pair, pp, :, None]
-        b_num = gq @ alpha[pair, pp, :, None] - gp @ alpha[pair, qq, :, None]
-        s_det = ring.signs(det[pair])
-        inside = (ring.signs(a_num[..., 0]) * s_det >= 0) & (
-            ring.signs(b_num[..., 0]) * s_det >= 0
-        )
-        mask = np.zeros((i.size, n), dtype=bool)
-        mask[rows, i] = mask[rows, j] = True
-        mask[pair[inside], k[inside]] = True
-        cone[i, j] = cone[j, i] = _pack_words(mask)
+        products = (ring.times(x[j]) @ x[:, :, None, :, None])[..., 0]
+        forms = products - products.swapaxes(1, 2)  # [g, c, q]
+        others = nonzero & (ks[:, None] != ks)
+        q = np.where(others.any(axis=1), others.argmax(axis=1), ks)
+        zero = ~(forms[:, :, q] != 0).any(axis=3)
+        zero[:, ks, ks] = True  # c = k is the cone test
+        g, k = np.nonzero(zero.all(axis=1))
+        planes.append((k, np.full(g.size, j), g, forms[g, k, q[k]]))
+    base = np.zeros((n, n_roots, n_roots), dtype=bool)
+    k, j, g, values = map(np.concatenate, zip(*planes))
+    base[k, j, g] = ring.signs(values) >= 0
+    return base
+
+
+def _cone_table(table: RootTable) -> np.ndarray:
+    """cone[i, j]: the roots a*beta_i + b*beta_j, a, b >= 0, as uint64 words.
+
+    The simple rows are _base_cones.  If beta_t = s_i(beta_u) and beta_j !=
+    alpha_i, s_i maps cone(beta_u, s_i beta_j), which lacks alpha_i, onto
+    cone(beta_t, beta_j): a depth level of rows is one gather.
+    """
+    n, n_roots = table.graph.rank, table.n_roots
+    simple = np.array(table.act[:n], dtype=np.intp)
+    cone = np.pad(_pack_words(_base_cones(table)), [(0, n_roots - n), (0, 0), (0, 0)])
+    for roots, gens, parents in _descents(simple, table.roots):
+        perm = np.abs(simple[gens]) - 1
+        rows = _unpack_words(cone[parents[:, None], perm], n_roots)
+        cone[roots] = _pack_words(np.take_along_axis(rows, perm[:, None], axis=2))
+        cone[roots, :n] = cone[:n, roots].swapaxes(0, 1)
     return cone
 
 
@@ -679,7 +676,9 @@ class _NumpyTables:
         }
 
     def words(self, bits: int) -> np.ndarray:
-        """One root bit-set as a (1, n_words) batch for the kernels."""
+        """One root bit-set as a (1, n_words) batch; ValueError outside the roots."""
+        if not 0 <= bits < 1 << self.n_roots:
+            raise ValueError(f"bits outside the {self.n_roots} positive roots")
         return bits_to_words(bits, self.n_words)[None, :]
 
 

@@ -17,6 +17,13 @@ repeats, reflection images found by a scan over all roots, and cone masks
 solved one pair at a time by Cramer's rule with an exact inverse.  They
 read only the root coordinates and the bilinear form, and they sign
 scalars with interval_sign, not with the library's MinimalPolynomial.signs.
+The cones of a rank-2 table also follow from its reflection order alone,
+read off act, with no arithmetic.
+
+Reachability has a second oracle that is its own algorithm: a forward
+push over the length-increasing entries of a product table, with one
+Python int per element holding a bit per union, checked against the
+breadth-first search on the small types.
 """
 
 import collections
@@ -112,6 +119,35 @@ def reachable_ids_bfs(system, label_bits, side):
         visited[targets] = True
         frontier = targets.astype(np.intp)
     return visited
+
+
+def reachable_ids_push(system, union_bits, side):
+    """Reachability under many label sets at once, by a forward push.
+
+    Element x holds one Python int with bit k set when x is reachable under
+    union k.  Elements are taken in enumeration order, along which length
+    never decreases, so every step into x has been pushed before x pushes
+    on: reach[y] |= reach[x] & labels[r] for each length-increasing entry
+    y = mul[r, x].  Returns a (len(union_bits), |W|) bool array.
+    """
+    mul, asc = _ascents(system, side)
+    count = len(union_bits)
+    masks = root_masks(union_bits, system.table.n_roots)
+    labels = [
+        int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
+        for column in masks.T
+    ]
+    reach = [0] * system.size
+    reach[0] = (1 << count) - 1
+    elements, roots = np.nonzero(asc.T)
+    targets = mul[roots, elements]
+    for x, r, y in zip(elements.tolist(), roots.tolist(), targets.tolist()):
+        reach[y] |= reach[x] & labels[r]
+    width = -(-count // 8)
+    rows = np.frombuffer(
+        b"".join(bits.to_bytes(width, "little") for bits in reach), dtype=np.uint8
+    ).reshape(system.size, width)
+    return np.unpackbits(rows, axis=1, count=count, bitorder="little").T.astype(bool)
 
 
 def reflection_bits(system, visited):
@@ -371,3 +407,33 @@ def cone_mask_cramer(table, i, j):
         if all((a * alpha[c] + b * beta[c] - gamma[c]).is_zero() for c in range(n)):
             mask |= 1 << k
     return mask
+
+
+def dihedral_cones(table):
+    """Cone masks of a rank-2 table from its reflection order.
+
+    rho_1 = alpha_1, rho_2 = s_1(alpha_2), rho_3 = s_1 s_2(alpha_1), ...,
+    read by walking act along the alternating word, are the positive roots
+    in angular order from alpha_1 to alpha_2, so cone(rho_a, rho_b) is
+    {rho_c : a <= c <= b}.
+    """
+    if table.graph.rank != 2:
+        raise ValueError("a reflection order of this kind needs rank 2")
+    n = table.n_roots
+    order = []
+    for k in range(n):
+        root = k % 2
+        for letter in reversed(range(k)):
+            root = table.act[letter % 2][root] - 1
+            if root < 0:
+                raise CoxeterError("the alternating word reaches a negative root")
+        order.append(root)
+    if sorted(order) != list(range(n)):
+        raise CoxeterError("the reflection order misses a root")
+    masks = [[0] * n for _ in range(n)]
+    for a in range(n):
+        bits = 0
+        for b in range(a, n):
+            bits |= 1 << order[b]
+            masks[order[a]][order[b]] = masks[order[b]][order[a]] = bits
+    return masks

@@ -1,7 +1,9 @@
 """The root table against the scalar loops in oracles.py: roots, depths,
-order and act from the integer array construction, its root cap, and the
-cone table bit for bit against Cramer's rule one pair at a time, over
-several block sizes, plus the closure predicates that read it on H4.
+order and act (built from the simple rows by conjugation) from the integer
+array construction, its root cap and its consistency checks, and the cone
+table (solved for the simple roots, conjugated for the rest) bit for bit
+against Cramer's rule one pair at a time and, for dihedral types, against
+the reflection order, plus the closure predicates that read it on H4.
 """
 
 import functools
@@ -10,8 +12,9 @@ import random
 import numpy as np
 import pytest
 
-from oracles import cone_mask_cramer, roots_and_act_loop
+from oracles import cone_mask_cramer, dihedral_cones, roots_and_act_loop
 from weakorder.coxeter import (
+    CoxeterError,
     CoxeterGraph,
     FinitenessExceeded,
     RootSubset,
@@ -75,14 +78,46 @@ def test_hyperbolic_triangle_exceeds_the_root_cap():
         generate_positive_roots(graph)
 
 
-@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize(
+    "corrupt,error",
+    [
+        ("simple row", "act is not a table of reflections"),
+        ("2B entry", "reflection image is not a root of the table"),
+    ],
+    ids=["simple row", "2B entry"],
+)
+def test_inconsistent_reflections_raise(corrupt, error, monkeypatch):
+    table = generate_positive_roots(CoxeterGraph.from_name("B3"))
+    if corrupt == "simple row":
+        reflect = table._reflect
+
+        def corrupted(x):
+            images = reflect(x)
+            images[4, 0] = images[5, 0]  # s_1 sends two roots to one image
+            return images
+
+        monkeypatch.setattr(table, "_reflect", corrupted)
+    else:
+        table._two_b = table._two_b.copy()
+        table._two_b[0, table.ring.degree] -= 1  # 2B_12 is now -2
+    with pytest.raises(CoxeterError, match=error):
+        table._build_act()
+
+
 @pytest.mark.parametrize("name", CONE_TYPES)
-def test_cone_table_matches_cramer_oracle(name, block):
+def test_cone_table_matches_cramer_oracle(name):
     table = exact_table(name)
-    cone = _cone_table(table, block)
+    cone = _cone_table(table)
     n = table.n_roots
     assert cone.shape == (n, n, -(-n // 64)) and cone.dtype == np.uint64
     assert as_ints(cone) == oracle_cones(name)
+
+
+# I2(64) and I2(65) have one and two words per cone; Cramer is too slow there
+@pytest.mark.parametrize("name", ["I2(5)", "I2(7)", "I2(12)", "I2(64)", "I2(65)"])
+def test_dihedral_cones_follow_the_reflection_order(name):
+    table = exact_table(name)
+    assert as_ints(table.cone_words()) == dihedral_cones(table)
 
 
 def test_cone_mask_reads_the_table_built_once():

@@ -20,6 +20,7 @@ from weakorder.coxeter import (
     left_reflection_set,
     weak_joins,
 )
+from weakorder.weak_order import join_of_union_bits
 
 # root counts and group orders from the classification of finite types
 ROOT_COUNTS = {
@@ -343,6 +344,19 @@ def test_root_subset_rejects_bits_outside_its_roots():
     for bits in (1 << 6, 1 << 7, -1):
         with pytest.raises(ValueError, match="outside the 6 positive roots"):
             RootSubset(table, bits)
+
+
+def test_raw_bit_sets_outside_the_roots_are_rejected():
+    system = build_system("A3")  # 6 roots
+    full = (1 << 6) - 1
+    assert join_of_union_bits(system, full) == system.longest_element.index
+    assert system.reachable_ids(full, "left").all()
+    for bits in (1 << 6, 1 << 64, -1):
+        with pytest.raises(ValueError, match="outside the 6 positive roots"):
+            join_of_union_bits(system, bits)
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="outside the 6 positive roots"):
+                system.reachable_ids(bits, side)
 
 
 def test_element_index_must_name_an_element():

@@ -4,7 +4,9 @@ against the independent oracles in oracles.py.
 Every distinct union Phi_u | Phi_v of each type is run through both kernels
 at several chunk sizes, so that batches of one word, of a word and a bit
 and of many words all meet the oracle; a system with more than 64 roots
-checks the multi-word inversion sets of the single-pair helpers.
+checks the multi-word inversion sets of the single-pair helpers.  The
+reachability oracle is the forward push over all unions at once; the
+frontier search checks it on every union of A3, B3 and H3.
 """
 
 import functools
@@ -13,7 +15,12 @@ import random
 import numpy as np
 import pytest
 
-from oracles import joins_matmul, reachable_ids_bfs, reflection_bits
+from oracles import (
+    joins_matmul,
+    reachable_ids_bfs,
+    reachable_ids_push,
+    reflection_bits,
+)
 from weakorder import (
     build_system,
     check_conjecture_H,
@@ -40,8 +47,7 @@ def _unions(name):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_reach(name, side):
-    system = _system(name)
-    return np.array([reachable_ids_bfs(system, bits, side) for bits in _unions(name)])
+    return reachable_ids_push(_system(name), _unions(name), side)
 
 
 def _union_words(system, unions):
@@ -73,6 +79,14 @@ def test_kernels_match_oracles_bit_for_bit(name, chunk):
             assert not bits[1:, kc:].any()  # padding unions reach nothing past e
             parts.append(bits[:, :kc].T.astype(bool))
         assert np.array_equal(np.concatenate(parts), _oracle_reach(name, side)), side
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_push_oracle_matches_the_bfs_on_every_union(name):
+    system = _system(name)
+    for side in ("left", "right"):
+        bfs = [reachable_ids_bfs(system, bits, side) for bits in _unions(name)]
+        assert np.array_equal(_oracle_reach(name, side), np.array(bfs)), side
 
 
 def test_more_than_62_roots():

@@ -48,6 +48,39 @@ def test_bit_packing_stays_in_the_root_set_codec():
     assert found == []
 
 
+# exact ring products and signs in coxeter.py stay where W-equivariance cannot
+# reach: the roots and their order, the int64 check and the rank x n_roots base
+# cones; the simple rows are one integer product with 2B, and the rest of act
+# and of the cone table are gathers
+EXACT_ARITHMETIC = {"times", "signs"}
+EXACT_CALLERS = {
+    "RootTable.__init__", "RootTable._generate", "RootTable._order",
+    "_narrow", "_base_cones",
+}
+
+
+def test_exact_arithmetic_stays_in_the_root_and_base_cone_steps():
+    tree = ast.parse((SRC / "coxeter.py").read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in EXACT_ARITHMETIC
+                and scope not in EXACT_CALLERS
+            ):
+                found.append(f"coxeter.py:{child.lineno} {scope} .{child.func.attr}")
+            visit(child, scope)
+
+    visit(tree, "")
+    assert found == []
+
+
 def test_docstring_examples_run():
     failed, attempted = 0, 0
     for path in sorted(SRC.glob("*.py")):
