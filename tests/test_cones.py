@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import cone_mask_cramer, dihedral_cones, roots_and_act_loop
+from weakorder import coxeter
 from weakorder.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -104,9 +105,32 @@ def test_inconsistent_reflections_raise(corrupt, error, monkeypatch):
         table._build_act()
 
 
+def random_descents(seed):
+    """_descents, but each root t takes a random i among all its descents."""
+    rng = random.Random(seed)
+    first = coxeter._descents
+
+    def descents(simple, roots):
+        depths = np.array([root.depth for root in roots])
+        image = np.abs(simple) - 1
+        down = (simple > 0) & (depths[image] == depths - 1)
+        levels = []
+        for t, _, _ in first(simple, roots):
+            gens = np.array([rng.choice(np.flatnonzero(down[:, r])) for r in t])
+            levels.append((t, gens, image[gens, t]))
+        return levels
+
+    return descents
+
+
+# seed None conjugates through the library's descents, 1 and 7 through random
+# ones: s_i maps cones to cones for every descent i, so the table is the same
+@pytest.mark.parametrize("seed", [1, 7, None])
 @pytest.mark.parametrize("name", CONE_TYPES)
-def test_cone_table_matches_cramer_oracle(name):
+def test_cone_table_matches_cramer_oracle(name, seed, monkeypatch):
     table = exact_table(name)
+    if seed is not None:
+        monkeypatch.setattr(coxeter, "_descents", random_descents(seed))
     cone = _cone_table(table)
     n = table.n_roots
     assert cone.shape == (n, n, -(-n // 64)) and cone.dtype == np.uint64
