@@ -12,14 +12,14 @@ product, and only the simple reflections are computed from coordinates.
 Group elements are enumerated breadth-first and keyed canonically by their
 inversion sets, each packed once in the root-set codec's words.
 
-The element model is permutation-based: each element w stores the signed
-action of w^{-1} on the positive-root indices, from which inversion sets,
-lengths, products by reflections, and the root-to-reflection dictionary phi
-all follow without further vector arithmetic.  Enumeration and the product
-tables are array code over whole length levels: a level's products by the
-simple generators are one gather over these signed actions, and the
-products by reflections are walks along reflection words, one gather per
-letter.
+The element model is permutation-based: enumeration reads each element w
+as the signed action of w^{-1} on the positive-root indices, from which
+inversion sets, lengths and the root-to-reflection dictionary phi follow
+without further vector arithmetic.  Enumeration and the product tables are
+array code over whole length levels: a level's products by the simple
+generators are one gather over these signed actions, and its products by
+reflections are one gather per side in the generator table, from the
+products of each element's breadth-first parent.
 
 For the closure predicates the root table also keeps the cone of every
 pair of positive roots as a packed bit-set, built on first use: exact
@@ -401,7 +401,13 @@ class RootTable:
         return self._cones
 
     def cone_mask(self, i: int, j: int) -> int:
-        """Bit-set of positive roots expressible as a*beta_i + b*beta_j, a,b >= 0."""
+        """Bit-set of positive roots expressible as a*beta_i + b*beta_j, a,b >= 0.
+
+        ValueError outside [0, n_roots).
+        """
+        for index in (i, j):
+            if not 0 <= index < self.n_roots:
+                raise ValueError(f"root index {index} out of range")
         return words_to_bits(self.cone_words()[i, j][None])[0]
 
 
@@ -612,28 +618,16 @@ def _find(table: np.ndarray, ids: np.ndarray, keys: np.ndarray, what: str) -> np
     return ids[pos]
 
 
-def _inverses(system: "CoxeterSystem") -> np.ndarray:
-    """Element id of x^-1 for every x, read from sigma_x.
-
-    Phi_{x^-1} = {|sigma_x(v)| - 1 : sigma_x(v) < 0}, looked up among the
-    inversion sets {v : sigma_x(v) < 0} of all elements.
-    """
-    sigmas = system._sigmas
-    x, v = np.nonzero(sigmas < 0)
-    flipped = np.zeros(sigmas.shape, dtype=bool)
-    flipped[x, -sigmas[x, v].astype(np.intp) - 1] = True
-    ids = system._ids_of(_pack_words(flipped), "an inverse is not an element")
-    return ids.astype(np.int32)
-
-
 class _NumpyTables:
     """Vectorized product tables, packed inversion sets and descent steps.
 
     inv_words and refl_ids are the system's own arrays, not copies.
     right[t, x] = x * t and left[t, x] = t * x for the reflection t of root
-    t.  The right table walks the generator table _right_by_gen along a
-    reduced word of t, one gather per letter; the left table is
-    (x^-1 * t)^-1, with the inverses read from the signed actions.
+    t.  Both are filled along the enumeration tree, one length level at a
+    time from column e = refl_ids: every other x is p * s_g with its parent
+    p one level up, so t * x = (t * p) * s_g and x * t = (p * t') * s_g with
+    t' = s_g t s_g, the reflection through s_g(beta_t).  A level is one
+    gather per side in the generator table _right_by_gen.
 
     Elements are numbered in enumeration order, along which length never
     decreases, so each length level is a contiguous range of ids.  For both
@@ -654,22 +648,24 @@ class _NumpyTables:
         self.inv_words = system.inv_words
         self.n_words = self.inv_words.shape[1]
         self.refl_ids = system.refl_ids
-        # right[t, x] = x * t: walk the generator table along a word of t
-        by_gen = system._right_by_gen.T.copy()
+        parent, gen = system._parent, system._letter - 1
+        if (self.lengths[parent[1:]] != self.lengths[1:] - 1).any():
+            raise CoxeterError("an element's parent is not one length level up")
+        by_gen = system._right_by_gen
+        # conj[t, g]: the root of s_g t s_g, the reflection through s_g(beta_t)
+        conj = np.abs(np.array(system.table.act[:system.graph.rank])).T - 1
+        left = np.empty((n_roots, size), dtype=np.int32)
         right = np.empty((n_roots, size), dtype=np.int32)
-        for t, elem in enumerate(self.refl_ids.tolist()):
-            row = np.arange(size, dtype=np.int32)
-            for letter in system.words[elem]:
-                row = by_gen[letter - 1].take(row)
-            right[t] = row
-        # left[t, x] = t * x = (x^-1 * t)^-1
-        inverse = _inverses(system)
-        left = inverse.take(right.take(inverse, axis=1))
-        self.left = left
-        self.right = right
+        left[:, 0] = right[:, 0] = self.refl_ids
         bounds = np.searchsorted(
             self.lengths, np.arange(int(self.lengths[-1]) + 2)
         )
+        for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
+            p, g = parent[lo:hi], gen[lo:hi]
+            left[:, lo:hi] = by_gen[left[:, p], g]
+            right[:, lo:hi] = by_gen[right[conj[:, g], p], g]
+        self.left = left
+        self.right = right
         self.steps = {
             "left": _descent_steps(left, self.lengths, bounds),
             "right": _descent_steps(right, self.lengths, bounds),
@@ -791,16 +787,18 @@ class CoxeterSystem:
     def _enumerate(self, element_cap: int) -> None:
         """Breadth-first enumeration, one length level at a time.
 
-        Element x holds sigma_x, the signed action of x^-1 on the positive
-        root indices (1-based, negative for a negative image), and its
-        inversion set {v : sigma_x(v) < 0}.  For a level of length k, every
-        x * s_i has sigma = s_i o sigma_x, computed in one gather.  Products
-        of length k + 1 are the next level, numbered by first occurrence in
-        (x, i) order; products of length k - 1 are looked up in the level
-        before.  Ids, words and _right_by_gen are those of a FIFO
-        breadth-first search over x * s_i in the same order; each new
-        element records its parent x and letter i + 1, from which words
-        are spelled out on first use.
+        An element x of the level being extended is held as sigma_x, the
+        signed action of x^-1 on the positive root indices (1-based,
+        negative for a negative image), with its inversion set
+        {v : sigma_x(v) < 0}; a level's sigmas are dropped once the next
+        level is built.  For a level of length k, every x * s_i has
+        sigma = s_i o sigma_x, computed in one gather.  Products of length
+        k + 1 are the next level, numbered by first occurrence in (x, i)
+        order; products of length k - 1 are looked up in the level before.
+        Ids, words and _right_by_gen are those of a FIFO breadth-first
+        search over x * s_i in the same order; each new element records
+        its parent x and letter i + 1, from which words are spelled out on
+        first use and the product tables are built.
 
         Each inversion set is packed once: inv_words, whose void views are
         the sorted lookup keys and from which inv_bits is spelled out.
@@ -817,7 +815,6 @@ class CoxeterSystem:
         rows = max(1, _ENUM_BLOCK_CELLS // (n * n_roots))
 
         level = np.arange(1, n_roots + 1, dtype=dtype)[None, :]
-        sigmas = [level]
         by_gen = []
         inv_words = [np.zeros((1, -(-n_roots // 64)), dtype=np.uint64)]
         parents, letters = [np.zeros(1, dtype=np.int32)], [np.zeros(1, dtype=np.int32)]
@@ -865,14 +862,12 @@ class CoxeterSystem:
             new = np.flatnonzero(up)[first[order]]
             parent, gen = np.divmod(new, n)
             level = images.take(level[parent] + offsets[gen])
-            sigmas.append(level)
             inv_words.append(found[new])
             parents.append((start + parent).astype(np.int32))
             letters.append((gen + 1).astype(np.int32))
             self.lengths.extend([k + 1] * fresh.size)
             below, keys, ids = (keys, ids), fresh, size + rank
             start = size
-        self._sigmas = np.concatenate(sigmas)
         self._parent, self._letter = np.concatenate(parents), np.concatenate(letters)
         self._right_by_gen = np.concatenate(by_gen)
         self.inv_words = np.concatenate(inv_words)

@@ -254,8 +254,8 @@ def sweep(
         raise UsageError("chunk must be a positive integer")
     start = time.perf_counter()
     system = _as_system(target)
-    if system.table.n_roots > 62:
-        raise UsageError("sweeps support at most 62 positive roots")
+    if system.table.n_roots > 64:
+        raise UsageError("sweeps support at most 64 positive roots")
     # within the root guard every inversion set and union is one uint64 word
     words = system.numpy_tables().inv_words[:, 0]
     us, vs = _pair_arrays(system, sample, seed)

@@ -240,20 +240,22 @@ def enumerate_bfs(table):
     )
 
 
-def product_tables_loop(table, group):
+def product_tables_loop(table, group, columns=None):
     """left[t, x] = t * x and right[t, x] = x * t, element by element.
 
     group is what enumerate_bfs returns.  sigma of t * x is sigma_x o s_t
     and sigma of x * t is s_t o sigma_x; each product is found by its
-    inversion set.
+    inversion set.  columns lists the elements x to compute, every element
+    by default; column k of each table is then element columns[k].
     """
     n_roots = table.n_roots
-    size = len(group.inv_bits)
-    left = np.empty((n_roots, size), dtype=np.int32)
-    right = np.empty((n_roots, size), dtype=np.int32)
+    if columns is None:
+        columns = range(len(group.inv_bits))
+    left = np.empty((n_roots, len(columns)), dtype=np.int32)
+    right = np.empty((n_roots, len(columns)), dtype=np.int32)
     for t in range(n_roots):
         act_t = table.act[t]
-        for x in range(size):
+        for k, x in enumerate(columns):
             sig = group.sigmas[x]
             bits_l = 0
             bits_r = 0
@@ -266,8 +268,8 @@ def product_tables_loop(table, group):
                 b = act_t[s - 1] if s > 0 else -act_t[-s - 1]
                 if b < 0:
                     bits_r |= 1 << v
-            left[t, x] = group.id_by_bits[bits_l]
-            right[t, x] = group.id_by_bits[bits_r]
+            left[t, k] = group.id_by_bits[bits_l]
+            right[t, k] = group.id_by_bits[bits_r]
     return left, right
 
 

@@ -301,9 +301,9 @@ def test_sample_below_one_is_usage_error(capsys, sample):
 
 
 def test_sweep_past_the_root_guard_is_usage_error(capsys):
-    rc, out, err = run(capsys, "verify", "--type", "I2(63)")
+    rc, out, err = run(capsys, "verify", "--type", "I2(65)")
     assert (rc, out) == (EXIT_USAGE, "")
-    assert err == "error: sweeps support at most 62 positive roots\n"
+    assert err == "error: sweeps support at most 64 positive roots\n"
 
 
 def test_one_line_notation_outside_type_a_is_usage_error(capsys):

@@ -154,6 +154,14 @@ def test_cone_mask_reads_the_table_built_once():
     assert table.cone_words() is table.cone_words()
 
 
+def test_cone_mask_rejects_roots_out_of_range():
+    table = exact_table("A3")
+    assert table.cone_mask(5, 0) == oracle_cones("A3")[5][0]
+    for i, j in ((-1, 0), (6, 0), (0, -1), (0, 6)):
+        with pytest.raises(ValueError, match="out of range"):
+            table.cone_mask(i, j)
+
+
 def test_h4_biclosed_sets_are_the_inversion_sets():
     table = exact_table("H4")
     system = enumerate_group(table)

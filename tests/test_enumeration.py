@@ -1,8 +1,8 @@
 """Level-wise enumeration and the product tables, bit for bit against the
-element-by-element oracles in oracles.py, plus the checks enumeration makes
-on its input: the element cap at its exact boundary, inconsistent root
-tables, and Python-int indices; and the root-set codec every packed
-inversion set goes through.
+element-by-element oracles in oracles.py, plus the checks enumeration and
+the tables make on their input: the element cap at its exact boundary,
+inconsistent root tables, a parent off its level, and Python-int indices;
+and the root-set codec every packed inversion set goes through.
 """
 
 import json
@@ -31,7 +31,8 @@ from weakorder.coxeter import (
 TYPES = ["A3", "B3", "H3", "I2(7)", "I2(65)", "D4", "F4", "D5"]
 
 
-# the oracle tables for H4 take about 14 s, so H4 compares enumeration only
+# the oracle tables for H4 take about 14 s, so H4 compares enumeration here
+# and sampled columns of its tables below
 @pytest.mark.parametrize("name,tables", [(t, True) for t in TYPES] + [("H4", False)])
 def test_enumeration_and_tables_match_oracles(name, tables):
     system = build_system(name)
@@ -48,6 +49,29 @@ def test_enumeration_and_tables_match_oracles(name, tables):
         npt = system.numpy_tables()
         assert npt.left.dtype == left.dtype and np.array_equal(npt.left, left)
         assert npt.right.dtype == right.dtype and np.array_equal(npt.right, right)
+
+
+def test_h4_tables_match_the_oracle_on_sampled_columns():
+    system = build_system("H4")
+    npt = system.numpy_tables()
+    assert system._words is None  # the tables spell no reduced words
+    columns = sorted(Random(4).sample(range(1, system.size - 1), 198))
+    columns = [0, *columns, system.size - 1]
+    left, right = product_tables_loop(
+        system.table, enumerate_bfs(system.table), columns
+    )
+    assert np.array_equal(npt.left[:, columns], left)
+    assert np.array_equal(npt.right[:, columns], right)
+
+
+def test_product_tables_reject_a_parent_not_one_level_up():
+    system = build_system("A3")
+    w0 = system.size - 1
+    for parent in (0, w0):  # e is six levels up, w0 is on its own level
+        system._parent = system._parent.copy()
+        system._parent[w0] = parent
+        with pytest.raises(CoxeterError, match="parent is not one length level up"):
+            system.numpy_tables()
 
 
 @pytest.mark.parametrize("name,order", [("A4", 120), ("H3", 120), ("F4", 1152)])

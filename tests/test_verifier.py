@@ -2,9 +2,11 @@
 
 The batched code path (distinct unions, the packed-word level dynamic
 program, subset-test joins) is cross-checked against the single-pair
-routines, exhaustively on small groups.  Those routines call the same
-kernels with a batch of one, so the independent check of both kernels is
-test_kernels.py, against the oracles in oracles.py.
+routines, exhaustively on small groups, and against the oracles in
+oracles.py on every union of I2(64), at the root guard.  The single-pair
+routines call the same kernels with a batch of one, so the independent
+check of both kernels is test_kernels.py, against the oracles in
+oracles.py.
 """
 
 import json
@@ -12,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import joins_matmul, reachable_ids_push, reflection_bits
 from weakorder import (
     SweepReport,
     build_system,
@@ -157,10 +160,25 @@ def test_worker_pool_matches_single_process():
 
 def test_root_count_guard():
     with pytest.raises(ValueError):
-        sweep("I2(63)", "H")
-    # 62 roots is the boundary and must still work
-    report = sweep("I2(62)", "H", sample=50, seed=1)
+        sweep("I2(65)", "H")
+    # 64 roots, one full uint64 word, is the boundary and must still work
+    report = sweep("I2(64)", "H", sample=50, seed=1)
     assert report.ok
+
+
+def test_sixty_four_roots_sweep_every_union_against_the_oracles():
+    system = build_system("I2(64)")
+    report = sweep(system, "EQ")
+    assert report.ok and report.pairs_checked == system.size**2
+    words = _inv_words(system)
+    unions = np.unique(words[:, None] | words[None, :])
+    assert (unions >> np.uint64(63) & np.uint64(1)).any()  # root 63 is covered
+    lhs, rhs_l, rhs_r = vf._sweep_unions(system, unions, True, True, workers=1, chunk=64)
+    union_bits = [int(u) for u in unions]
+    assert lhs.tolist() == [system.inv_bits[j] for j in joins_matmul(system, union_bits)]
+    for side, rhs in (("left", rhs_l), ("right", rhs_r)):
+        reached = reachable_ids_push(system, union_bits, side)
+        assert rhs.tolist() == [reflection_bits(system, row) for row in reached], side
 
 
 # -- report shape ----------------------------------------------------------------------
