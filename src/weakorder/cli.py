@@ -22,7 +22,7 @@ from .coxeter import (
     RootSubset,
     build_system,
 )
-from .verify import UsageError, sweep
+from .verify import _CONJECTURES, UsageError, sweep
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="sweep a conjecture over all pairs")
     common(p_verify)
-    p_verify.add_argument("--conjecture", choices=("H", "D", "EQ"), default="H")
+    p_verify.add_argument("--conjecture", choices=_CONJECTURES, default="H")
     p_verify.add_argument("--sample", type=int, default=None,
                           help="check this many seeded-random pairs instead of all")
     p_verify.add_argument("--seed", type=int, default=None)

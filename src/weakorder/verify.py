@@ -8,16 +8,29 @@ from the union A = Phi_u | Phi_v of inversion sets:
               length-increasing left products x -> s_alpha * x, alpha in A;
 * rhs "D"  -- the same with right products x -> x * s_alpha.
 
-"H" checks lhs == rhs_left, "D" checks lhs == rhs_right, and "EQ" checks
-that the two routes agree pair by pair (same verdict and the same rhs).
+"H" checks lhs == rhs_left, "D" checks lhs == rhs_right, "HD" checks
+both at once (lhs == rhs_left == rhs_right), and "EQ" checks that the two
+routes agree pair by pair (same verdict and the same rhs).
 
 The engine batches work by *distinct unions*: many ordered pairs share one
 union A, and every quantity above depends on the pair only through A.
-Both kernels live in `coxeter`.  Reachability runs as a length-level
-dynamic program over all unions in a chunk at once, on uint64 words that
-each hold 64 unions.  Joins come from an exact integer subset test of A
-against the packed inversion sets (the first upper bound in enumeration
-order, then minimality of that one).
+The distinct unions are found by streaming: a union is symmetric, so an
+exhaustive sweep reads only the pairs u <= v, in blocks of rows of u of
+about _PAIR_BLOCK_CELLS pairs each, and merges each block's sorted
+distinct unions into one running sorted array.  It builds no array as
+long as its list of pairs; a sampled sweep is one block.  Both kernels
+live in `coxeter`.  Reachability runs as a length-level dynamic program
+over all unions in a chunk at once, on uint64 words that each hold 64
+unions.  Joins come from an exact integer subset test of A against the
+packed inversion sets (the first upper bound in enumeration order, then
+minimality of that one).  "EQ" decides without the join, so it runs the
+join kernel only for the unions of the pairs it records as failing.
+
+Failing pairs are counted and recorded by a second stream, over the
+ordered pairs, that runs only when some union fails: each pair's union is
+looked up among the sorted failing unions, and the first
+MAX_RECORDED_FAILURES failing pairs in record order are kept across
+blocks, so memory stays bounded even when every pair fails.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from random import Random
+from typing import Iterator
 
 import numpy as np
 
@@ -43,7 +57,15 @@ from .coxeter import (
 
 DEFAULT_CHUNK = 4096
 MAX_RECORDED_FAILURES = 100
-_CONJECTURES = ("H", "D", "EQ")
+_PAIR_BLOCK_CELLS = 1 << 18  # pairs per streamed block (about 10 MB of temporaries)
+# the quantities each conjecture compares: (join, left route, right route)
+_ROUTES = {
+    "H": (True, True, False),
+    "D": (True, False, True),
+    "EQ": (False, True, True),
+    "HD": (True, True, True),
+}
+_CONJECTURES = tuple(_ROUTES)
 
 
 class UsageError(ValueError):
@@ -127,21 +149,23 @@ def _reachable_reflection_bits(
     return transpose_bits(reach[npt.refl_ids], unions.shape[0])
 
 
-def _process_chunk(span: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """Worker body: per-union lhs/rhs bits for unions[span[0]:span[1]]."""
+def _process_chunk(span: tuple[int, int]) -> tuple[np.ndarray | None, ...]:
+    """Worker body: per-union lhs/rhs bits for unions[span[0]:span[1]], None
+    for each quantity the sweep does not want."""
     system: CoxeterSystem = _POOL_STATE["system"]
     unions = _POOL_STATE["unions"][span[0]:span[1], None]
-    want_left: bool = _POOL_STATE["want_left"]
-    want_right: bool = _POOL_STATE["want_right"]
-    lhs = system.numpy_tables().inv_words[_joins_for_chunk(system, unions), 0]
-    empty = np.zeros(0, dtype=np.uint64)
+    want_join, want_left, want_right = _POOL_STATE["want"]
+    lhs = (
+        system.numpy_tables().inv_words[_joins_for_chunk(system, unions), 0]
+        if want_join else None
+    )
     rhs_left = (
         _reachable_reflection_bits(system, unions, "left")[:, 0]
-        if want_left else empty
+        if want_left else None
     )
     rhs_right = (
         _reachable_reflection_bits(system, unions, "right")[:, 0]
-        if want_right else empty
+        if want_right else None
     )
     return lhs, rhs_left, rhs_right
 
@@ -149,17 +173,19 @@ def _process_chunk(span: tuple[int, int]) -> tuple[np.ndarray, ...]:
 def _sweep_unions(
     system: CoxeterSystem,
     unions: np.ndarray,
+    want_join: bool,
     want_left: bool,
     want_right: bool,
     workers: int,
     chunk: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Join, left-route and right-route bits of every union, each None
+    unless wanted."""
     spans = [
         (lo, min(lo + chunk, unions.size)) for lo in range(0, unions.size, chunk)
     ]
-    _POOL_STATE.update(
-        system=system, unions=unions, want_left=want_left, want_right=want_right
-    )
+    wanted = (want_join, want_left, want_right)
+    _POOL_STATE.update(system=system, unions=unions, want=wanted)
     processes = min(workers, len(spans), os.cpu_count() or 1)
     try:
         if processes > 1:
@@ -169,29 +195,78 @@ def _sweep_unions(
             parts = [_process_chunk(s) for s in spans]
     finally:
         _POOL_STATE.clear()
-    lhs = np.concatenate([p[0] for p in parts])
-    rhs_left = np.concatenate([p[1] for p in parts]) if want_left else lhs
-    rhs_right = np.concatenate([p[2] for p in parts]) if want_right else lhs
-    return lhs, rhs_left, rhs_right
+    return tuple(
+        np.concatenate([p[i] for p in parts]) if want else None
+        for i, want in enumerate(wanted)
+    )
 
 
-# -- pair enumeration and failure records ---------------------------------------------
+# -- streamed pairs, distinct unions and failure records --------------------------------
+
+PairBlocks = Iterator[tuple[np.ndarray, np.ndarray]]
 
 
 def _pair_arrays(
-    system: CoxeterSystem, sample: int | None, seed: int | None
+    system: CoxeterSystem, sample: int, seed: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """`sample` seeded pairs (us, vs) of element ids."""
     n = system.size
-    if sample is None:
-        grid = np.arange(n, dtype=np.int32)
-        return (
-            np.repeat(grid, n),
-            np.tile(grid, n),
-        )
     rng = Random(seed)
     us = np.array([rng.randrange(n) for _ in range(sample)], dtype=np.int32)
     vs = np.array([rng.randrange(n) for _ in range(sample)], dtype=np.int32)
     return us, vs
+
+
+def _pair_blocks(
+    n: int, pairs: tuple[np.ndarray, np.ndarray] | None, ordered: bool
+) -> PairBlocks:
+    """Blocks (us, vs) of element ids that together hold the pairs to check.
+
+    Seeded pairs are one block.  Otherwise each block is a span of rows u
+    of the n x n grid, every row against all v (ordered) or against v >= u
+    only (the symmetric half, which holds every union), with about
+    _PAIR_BLOCK_CELLS pairs and at least one row a block.
+    """
+    if pairs is not None:
+        yield pairs
+        return
+    rows = np.arange(n, dtype=np.intp)
+    counts = np.full(n, n, dtype=np.intp) if ordered else n - rows
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < n:
+        limit = ends[lo] - counts[lo] + _PAIR_BLOCK_CELLS
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        size = counts[lo:hi]
+        us = np.repeat(rows[lo:hi], size)
+        first_v = 0 if ordered else rows[lo:hi]
+        offsets = np.cumsum(size) - size  # where each row starts in the block
+        vs = np.arange(us.size) - np.repeat(offsets - first_v, size)
+        yield us, vs
+        lo = hi
+
+
+def _distinct_unions(words: np.ndarray, blocks: PairBlocks) -> np.ndarray:
+    """Sorted distinct unions words[u] | words[v] over the pair blocks.
+
+    Each block's distinct unions are merged into the running sorted array
+    at once, so memory is that array plus one block.
+    """
+    seen = np.zeros(0, dtype=np.uint64)
+    for us, vs in blocks:
+        part = words[us] | words[vs]
+        part.sort()
+        merged = np.concatenate([seen, _drop_repeats(part)])
+        merged.sort(kind="stable")  # two sorted runs: timsort merges them in one pass
+        seen = _drop_repeats(merged)
+    return seen
+
+
+def _drop_repeats(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (np.unique without its sort)."""
+    fresh = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
 
 
 def _root_names(system: CoxeterSystem, bits: int) -> list[str]:
@@ -201,32 +276,50 @@ def _root_names(system: CoxeterSystem, bits: int) -> list[str]:
 
 def _failure_records(
     system: CoxeterSystem,
-    us: np.ndarray,
-    vs: np.ndarray,
-    bad: np.ndarray,
-    lhs: np.ndarray,
-    rhs_left: np.ndarray,
-    rhs_right: np.ndarray,
-    inverse: np.ndarray,
-    conjecture: str,
-) -> list[dict]:
-    ids = np.nonzero(bad)[0]
-    lengths = np.array(system.lengths, dtype=np.int32)
-    order = np.lexsort((vs[ids], us[ids], lengths[vs[ids]], lengths[us[ids]]))
+    blocks: PairBlocks,
+    failing: np.ndarray,
+    rhs_left: np.ndarray | None,
+    rhs_right: np.ndarray | None,
+) -> tuple[int, list[dict]]:
+    """Failure count and records of the pairs whose union is failing.
+
+    failing holds the sorted failing unions, and rhs_left / rhs_right the
+    route bits of each (None for a route the conjecture does not read).
+    Pairs are counted over all blocks; each block keeps only the first
+    MAX_RECORDED_FAILURES failing pairs in (len u, len v, u, v) order, so
+    memory stays bounded when every pair fails.  The joins are computed
+    for the recorded pairs only.
+    """
+    npt = system.numpy_tables()
+    words = npt.inv_words[:, 0]
+    count = 0
+    top_u = top_v = np.zeros(0, dtype=np.intp)
+    for us, vs in blocks:
+        unions = words[us] | words[vs]
+        at = np.minimum(np.searchsorted(failing, unions), failing.size - 1)
+        hit = failing[at] == unions
+        count += int(np.count_nonzero(hit))
+        cand_u = np.concatenate([top_u, us[hit]])
+        cand_v = np.concatenate([top_v, vs[hit]])
+        lengths_u, lengths_v = npt.lengths[cand_u], npt.lengths[cand_v]
+        order = np.lexsort((cand_v, cand_u, lengths_v, lengths_u))
+        order = order[:MAX_RECORDED_FAILURES]
+        top_u, top_v = cand_u[order], cand_v[order]
+    k = np.searchsorted(failing, words[top_u] | words[top_v])
+    lhs = npt.inv_words[_joins_for_chunk(system, failing[k, None]), 0]
     records = []
-    for p in ids[order][:MAX_RECORDED_FAILURES]:
-        k = int(inverse[p])
+    for p in range(k.size):
         rec = {
-            "u": system.element(int(us[p])).word_str(),
-            "v": system.element(int(vs[p])).word_str(),
-            "join_inversions": _root_names(system, int(lhs[k])),
+            "u": system.element(int(top_u[p])).word_str(),
+            "v": system.element(int(top_v[p])).word_str(),
+            "join_inversions": _root_names(system, int(lhs[p])),
         }
-        if conjecture in ("H", "EQ"):
-            rec["reachable_left"] = _root_names(system, int(rhs_left[k]))
-        if conjecture in ("D", "EQ"):
-            rec["reachable_right"] = _root_names(system, int(rhs_right[k]))
+        if rhs_left is not None:
+            rec["reachable_left"] = _root_names(system, int(rhs_left[k[p]]))
+        if rhs_right is not None:
+            rec["reachable_right"] = _root_names(system, int(rhs_right[k[p]]))
         records.append(rec)
-    return records
+    return count, records
 
 
 def sweep(
@@ -240,8 +333,8 @@ def sweep(
     """Check one conjecture over every ordered pair, or over `sample` seeded pairs.
 
     conjecture "H" compares join inversion sets with left-product reachable
-    reflections, "D" with right-product ones, and "EQ" checks that the two
-    routes give identical verdicts and sets.
+    reflections, "D" with right-product ones, "HD" with both, and "EQ"
+    checks that the two routes give identical verdicts and sets.
     """
     if conjecture not in _CONJECTURES:
         raise UsageError(f"conjecture must be one of {_CONJECTURES}")
@@ -258,29 +351,35 @@ def sweep(
         raise UsageError("sweeps support at most 64 positive roots")
     # within the root guard every inversion set and union is one uint64 word
     words = system.numpy_tables().inv_words[:, 0]
-    us, vs = _pair_arrays(system, sample, seed)
-    unions, inverse = np.unique(words[us] | words[vs], return_inverse=True)
-    want_left = conjecture in ("H", "EQ")
-    want_right = conjecture in ("D", "EQ")
+    n = system.size
+    pairs = None if sample is None else _pair_arrays(system, sample, seed)
+    unions = _distinct_unions(words, _pair_blocks(n, pairs, ordered=False))
     lhs, rhs_left, rhs_right = _sweep_unions(
-        system, unions, want_left, want_right, workers, chunk
+        system, unions, *_ROUTES[conjecture], workers, chunk
     )
-    if conjecture == "H":
-        union_ok = lhs == rhs_left
-    elif conjecture == "D":
-        union_ok = lhs == rhs_right
-    else:
-        # equal rhs sets force equal verdicts, so one comparison suffices
+    if lhs is None:
+        # EQ: equal rhs sets force equal verdicts, so one comparison suffices
         union_ok = rhs_left == rhs_right
-    bad = ~union_ok[inverse]
-    failures = _failure_records(
-        system, us, vs, bad, lhs, rhs_left, rhs_right, inverse, conjecture
-    )
+    else:
+        union_ok = np.ones(unions.size, dtype=bool)
+        for rhs in (rhs_left, rhs_right):
+            if rhs is not None:
+                union_ok &= lhs == rhs
+    failure_count, failures = 0, []
+    if not union_ok.all():
+        bad = ~union_ok
+        failure_count, failures = _failure_records(
+            system,
+            _pair_blocks(n, pairs, ordered=True),
+            unions[bad],
+            None if rhs_left is None else rhs_left[bad],
+            None if rhs_right is None else rhs_right[bad],
+        )
     return SweepReport(
         type=system.graph.display_name,
         conjecture=conjecture,
-        pairs_checked=int(us.size),
-        failure_count=int(bad.sum()),
+        pairs_checked=n * n if pairs is None else sample,
+        failure_count=failure_count,
         failures=failures,
         wall_time_ms=int((time.perf_counter() - start) * 1000),
         seed=seed if sample is not None else None,

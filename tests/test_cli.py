@@ -7,9 +7,10 @@ path runs exactly as it would from a shell.
 
 import json
 
+import numpy as np
 import pytest
 
-from weakorder import cli
+from weakorder import cli, verify
 from weakorder.cli import (
     EXIT_CONSTRUCTION,
     EXIT_FAILURES,
@@ -20,7 +21,7 @@ from weakorder.cli import (
     main,
     parse_element,
 )
-from weakorder import build_system
+from weakorder import build_system, join_bruteforce, left_reflection_set
 
 
 def run(capsys, *argv):
@@ -169,6 +170,41 @@ def test_verify_sampled_with_seed(capsys):
     assert doc["failure_count"] == 0
 
 
+def test_verify_three_way_conjecture(capsys):
+    rc, out, _ = run(capsys, "verify", "--type", "B3", "--conjecture", "HD")
+    assert rc == EXIT_OK
+    doc = json.loads(out)
+    assert doc["conjecture"] == "HD"
+    assert doc["pairs_checked"] == 48 * 48
+    assert doc["failure_count"] == 0
+
+
+def test_failing_three_way_sweep_exits_one_with_records(monkeypatch, capsys):
+    reach = verify._reachable_reflection_bits
+
+    def left_route_drops_its_first_root(system, unions, side):
+        bits = reach(system, unions, side)
+        return bits & ~np.uint64(1) if side == "left" else bits
+
+    monkeypatch.setattr(verify, "_reachable_reflection_bits", left_route_drops_its_first_root)
+    rc, out, _ = run(capsys, "verify", "--type", "A2", "--conjecture", "HD")
+    assert rc == EXIT_FAILURES
+    doc = json.loads(out)
+    system = build_system("A2")
+    elements = [system.element(i) for i in range(system.size)]
+    inverting_root_0 = [
+        left_reflection_set(join_bruteforce(u, v)).bits & 1
+        for u in elements for v in elements
+    ]
+    assert doc["failure_count"] == sum(inverting_root_0) > 0
+    first = doc["failures"][0]
+    assert list(first) == [
+        "u", "v", "join_inversions", "reachable_left", "reachable_right"
+    ]
+    assert first["reachable_left"] != first["reachable_right"]
+    assert first["join_inversions"] == first["reachable_right"]
+
+
 def test_verify_report_file_and_text_summary(tmp_path, capsys):
     target = tmp_path / "report.json"
     rc, out, _ = run(capsys, "verify", "--type", "A3", "--conjecture", "D",
@@ -259,13 +295,16 @@ def test_cap_exceeded_is_construction_error(capsys):
     assert "construction error" in err
 
 
-def test_broken_inversion_table_is_construction_error(monkeypatch, capsys):
+# "EQ" compares the two routes only and computes no join when they agree,
+# so the conjectures that read the join carry this check
+@pytest.mark.parametrize("conjecture", ["H", "D", "HD"])
+def test_broken_inversion_table_is_construction_error(monkeypatch, capsys, conjecture):
     system = build_system("A3")
     npt = system.numpy_tables()
     npt.inv_words = npt.inv_words.copy()
     npt.inv_words[system.longest_element.index] = 0  # no element holds every root
     monkeypatch.setattr(cli, "build_system", lambda *args, **kwargs: system)
-    rc, out, err = run(capsys, "verify", "--type", "A3", "--conjecture", "EQ")
+    rc, out, err = run(capsys, "verify", "--type", "A3", "--conjecture", conjecture)
     assert rc == EXIT_CONSTRUCTION
     assert out == ""
     assert err == "construction error: some union admits no upper bound in a finite group\n"

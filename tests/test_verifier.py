@@ -65,7 +65,7 @@ def test_batched_matches_per_pair_routines(name):
     vs = np.tile(np.arange(n, dtype=np.int32), n)
     unions, inverse = np.unique(words[us] | words[vs], return_inverse=True)
     lhs_u, rl_u, rr_u = vf._sweep_unions(
-        system, unions, True, True, workers=1, chunk=64
+        system, unions, True, True, True, workers=1, chunk=64
     )
     lhs, rhs_l, rhs_r = lhs_u[inverse], rl_u[inverse], rr_u[inverse]
 
@@ -107,7 +107,7 @@ def test_reachable_bits_match_single_pair_route():
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "I2(5)", "I2(7)", "H3"])
 def test_exhaustive_sweeps_hold(name):
-    for code in ("H", "D", "EQ"):
+    for code in ("H", "D", "EQ", "HD"):
         report = sweep(name, code)
         assert report.ok
         assert report.failure_count == 0
@@ -116,7 +116,7 @@ def test_exhaustive_sweeps_hold(name):
 
 
 def test_sweep_reports_its_conjecture_code():
-    for code in ("H", "D", "EQ"):
+    for code in ("H", "D", "EQ", "HD"):
         assert sweep("A3", code).as_dict()["conjecture"] == code
     with pytest.raises(ValueError):
         sweep("A3", "X")
@@ -173,7 +173,9 @@ def test_sixty_four_roots_sweep_every_union_against_the_oracles():
     words = _inv_words(system)
     unions = np.unique(words[:, None] | words[None, :])
     assert (unions >> np.uint64(63) & np.uint64(1)).any()  # root 63 is covered
-    lhs, rhs_l, rhs_r = vf._sweep_unions(system, unions, True, True, workers=1, chunk=64)
+    lhs, rhs_l, rhs_r = vf._sweep_unions(
+        system, unions, True, True, True, workers=1, chunk=64
+    )
     union_bits = [int(u) for u in unions]
     assert lhs.tolist() == [system.inv_bits[j] for j in joins_matmul(system, union_bits)]
     for side, rhs in (("left", rhs_l), ("right", rhs_r)):
@@ -214,22 +216,12 @@ def test_report_names_matrix_builds():
     assert report.type.startswith("matrix")
 
 
-def test_failure_records_sorted_and_truncated():
+def test_failure_records_sorted_and_truncated(monkeypatch):
     system = build_system("A3")
     n = system.size
-    us = np.repeat(np.arange(n, dtype=np.int32), n)
-    vs = np.tile(np.arange(n, dtype=np.int32), n)
     words = _inv_words(system)
-    unions, inverse = np.unique(words[us] | words[vs], return_inverse=True)
-    lhs = words[np.zeros(unions.size, dtype=np.int32)]
-    bad = np.ones(n * n, dtype=bool)  # pretend every pair failed
-    records = vf._failure_records(
-        system, us, vs, bad, lhs, lhs, lhs, inverse, "EQ"
-    )
-    assert len(records) == vf.MAX_RECORDED_FAILURES
-    assert records[0]["u"] == "e" and records[0]["v"] == "e"
-    # sorted by (len(u), len(v)) first: the identity row comes before any
-    # pair with a longer u, and within the row v lengths ascend
+    unions = np.unique(words[:, None] | words[None, :])  # pretend every union failed
+    rhs = words[np.zeros(unions.size, dtype=np.int32)]
     lengths = system.lengths
 
     def key(rec):
@@ -238,20 +230,160 @@ def test_failure_records_sorted_and_truncated():
 
         return (ln(rec["u"]), ln(rec["v"]))
 
-    keys = [key(r) for r in records]
-    assert keys == sorted(keys)
-    assert all("reachable_left" in r and "reachable_right" in r for r in records)
-    only_h = vf._failure_records(system, us, vs, bad, lhs, lhs, lhs, inverse, "H")
-    assert all("reachable_right" not in r for r in only_h)
-    assert all("reachable_left" in r for r in only_h)
+    # one block of all 576 pairs, then blocks of 2 rows (48 pairs) whose
+    # kept records are merged block by block
+    results = []
+    for cells in (1 << 20, 2 * n):
+        monkeypatch.setattr(vf, "_PAIR_BLOCK_CELLS", cells)
+        blocks = vf._pair_blocks(n, None, ordered=True)
+        count, records = vf._failure_records(system, blocks, unions, rhs, rhs)
+        assert count == n * n
+        assert len(records) == vf.MAX_RECORDED_FAILURES
+        assert records[0]["u"] == "e" and records[0]["v"] == "e"
+        # sorted by (len(u), len(v)) first: the identity row comes before any
+        # pair with a longer u, and within the row v lengths ascend
+        keys = [key(r) for r in records]
+        assert keys == sorted(keys)
+        assert all("reachable_left" in r and "reachable_right" in r for r in records)
+        blocks = vf._pair_blocks(n, None, ordered=True)
+        _, only_h = vf._failure_records(system, blocks, unions, rhs, None)
+        assert all("reachable_right" not in r for r in only_h)
+        assert all("reachable_left" in r for r in only_h)
+        results.append(records)
+    assert results[0] == results[1]
     assert len(lengths) == n
+
+
+@pytest.mark.parametrize("name", ["A3", "H3", "I2(64)"])
+def test_streamed_dedupe_matches_one_unique_over_all_pairs(monkeypatch, name):
+    system = build_system(name)
+    n = system.size
+    words = _inv_words(system)
+    monkeypatch.setattr(vf, "_PAIR_BLOCK_CELLS", 3 * n)
+    half = list(vf._pair_blocks(n, None, ordered=False))
+    ordered = list(vf._pair_blocks(n, None, ordered=True))
+    assert len(half) > 3 and len(ordered) > 3
+    # the half holds each pair u <= v once, the ordered blocks each pair once
+    cells = np.concatenate([us * n + vs for us, vs in half])
+    upper = np.triu_indices(n)
+    assert np.array_equal(np.sort(cells), upper[0] * n + upper[1])
+    cells = np.concatenate([us * n + vs for us, vs in ordered])
+    assert np.array_equal(cells, np.arange(n * n))
+    streamed = vf._distinct_unions(words, iter(half))
+    assert np.array_equal(streamed, np.unique(words[:, None] | words[None, :]))
+
+
+# -- fault injection on real groups: counts and records against the old method ----------
+
+
+_REACH = vf._reachable_reflection_bits
+
+
+def _corrupt_routes(monkeypatch, sides, every_union=False):
+    """Flip root 0 in the routes' bits on `sides`, for the unions picked by a
+    hash of their value (about one in eight), or for every union."""
+
+    def corrupted(system, unions, side):
+        bits = _REACH(system, unions, side).copy()
+        if side in sides:
+            spread = unions[:, 0] * np.uint64(0x9E3779B97F4A7C15)
+            picked = every_union | (spread >> np.uint64(61) == 0)
+            bits[picked, 0] ^= np.uint64(1)
+        return bits
+
+    monkeypatch.setattr(vf, "_reachable_reflection_bits", corrupted)
+
+
+def _reference_failures(system, conjecture, us, vs):
+    """Failure count and records by one np.unique with an inverse over every
+    pair, the kernels over all its unions, and one sort of the failing pairs."""
+    words = _inv_words(system)
+    unions, inverse = np.unique(words[us] | words[vs], return_inverse=True)
+    lhs, rhs_l, rhs_r = vf._sweep_unions(
+        system, unions, True, True, True, workers=1, chunk=vf.DEFAULT_CHUNK
+    )
+    union_ok = {
+        "H": lhs == rhs_l,
+        "D": lhs == rhs_r,
+        "EQ": rhs_l == rhs_r,
+        "HD": (lhs == rhs_l) & (lhs == rhs_r),
+    }[conjecture]
+    bad = np.nonzero(~union_ok[inverse])[0]
+    lengths = np.array(system.lengths)
+    order = np.lexsort((vs[bad], us[bad], lengths[vs[bad]], lengths[us[bad]]))
+    roots = system.table.roots
+
+    def names(bits):
+        return [roots[r].render() for r in range(len(roots)) if int(bits) >> r & 1]
+
+    records = []
+    for p in bad[order][: vf.MAX_RECORDED_FAILURES]:
+        k = inverse[p]
+        rec = {
+            "u": system.element(int(us[p])).word_str(),
+            "v": system.element(int(vs[p])).word_str(),
+            "join_inversions": names(lhs[k]),
+        }
+        if conjecture != "D":
+            rec["reachable_left"] = names(rhs_l[k])
+        if conjecture != "H":
+            rec["reachable_right"] = names(rhs_r[k])
+        records.append(rec)
+    return bad.size, records
+
+
+def _all_pairs(n):
+    grid = np.arange(n, dtype=np.int32)
+    return np.repeat(grid, n), np.tile(grid, n)
+
+
+@pytest.mark.parametrize("sample", [None, 500])
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(9)"])
+def test_injected_faults_are_counted_and_recorded_like_the_old_method(
+    monkeypatch, name, sample
+):
+    system = build_system(name)
+    monkeypatch.setattr(vf, "_PAIR_BLOCK_CELLS", 4 * system.size)  # several blocks
+    if sample is None:
+        us, vs = _all_pairs(system.size)
+    else:
+        us, vs = vf._pair_arrays(system, sample, 3)
+    # the one conjecture that reads no corrupted route, or, with the same
+    # corruption on both routes, EQ: the routes still agree
+    for sides, passing in ((("left",), "D"), (("right",), "H"), (("left", "right"), "EQ")):
+        _corrupt_routes(monkeypatch, sides)
+        for code in ("H", "D", "EQ", "HD"):
+            report = sweep(system, code, sample=sample, seed=3, workers=1)
+            count, records = _reference_failures(system, code, us, vs)
+            assert report.pairs_checked == us.size
+            assert report.failure_count == count, (sides, code)
+            assert json.dumps(report.failures) == json.dumps(records), (sides, code)
+            assert report.ok == (code == passing), (sides, code)
+
+
+def test_every_pair_failing_records_the_first_hundred_in_key_order(monkeypatch):
+    system = build_system("B3")
+    n = system.size
+    monkeypatch.setattr(vf, "_PAIR_BLOCK_CELLS", 5 * n)
+    _corrupt_routes(monkeypatch, ("left",), every_union=True)
+    report = sweep(system, "EQ")
+    assert report.failure_count == n * n
+    us, vs = _all_pairs(n)
+    lengths = system.lengths
+    first = sorted(zip(us.tolist(), vs.tolist()),
+                   key=lambda p: (lengths[p[0]], lengths[p[1]], p[0], p[1]))
+    first = first[: vf.MAX_RECORDED_FAILURES]
+    assert [(r["u"], r["v"]) for r in report.failures] == [
+        (system.element(u).word_str(), system.element(v).word_str()) for u, v in first
+    ]
+    assert report.failures == _reference_failures(system, "EQ", us, vs)[1]
 
 
 def test_chunk_boundaries_do_not_change_results():
     system = build_system("A3")
     unions = np.unique(_inv_words(system))
-    a = vf._sweep_unions(system, unions, True, True, workers=1, chunk=7)
-    b = vf._sweep_unions(system, unions, True, True, workers=1, chunk=10_000)
+    a = vf._sweep_unions(system, unions, True, True, True, workers=1, chunk=7)
+    b = vf._sweep_unions(system, unions, True, True, True, workers=1, chunk=10_000)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
