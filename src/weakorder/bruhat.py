@@ -139,7 +139,7 @@ def to_dot(u: GroupElement, v: GroupElement) -> str:
     visited, _ = system.reach(labels, "left")
     ids = sorted(
         (int(i) for i in np.nonzero(visited)[0]),
-        key=lambda i: (system.lengths[i], system.words[i]),
+        key=lambda i: (system.lengths[i], system.element(i).word),
     )
     npt = system.numpy_tables()
     reflection_ids = set(int(i) for i in npt.refl_ids)

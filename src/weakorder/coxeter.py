@@ -43,6 +43,7 @@ DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
 _JOIN_BLOCK_CELLS = 1 << 20  # (union, element) cells per block of the subset test
+_REACH_TILE_BYTES = 1 << 20  # reach array bytes per column tile, to stay in L2 cache
 _ENUM_BLOCK_CELLS = 1 << 22  # (element, generator, root) cells per enumeration gather
 
 
@@ -199,6 +200,15 @@ def bits_to_words(bits: int, n_words: int) -> np.ndarray:
 def words_to_bits(words: np.ndarray) -> list[int]:
     """Each row of a 2-D uint64 word array as a Python int bit-set."""
     return [int.from_bytes(row, "little") for row in _word_keys(words).tolist()]
+
+
+_BYTE_COUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The number of roots in each row of a 2-D uint64 word array."""
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return _BYTE_COUNTS[as_bytes].sum(axis=1, dtype=np.intp)
 
 
 def _word_keys(words: np.ndarray) -> np.ndarray:
@@ -569,15 +579,21 @@ class GroupElement:
 
     @property
     def word(self) -> tuple[int, ...]:
-        """A reduced word, 1-based generator indices."""
-        return self.system.words[self.index]
+        """A reduced word, 1-based generator indices: the word of
+        CoxeterSystem.words, spelled along this element's parents only."""
+        parent, letter = self.system._parent, self.system._letter
+        word, x = [], self.index
+        while x:
+            word.append(letter.item(x))
+            x = parent.item(x)
+        return tuple(word[::-1])
 
     @property
     def inversion_bits(self) -> int:
         return self.system.inv_bits[self.index]
 
     def word_str(self) -> str:
-        return " ".join(str(i) for i in self.word) if self.word else "e"
+        return " ".join(map(str, self.word)) or "e"
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -630,10 +646,12 @@ class _NumpyTables:
     gather per side in the generator table _right_by_gen.
 
     Elements are numbered in enumeration order, along which length never
-    decreases, so each length level is a contiguous range of ids.  For both
-    sides the length-decreasing steps (root r, predecessor p) into every
-    element are listed level by level, grouped by element; these lists are
-    all the reachability kernel reads.
+    decreases, so each length level is a contiguous range of ids: level k
+    is bounds[k]..bounds[k + 1] - 1.  For both sides the length-decreasing
+    steps (root r, predecessor p) into every element are listed level by
+    level, grouped by element; these lists are all the reachability kernel
+    reads.  The join kernel reads inv_words from bounds[|A|] on, which
+    needs |Phi_x| = length(x) for every x; the constructor checks it.
     """
 
     def __init__(self, system: "CoxeterSystem"):
@@ -651,13 +669,15 @@ class _NumpyTables:
         parent, gen = system._parent, system._letter - 1
         if (self.lengths[parent[1:]] != self.lengths[1:] - 1).any():
             raise CoxeterError("an element's parent is not one length level up")
+        if (_popcount(self.inv_words) != self.lengths).any():
+            raise CoxeterError("an inversion set's size is not its element's length")
         by_gen = system._right_by_gen
         # conj[t, g]: the root of s_g t s_g, the reflection through s_g(beta_t)
         conj = np.abs(np.array(system.table.act[:system.graph.rank])).T - 1
         left = np.empty((n_roots, size), dtype=np.int32)
         right = np.empty((n_roots, size), dtype=np.int32)
         left[:, 0] = right[:, 0] = self.refl_ids
-        bounds = np.searchsorted(
+        self.bounds = bounds = np.searchsorted(
             self.lengths, np.arange(int(self.lengths[-1]) + 2)
         )
         for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
@@ -715,13 +735,29 @@ def reach_words(tables: _NumpyTables, unions: np.ndarray, side: str) -> np.ndarr
     and length going up.  A level dynamic program: reach[x] is the OR of
     reach[p] & labels[r] over the descent steps (r, p) into x.  Any other
     side raises ValueError.
+
+    Word columns are independent, so the program runs over tiles of as
+    many columns as keep one tile's reach array within _REACH_TILE_BYTES,
+    where each level's gathers stay in cache; a group of up to 2,048
+    elements (F4, D5) takes 64 words in one tile.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     labels = transpose_bits(unions, tables.n_roots)
-    reach = np.zeros((tables.lengths.size, labels.shape[1]), dtype=np.uint64)
+    size, n_cols = tables.lengths.size, labels.shape[1]
+    width = max(1, _REACH_TILE_BYTES // (8 * size))
+    tiles = [
+        _reach_tile(tables.steps[side], labels[:, lo:lo + width], size)
+        for lo in range(0, n_cols, width)
+    ]
+    return tiles[0] if len(tiles) == 1 else np.hstack(tiles)
+
+
+def _reach_tile(steps: list, labels: np.ndarray, size: int) -> np.ndarray:
+    """reach_words over the word columns of one tile of transposed labels."""
+    reach = np.zeros((size, labels.shape[1]), dtype=np.uint64)
     reach[0] = _WORD_MASK
-    for lo, hi, root, pred, segments in tables.steps[side]:
+    for lo, hi, root, pred, segments in steps:
         step = reach.take(pred, axis=0)
         step &= labels.take(root, axis=0)
         np.bitwise_or.reduceat(step, segments, axis=0, out=reach[lo:hi])
@@ -729,28 +765,35 @@ def reach_words(tables: _NumpyTables, unions: np.ndarray, side: str) -> np.ndarr
 
 
 def _upper_bounds(
-    tables: _NumpyTables, sets: np.ndarray
+    tables: _NumpyTables, sets: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each row A of sets: how many x have A inside Phi_x, and the first x.
 
     An exact subset test over blocks of element rows; first is -1 when no
-    element contains A.
+    element contains A.  sizes holds |A| per row, in nondecreasing order.
+    An upper bound x has length |Phi_x| >= |A|, so each run of rows of one
+    size is tested only against the elements from the first of that length
+    on; a batch of one size is one run.
     """
-    inv = tables.inv_words
+    inv, bounds = tables.inv_words, tables.bounds
     k, n_words = sets.shape
     count = np.zeros(k, dtype=np.int64)
     first = np.full(k, -1, dtype=np.intp)
-    rows = max(1, _JOIN_BLOCK_CELLS // max(k, 1))
-    for lo in range(0, inv.shape[0], rows):
-        absent = ~inv[lo:lo + rows]
-        miss = sets[:, None, 0] & absent[None, :, 0]
-        for w in range(1, n_words):
-            miss |= sets[:, None, w] & absent[None, :, w]
-        upper = miss == 0
-        found = np.count_nonzero(upper, axis=1)
-        fresh = np.nonzero((first < 0) & (found > 0))[0]
-        first[fresh] = lo + upper[fresh].argmax(axis=1)
-        count += found
+    cuts = ((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist()
+    edges = [0, *cuts, k] if k else []
+    for a, b in zip(edges, edges[1:]):
+        rows = max(1, _JOIN_BLOCK_CELLS // (b - a))
+        start = int(bounds[min(int(sizes[a]), bounds.size - 1)])
+        for lo in range(start, inv.shape[0], rows):
+            absent = ~inv[lo:lo + rows]
+            miss = sets[a:b, None, 0] & absent[None, :, 0]
+            for w in range(1, n_words):
+                miss |= sets[a:b, None, w] & absent[None, :, w]
+            upper = miss == 0
+            found = upper.sum(axis=1)
+            fresh = ((first[a:b] < 0) & (found > 0)).nonzero()[0]
+            first[a + fresh] = lo + upper[fresh].argmax(axis=1)
+            count[a:b] += found
     return count, first
 
 
@@ -758,19 +801,28 @@ def weak_joins(tables: _NumpyTables, unions: np.ndarray) -> np.ndarray:
     """Element id of the weak-order join for each union of inversion sets.
 
     unions is (k, n_words) uint64.  x is an upper bound of A when Phi_x
-    contains A; the first upper bound in enumeration order is the shortest,
-    since length never decreases along that order.  It is the join only if
-    it lies below every other upper bound, i.e. A and Phi_join have the same
-    upper bounds (those of Phi_join are always among those of A), so both
-    are counted; a finite weak order is a lattice and either failure raises.
+    contains A, so |Phi_x| >= |A|: the unions are taken in order of size,
+    and each is tested only against elements of length >= |A|.  The first
+    upper bound in enumeration order is the shortest, since length never
+    decreases along that order.  It is the join only if it lies below
+    every other upper bound, i.e. A and Phi_join have the same upper bounds
+    (those of Phi_join are always among those of A), so both are counted;
+    a finite weak order is a lattice and either failure raises.  Distinct
+    joins come out in id order, so their lengths, the sizes of their
+    inversion sets, are already in order.
     """
-    count, first = _upper_bounds(tables, unions)
+    sizes = _popcount(unions)
+    order = sizes.argsort(kind="stable")
+    count, first = _upper_bounds(tables, unions[order], sizes[order])
     if (first < 0).any():
         raise NoUpperBound("some union admits no upper bound in a finite group")
     joins, slot = np.unique(first, return_inverse=True)
-    above_join, _ = _upper_bounds(tables, tables.inv_words[joins])
+    above_join, _ = _upper_bounds(
+        tables, tables.inv_words[joins], tables.lengths[joins]
+    )
     if (above_join[slot] != count).any():
         raise NonUniqueMinimal("minimal upper bound is not unique")
+    first[order] = first.copy()  # back to the order of the unions
     return first
 
 

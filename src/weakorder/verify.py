@@ -21,10 +21,12 @@ distinct unions into one running sorted array.  It builds no array as
 long as its list of pairs; a sampled sweep is one block.  Both kernels
 live in `coxeter`.  Reachability runs as a length-level dynamic program
 over all unions in a chunk at once, on uint64 words that each hold 64
-unions.  Joins come from an exact integer subset test of A against the
-packed inversion sets (the first upper bound in enumeration order, then
-minimality of that one).  "EQ" decides without the join, so it runs the
-join kernel only for the unions of the pairs it records as failing.
+unions, in column tiles whose working set stays in cache.  Joins come
+from an exact integer subset test of A against the packed inversion sets
+of the elements of length >= |A| (the first upper bound in enumeration
+order, then minimality of that one).  "EQ" decides without the join, so
+it runs the join kernel only for the unions of the pairs it records as
+failing.
 
 Failing pairs are counted and recorded by a second stream, over the
 ordered pairs, that runs only when some union fails: each pair's union is

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weakorder.coxeter import (
@@ -212,6 +213,15 @@ def test_tables_refuse_an_order_that_decreases_length():
     system.lengths = list(system.lengths)
     system.lengths[1], system.lengths[-1] = system.lengths[-1], system.lengths[1]
     with pytest.raises(CoxeterError, match="never decrease length"):
+        system.numpy_tables()
+
+
+def test_tables_refuse_an_inversion_set_whose_size_is_not_its_length():
+    # the join kernel skips every element shorter than the union
+    system = build_system("A3")
+    system.inv_words = system.inv_words.copy()
+    system.inv_words[5, 0] ^= np.uint64(1 << 5)
+    with pytest.raises(CoxeterError, match="size is not its element's length"):
         system.numpy_tables()
 
 

@@ -39,6 +39,8 @@ def test_enumeration_and_tables_match_oracles(name, tables):
     oracle = enumerate_bfs(system.table)
     assert system.size == len(oracle.inv_bits)
     assert system.inv_bits == oracle.inv_bits
+    assert [x.word for x in system.elements()] == oracle.words
+    assert system._words is None  # an element's word spells no other
     assert system.words == oracle.words
     assert system.lengths == oracle.lengths
     assert system._right_by_gen.tolist() == oracle.right_by_gen

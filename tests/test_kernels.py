@@ -6,7 +6,10 @@ at several chunk sizes, so that batches of one word, of a word and a bit
 and of many words all meet the oracle; a system with more than 64 roots
 checks the multi-word inversion sets of the single-pair helpers.  The
 reachability oracle is the forward push over all unions at once; the
-frontier search checks it on every union of A3, B3 and H3.
+frontier search checks it on every union of A3, B3 and H3.  The join
+kernel takes its unions in order of size, so batches that mix sizes, the
+empty union and the full set meet the matrix-product oracle; reachability
+runs over column tiles, which are shrunk here so that every type splits.
 """
 
 import functools
@@ -28,6 +31,7 @@ from weakorder import (
     join_bruteforce,
     left_reflection_set,
 )
+from weakorder import coxeter
 from weakorder.coxeter import bits_to_words, reach_words, weak_joins
 
 TYPES = ["A3", "B3", "H3", "I2(7)", "D4", "F4"]
@@ -55,6 +59,16 @@ def _union_words(system, unions):
     return np.array([bits_to_words(bits, npt.n_words) for bits in unions])
 
 
+def _reach_rows(reach, count):
+    """The (count, |W|) bool rows of a reach_words result; padding bits must
+    reach nothing past e."""
+    bits = np.unpackbits(
+        reach.view(np.uint8), axis=1, count=reach.shape[1] * 64, bitorder="little"
+    )
+    assert not bits[1:, count:].any()
+    return bits[:, :count].T.astype(bool)
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("name", TYPES)
 def test_kernels_match_oracles_bit_for_bit(name, chunk):
@@ -70,15 +84,78 @@ def test_kernels_match_oracles_bit_for_bit(name, chunk):
         parts = []
         for lo in range(0, len(unions), chunk):
             reach = reach_words(npt, words[lo:lo + chunk], side)
-            assert reach.shape == (system.size, -(-min(chunk, len(unions) - lo) // 64))
-            bits = np.unpackbits(
-                reach.view(np.uint8), axis=1, count=reach.shape[1] * 64,
-                bitorder="little",
-            )
             kc = min(chunk, len(unions) - lo)
-            assert not bits[1:, kc:].any()  # padding unions reach nothing past e
-            parts.append(bits[:, :kc].T.astype(bool))
+            assert reach.shape == (system.size, -(-kc // 64))
+            parts.append(_reach_rows(reach, kc))
         assert np.array_equal(np.concatenate(parts), _oracle_reach(name, side)), side
+
+
+@pytest.mark.parametrize("tile", [1, 4])
+@pytest.mark.parametrize("name", TYPES)
+def test_reach_tiles_match_the_push_oracle(monkeypatch, name, tile):
+    """Tiles of `tile` words over a batch of 6 words: one-word tiles, and
+    tiles of 4 with a ragged last tile of 2."""
+    system = _system(name)
+    unions = random.Random(tile).choices(_unions(name), k=5 * 64 + 17)
+    words = _union_words(system, unions)
+    monkeypatch.setattr(coxeter, "_REACH_TILE_BYTES", tile * 8 * system.size + 7)
+    for side in ("left", "right"):
+        reach = reach_words(system.numpy_tables(), words, side)
+        assert reach.shape == (system.size, 6) and reach.flags.c_contiguous
+        expected = reachable_ids_push(system, unions, side)
+        assert np.array_equal(_reach_rows(reach, len(unions)), expected), side
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "F4", "D5"])
+def test_right_route_is_the_inverse_image_of_the_left(name):
+    """x is reached by right products under A exactly when x^-1 is reached by
+    left products: (x s_a)^-1 = s_a x^-1, and inverses have equal lengths."""
+    system = _system(name)
+    inverse = [
+        system.element_from_word(system.element(x).word[::-1]).index
+        for x in range(system.size)
+    ]
+    rng = random.Random(200)
+    inv = system.inv_bits
+    unions = [inv[rng.randrange(system.size)] | inv[rng.randrange(system.size)]
+              for _ in range(200)]
+    words = _union_words(system, unions)
+    npt = system.numpy_tables()
+    left, right = (reach_words(npt, words, side) for side in ("left", "right"))
+    assert np.array_equal(right, left[inverse])
+
+
+@pytest.mark.parametrize("name", ["A3", "H3", "I2(7)", "F4", "I2(65)"])
+def test_join_of_a_batch_that_mixes_union_sizes(name):
+    """Shuffled batches with the empty union (join e) and the full set (join
+    w0) among the others, in one batch and one union at a time."""
+    system = _system(name)
+    npt = system.numpy_tables()
+    rng = random.Random(9)
+    full = (1 << system.table.n_roots) - 1
+    others = _unions(name)
+    unions = [0, full, *rng.sample(others, min(60, len(others))), full, 0]
+    rng.shuffle(unions)
+    assert len({bits.bit_count() for bits in unions}) > 3
+    words = _union_words(system, unions)
+    expected = joins_matmul(system, unions)
+    joins = weak_joins(npt, words)
+    assert np.array_equal(joins, expected)
+    assert joins[unions.index(0)] == 0
+    assert joins[unions.index(full)] == system.longest_element.index
+    singles = [weak_joins(npt, words[i:i + 1])[0] for i in range(len(unions))]
+    assert singles == expected.tolist()
+
+
+@pytest.mark.parametrize("name", ["H4", "E6"])
+def test_join_of_seeded_unions_of_large_types(name):
+    system = _system(name)
+    rng = random.Random(12)
+    inv = system.inv_bits
+    unions = [inv[rng.randrange(system.size)] | inv[rng.randrange(system.size)]
+              for _ in range(300)]
+    joins = weak_joins(system.numpy_tables(), _union_words(system, unions))
+    assert np.array_equal(joins, joins_matmul(system, unions))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])

@@ -25,6 +25,7 @@ from weakorder import (
     sweep,
     workers_from_env,
 )
+from weakorder import coxeter
 from weakorder import verify as vf
 
 
@@ -377,6 +378,23 @@ def test_every_pair_failing_records_the_first_hundred_in_key_order(monkeypatch):
         (system.element(u).word_str(), system.element(v).word_str()) for u, v in first
     ]
     assert report.failures == _reference_failures(system, "EQ", us, vs)[1]
+
+
+@pytest.mark.parametrize("name,sample", [("A3", None), ("H3", None), ("F4", 3000)])
+def test_one_word_reach_tiles_leave_the_reports_unchanged(monkeypatch, name, sample):
+    """Every report, passing or failing, is the same when each reach tile is
+    one word of 64 unions as with the default tiles."""
+    system = build_system(name)
+    _corrupt_routes(monkeypatch, ("left",))
+    reports = []
+    for tile_bytes in (coxeter._REACH_TILE_BYTES, 1):
+        monkeypatch.setattr(coxeter, "_REACH_TILE_BYTES", tile_bytes)
+        for code in ("H", "D", "EQ", "HD"):
+            report = sweep(system, code, sample=sample, seed=5, workers=1).as_dict()
+            del report["wall_time_ms"]
+            reports.append(json.dumps(report))
+    assert reports[:4] == reports[4:]
+    assert '"failure_count": 0' in reports[1]  # D reads no corrupted route
 
 
 def test_chunk_boundaries_do_not_change_results():
