@@ -30,7 +30,7 @@ def bruhat_reachable(
 
     The identity is included (the empty path).
     """
-    visited, _ = system.reach(labels, "left")
+    visited = system.reach(labels, "left")
     return frozenset(system.element(i) for i in np.nonzero(visited)[0])
 
 
@@ -42,7 +42,7 @@ def path_vertices(u: GroupElement, v: GroupElement) -> frozenset[GroupElement]:
 
 def reachable_reflection_roots(system: CoxeterSystem, labels: RootSubset) -> RootSubset:
     """The roots of the reflections inside the reachable vertex set."""
-    return system.reach(labels, "left")[1]
+    return system.reached_reflections(labels, "left")
 
 
 @dataclass(frozen=True)
@@ -97,38 +97,43 @@ def path_witness(
     """A shortest label-restricted increasing path from e to a reflection.
 
     Returns {"labels": [root indices], "vertices": [word strings]} or None
-    when the reflection is not reachable.  Deterministic: breadth-first
-    with labels scanned in index order.  A label subset of another root
-    table raises ValueError.
+    when the reflection is not reachable.  Deterministic: breadth-first,
+    each element's parent the first step into it in frontier order, then
+    label index order.  A round gathers the products of the whole frontier
+    by every label at once.  A label subset of another root table raises
+    ValueError.
     """
     if labels.table is not system.table:
         raise ValueError("label subset belongs to a different root table")
     target = system.reflection(target_root).index
-    parent: dict[int, tuple[int, int]] = {0: (-1, -1)}
-    frontier = [0]
     npt = system.numpy_tables()
-    label_list = list(labels.indices())
-    while frontier and target not in parent:
-        fresh: list[int] = []
-        for x in frontier:
-            for r in label_list:
-                y = int(npt.left[r, x])
-                if npt.lengths[y] > npt.lengths[x] and y not in parent:
-                    parent[y] = (x, r)
-                    fresh.append(y)
+    roots = np.array(labels.indices(), dtype=np.intp)
+    parent = np.full(system.size, -1, dtype=np.intp)
+    label = np.full(system.size, -1, dtype=np.intp)
+    parent[0] = 0
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size and parent[target] < 0:
+        products = npt.left[roots[None, :], frontier[:, None]]
+        rises = npt.lengths[products] > npt.lengths[frontier, None]
+        steps = np.flatnonzero(rises & (parent[products] < 0))
+        found = products.ravel()[steps]
+        _, first = np.unique(found, return_index=True)
+        first.sort()  # discovery order: frontier order, then label order
+        steps, fresh = steps[first], found[first]
+        parent[fresh] = frontier[steps // roots.size]
+        label[fresh] = roots[steps % roots.size]
         frontier = fresh
-    if target not in parent:
+    if parent[target] < 0:
         return None
-    steps: list[tuple[int, int]] = []
+    path = []
     x = target
     while x != 0:
-        px, r = parent[x]
-        steps.append((r, x))
-        x = px
-    steps.reverse()
+        path.append((int(label[x]), x))
+        x = int(parent[x])
+    path.reverse()
     return {
-        "labels": [r for r, _ in steps],
-        "vertices": ["e"] + [system.element(x).word_str() for _, x in steps],
+        "labels": [r for r, _ in path],
+        "vertices": ["e"] + [system.element(x).word_str() for _, x in path],
     }
 
 
@@ -136,7 +141,7 @@ def to_dot(u: GroupElement, v: GroupElement) -> str:
     """Graphviz rendering of V_W(u, v): reflections doubled, edges labelled."""
     system = u.system
     labels = left_reflection_set(u) | left_reflection_set(v)
-    visited, _ = system.reach(labels, "left")
+    visited = system.reach(labels, "left")
     ids = sorted(
         (int(i) for i in np.nonzero(visited)[0]),
         key=lambda i: (system.lengths[i], system.element(i).word),

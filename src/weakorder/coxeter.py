@@ -635,7 +635,7 @@ def _find(table: np.ndarray, ids: np.ndarray, keys: np.ndarray, what: str) -> np
 
 
 class _NumpyTables:
-    """Vectorized product tables, packed inversion sets and descent steps.
+    """Vectorized product tables, packed inversion sets and step programs.
 
     inv_words and refl_ids are the system's own arrays, not copies.
     right[t, x] = x * t and left[t, x] = t * x for the reflection t of root
@@ -648,10 +648,12 @@ class _NumpyTables:
     Elements are numbered in enumeration order, along which length never
     decreases, so each length level is a contiguous range of ids: level k
     is bounds[k]..bounds[k + 1] - 1.  For both sides the length-decreasing
-    steps (root r, predecessor p) into every element are listed level by
-    level, grouped by element; these lists are all the reachability kernel
-    reads.  The join kernel reads inv_words from bounds[|A|] on, which
-    needs |Phi_x| = length(x) for every x; the constructor checks it.
+    steps (root r, predecessor p) into every element make a step program,
+    one (k, n_k) block of roots and of predecessors per level k, since an
+    element of length k has exactly k such steps on each side; the
+    programs are all the reachability kernel reads (_build_programs).  The
+    join kernel reads inv_words from bounds[|A|] on, which needs
+    |Phi_x| = length(x) for every x; the constructor checks it.
     """
 
     def __init__(self, system: "CoxeterSystem"):
@@ -686,10 +688,54 @@ class _NumpyTables:
             right[:, lo:hi] = by_gen[right[conj[:, g], p], g]
         self.left = left
         self.right = right
-        self.steps = {
-            "left": _descent_steps(left, self.lengths, bounds),
-            "right": _descent_steps(right, self.lengths, bounds),
-        }
+        self._build_programs()
+
+    def _build_programs(self) -> None:
+        """The reachability kernel's step programs, one a side.
+
+        Each side's descents are one nonzero over its product table
+        (_descent_steps), made one side at a time to bound the build's
+        memory, and D is marked from the left side's
+        (_reflection_down_set).  The kernel's reach rows are slots: within
+        each length level D's elements come first, each part in id order,
+        so level k's slots are bounds[k]..bounds[k + 1] - 1 like its ids,
+        and slots[x] is the slot of element x.  One permutation puts the
+        steps of both sides in slot order; level k's block is then a view
+        of k * n_k of them.
+        """
+        lengths, bounds, size = self.lengths, self.bounds, self.lengths.size
+        left = _descent_steps(self.left, lengths)
+        inside = _reflection_down_set(left[1], lengths, bounds, self.refl_ids)
+        order = np.argsort(2 * lengths + ~inside, kind="stable")
+        self.slots = np.empty(size, dtype=np.int32)
+        self.slots[order] = np.arange(size, dtype=np.int32)
+        self.refl_slots = self.slots[self.refl_ids]
+        self.down_size = int(np.count_nonzero(inside))
+        # the end of D's slots in each level, and the levels a reflection reaches
+        cuts = (bounds[:-1] + np.add.reduceat(inside.astype(np.intp), bounds[:-1])).tolist()
+        top = int(lengths[self.refl_ids].max())
+        starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)])
+        # step i of slot s is step i of element order[s]; slot s has its length
+        moved = np.repeat((starts[order] - starts[:-1]).astype(np.int32), lengths)
+        moved += np.arange(moved.size, dtype=np.int32)
+        ends = starts[bounds].tolist()
+        levels = list(zip(range(1, bounds.size - 1), bounds[1:].tolist(),
+                          bounds[2:].tolist(), ends[1:], ends[2:]))
+        self.programs, self.reflection_programs = {}, {}
+        for side in ("left", "right"):
+            roots, preds = left if side == "left" else _descent_steps(self.right, lengths)
+            left = None
+            roots, preds = roots.take(moved), self.slots.take(preds.take(moved))
+            blocks = [
+                (lo, hi, roots[start:end].reshape(hi - lo, k).T,
+                 preds[start:end].reshape(hi - lo, k).T)
+                for k, lo, hi, start, end in levels
+            ]
+            self.programs[side] = blocks
+            self.reflection_programs[side] = [
+                (lo, cut, level_roots[:, :cut - lo], level_preds[:, :cut - lo])
+                for (lo, _, level_roots, level_preds), cut in zip(blocks[:top], cuts[1:])
+            ]
 
     def words(self, bits: int) -> np.ndarray:
         """One root bit-set as a (1, n_words) batch; ValueError outside the roots."""
@@ -698,28 +744,51 @@ class _NumpyTables:
         return bits_to_words(bits, self.n_words)[None, :]
 
 
-def _descent_steps(
-    mul: np.ndarray, lengths: np.ndarray, bounds: np.ndarray
-) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per level k >= 1: (lo, hi, roots, preds, segment starts).
+def _descent_steps(mul: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots and predecessors of the length-decreasing steps into every element.
 
-    Elements lo..hi-1 have length k.  The steps into them with
-    lengths[mul[r, x]] < lengths[x] are listed by element, then by root;
-    segment starts index each element's first step.  Every element of
-    positive length has a descent, so no segment is empty.
+    The steps (r, mul[r, x]) with lengths[mul[r, x]] < lengths[x] are
+    listed by element, then by root, as the narrowest unsigned roots and
+    int32 predecessors.  An element of length k has exactly k
+    of them on each side (its left and right reflection sets have k roots),
+    which is checked: another count raises CoxeterError.
     """
-    target, root = np.nonzero(lengths[mul].T < lengths[:, None])
-    pred = mul[root, target].astype(np.intp)
-    root = root.astype(np.intp)
-    first = np.searchsorted(target, np.arange(lengths.size + 1))
-    levels = []
-    for k in range(1, bounds.size - 1):
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
-        e0, e1 = first[lo], first[hi]
-        levels.append(
-            (lo, hi, root[e0:e1], pred[e0:e1], (first[lo:hi] - e0).astype(np.intp))
+    n_roots = mul.shape[0]
+    table = mul.T.copy()
+    falls = lengths[table] < lengths[:, None]
+    if (np.count_nonzero(falls, axis=1) != lengths).any():
+        raise CoxeterError(
+            "an element of length k does not have k descents: the product "
+            "tables are inconsistent"
         )
-    return levels
+    flat = np.flatnonzero(falls)
+    preds = table.ravel()[flat]
+    del table, falls
+    roots = np.remainder(flat, n_roots, out=flat).astype(np.min_scalar_type(n_roots - 1))
+    return roots, preds
+
+
+def _reflection_down_set(
+    preds: np.ndarray, lengths: np.ndarray, bounds: np.ndarray, refl_ids: np.ndarray
+) -> np.ndarray:
+    """Bool mask of D, the elements below some reflection in Bruhat order.
+
+    preds are one side's descent predecessors as _descent_steps lists them.
+    Bruhat order is generated by the descent steps, and the left and right
+    steps into x reach the same elements (x * t = (x t x^-1) * x), so D is
+    closed under the predecessors of both sides.  Marked one level at a
+    time, from the longest reflection's level down.
+    """
+    inside = np.zeros(lengths.size, dtype=bool)
+    inside[refl_ids] = True
+    ids = bounds.tolist()
+    # level k's n_k * k steps end at ends[k]
+    ends = np.cumsum(np.diff(bounds) * np.arange(bounds.size - 1)).tolist()
+    for k in range(int(lengths[refl_ids].max()), 0, -1):
+        rows = preds[ends[k - 1]:ends[k]].reshape(ids[k + 1] - ids[k], k)
+        # a scatter through intp indices is the fast one
+        inside[rows[inside[ids[k]:ids[k + 1]]].astype(np.intp)] = True
+    return inside
 
 
 # -- the two kernels -------------------------------------------------------------
@@ -733,34 +802,65 @@ def reach_words(tables: _NumpyTables, unions: np.ndarray, side: str) -> np.ndarr
     x is set when x is reachable under union j, by steps x -> s_alpha * x
     (side="left") or x -> x * s_alpha (side="right") with alpha in the union
     and length going up.  A level dynamic program: reach[x] is the OR of
-    reach[p] & labels[r] over the descent steps (r, p) into x.  Any other
-    side raises ValueError.
+    reach[p] & labels[r] over the descent steps (r, p) into x, exactly k of
+    them for x of length k, so a level is one (k, n_k) gather and an OR
+    down its first axis.  Any other side raises ValueError.
 
     Word columns are independent, so the program runs over tiles of as
     many columns as keep one tile's reach array within _REACH_TILE_BYTES,
     where each level's gathers stay in cache; a group of up to 2,048
     elements (F4, D5) takes 64 words in one tile.
     """
+    return _run_program(tables, unions, side, reflections_only=False)
+
+
+def reflection_reach_words(
+    tables: _NumpyTables, unions: np.ndarray, side: str
+) -> np.ndarray:
+    """The rows of reach_words at the reflections: (n_roots, ceil(k / 64)).
+
+    Row r is reach_words' row of the reflection of root r, bit for bit.  A
+    path to a reflection t passes only through elements below t in Bruhat
+    order, so the program runs over the columns of D, the Bruhat down-set
+    of the reflections, alone, and no level above the longest reflection
+    is run.  The tiles are as wide as D's rows allow.
+    """
+    return _run_program(tables, unions, side, reflections_only=True)
+
+
+def _run_program(
+    tables: _NumpyTables, unions: np.ndarray, side: str, reflections_only: bool
+) -> np.ndarray:
+    """The wanted rows of the reach array, tile by tile."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    if reflections_only:
+        blocks, rows = tables.reflection_programs[side], tables.refl_slots
+        filled = tables.down_size
+    else:
+        blocks, rows = tables.programs[side], tables.slots
+        filled = tables.lengths.size
     labels = transpose_bits(unions, tables.n_roots)
-    size, n_cols = tables.lengths.size, labels.shape[1]
-    width = max(1, _REACH_TILE_BYTES // (8 * size))
+    width = max(1, _REACH_TILE_BYTES // (8 * filled))
     tiles = [
-        _reach_tile(tables.steps[side], labels[:, lo:lo + width], size)
-        for lo in range(0, n_cols, width)
+        _reach_tile(blocks, labels[:, lo:lo + width]).take(rows, axis=0)
+        for lo in range(0, labels.shape[1], width)
     ]
     return tiles[0] if len(tiles) == 1 else np.hstack(tiles)
 
 
-def _reach_tile(steps: list, labels: np.ndarray, size: int) -> np.ndarray:
-    """reach_words over the word columns of one tile of transposed labels."""
-    reach = np.zeros((size, labels.shape[1]), dtype=np.uint64)
+def _reach_tile(blocks: list, labels: np.ndarray) -> np.ndarray:
+    """Reach rows by slot over one tile of transposed labels.
+
+    Slot 0 is e.  Block (lo, hi, roots, preds) fills slots lo..hi-1 from
+    slots of shorter elements; slots that no block fills are left unset.
+    """
+    reach = np.empty((blocks[-1][1], labels.shape[1]), dtype=np.uint64)
     reach[0] = _WORD_MASK
-    for lo, hi, root, pred, segments in steps:
-        step = reach.take(pred, axis=0)
-        step &= labels.take(root, axis=0)
-        np.bitwise_or.reduceat(step, segments, axis=0, out=reach[lo:hi])
+    for lo, hi, roots, preds in blocks:
+        step = reach.take(preds, axis=0)
+        step &= labels.take(roots, axis=0)
+        np.bitwise_or.reduce(step, axis=0, out=reach[lo:hi])
     return reach
 
 
@@ -812,11 +912,12 @@ def weak_joins(tables: _NumpyTables, unions: np.ndarray) -> np.ndarray:
     inversion sets, are already in order.
     """
     sizes = _popcount(unions)
-    order = sizes.argsort(kind="stable")
+    single = sizes.size == 1  # one union: nothing to sort, one join
+    order = slice(None) if single else sizes.argsort(kind="stable")
     count, first = _upper_bounds(tables, unions[order], sizes[order])
     if (first < 0).any():
         raise NoUpperBound("some union admits no upper bound in a finite group")
-    joins, slot = np.unique(first, return_inverse=True)
+    joins, slot = (first, 0) if single else np.unique(first, return_inverse=True)
     above_join, _ = _upper_bounds(
         tables, tables.inv_words[joins], tables.lengths[joins]
     )
@@ -1053,17 +1154,28 @@ class CoxeterSystem:
         npt = self.numpy_tables()
         return reach_words(npt, npt.words(label_bits), side)[:, 0] & 1 != 0
 
-    def reach(self, labels: RootSubset, side: str) -> tuple[np.ndarray, RootSubset]:
-        """reachable_ids for a root subset, and the roots of the reached reflections.
+    def reach(self, labels: RootSubset, side: str) -> np.ndarray:
+        """reachable_ids for a root subset.
 
         The subset must belong to this system's root table; one of another
         table raises ValueError.
         """
         if labels.table is not self.table:
             raise ValueError("label subset belongs to a different root table")
-        visited = self.reachable_ids(labels.bits, side)
-        hit = words_to_bits(_pack_words(visited[None, self.refl_ids]))[0]
-        return visited, RootSubset(self.table, hit)
+        return self.reachable_ids(labels.bits, side)
+
+    def reached_reflections(self, labels: RootSubset, side: str) -> RootSubset:
+        """The roots of the reflections reachable under a root subset, from
+        the program over the reflections' down-set alone.
+
+        The subset must belong to this system's root table; one of another
+        table raises ValueError.
+        """
+        if labels.table is not self.table:
+            raise ValueError("label subset belongs to a different root table")
+        npt = self.numpy_tables()
+        rows = reflection_reach_words(npt, npt.words(labels.bits), side)
+        return RootSubset(self.table, words_to_bits(transpose_bits(rows, 1))[0])
 
     # -- type-A permutation dictionary ----------------------------------------
 

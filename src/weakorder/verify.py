@@ -21,7 +21,9 @@ distinct unions into one running sorted array.  It builds no array as
 long as its list of pairs; a sampled sweep is one block.  Both kernels
 live in `coxeter`.  Reachability runs as a length-level dynamic program
 over all unions in a chunk at once, on uint64 words that each hold 64
-unions, in column tiles whose working set stays in cache.  Joins come
+unions, in column tiles whose working set stays in cache; the sweeps read
+only the reflections' rows, so the program runs only over the elements
+below some reflection in Bruhat order (reflection_reach_words).  Joins come
 from an exact integer subset test of A against the packed inversion sets
 of the elements of length >= |A| (the first upper bound in enumeration
 order, then minimality of that one).  "EQ" decides without the join, so
@@ -52,7 +54,7 @@ from .coxeter import (
     CoxeterSystem,
     RootSubset,
     build_system,
-    reach_words,
+    reflection_reach_words,
     transpose_bits,
     weak_joins,
 )
@@ -146,9 +148,8 @@ def _reachable_reflection_bits(
     system: CoxeterSystem, unions: np.ndarray, side: str
 ) -> np.ndarray:
     """Root words (kc x n_words) of the reflections reachable under each union."""
-    npt = system.numpy_tables()
-    reach = reach_words(npt, unions, side)
-    return transpose_bits(reach[npt.refl_ids], unions.shape[0])
+    reach = reflection_reach_words(system.numpy_tables(), unions, side)
+    return transpose_bits(reach, unions.shape[0])
 
 
 def _process_chunk(span: tuple[int, int]) -> tuple[np.ndarray | None, ...]:

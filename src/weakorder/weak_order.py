@@ -138,7 +138,7 @@ def tau_reachable(system: CoxeterSystem, subset: RootSubset) -> frozenset[GroupE
     x steps to x * s_alpha for alpha in the subset whenever the length goes
     up; the identity itself is not part of the image.
     """
-    visited, _ = system.reach(subset, "right")
+    visited = system.reach(subset, "right")
     return frozenset(
         system.element(i) for i in np.nonzero(visited)[0] if i != 0
     )
@@ -148,4 +148,4 @@ def conjectural_join_D(
     system: CoxeterSystem, a: RootSubset, b: RootSubset
 ) -> RootSubset:
     """The root set J(A, B): reflections reachable by tau from A union B."""
-    return system.reach(a | b, "right")[1]
+    return system.reached_reflections(a | b, "right")

@@ -23,7 +23,8 @@ read off act, with no arithmetic.
 Reachability has a second oracle that is its own algorithm: a forward
 push over the length-increasing entries of a product table, with one
 Python int per element holding a bit per union, checked against the
-breadth-first search on the small types.
+breadth-first search on the small types.  Witness paths have the
+(element, label) loop the library used before its frontier rounds.
 """
 
 import collections
@@ -148,6 +149,44 @@ def reachable_ids_push(system, union_bits, side):
         b"".join(bits.to_bytes(width, "little") for bits in reach), dtype=np.uint8
     ).reshape(system.size, width)
     return np.unpackbits(rows, axis=1, count=count, bitorder="little").T.astype(bool)
+
+
+def path_witness_loop(system, labels, target_root):
+    """The breadth-first witness path, one (element, label) pair at a time.
+
+    The loop bruhat.path_witness ran before its frontier rounds became
+    array code: frontier in discovery order, labels in index order, the
+    first step into an element its parent; the search stops after the
+    round that reaches the target.  Same result format, None when the
+    reflection is not reachable.
+    """
+    target = system.reflection(target_root).index
+    npt = system.numpy_tables()
+    parent = {0: (-1, -1)}
+    frontier = [0]
+    label_list = list(labels.indices())
+    while frontier and target not in parent:
+        fresh = []
+        for x in frontier:
+            for r in label_list:
+                y = int(npt.left[r, x])
+                if npt.lengths[y] > npt.lengths[x] and y not in parent:
+                    parent[y] = (x, r)
+                    fresh.append(y)
+        frontier = fresh
+    if target not in parent:
+        return None
+    steps = []
+    x = target
+    while x != 0:
+        px, r = parent[x]
+        steps.append((r, x))
+        x = px
+    steps.reverse()
+    return {
+        "labels": [r for r, _ in steps],
+        "vertices": ["e"] + [system.element(x).word_str() for _, x in steps],
+    }
 
 
 def reflection_bits(system, visited):

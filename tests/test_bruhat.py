@@ -1,9 +1,11 @@
 """Label-restricted Bruhat reachability and the join comparison."""
 
 import itertools
+import random
 
 import pytest
 
+from oracles import path_witness_loop
 from weakorder.coxeter import (
     RootSubset,
     WrongType,
@@ -203,6 +205,27 @@ def test_path_witness_deterministic():
     a = path_witness(system, labels, 5)
     b = path_witness(system, labels, 5)
     assert a == b
+
+
+@pytest.mark.parametrize("name, queries", [("A3", 200), ("F4", 200), ("D5", 100), ("H4", 15)])
+def test_path_witness_matches_the_loop_oracle(name, queries):
+    """Seeded label sets (every fourth thinned at random, so that some
+    targets are unreachable) and targets: the frontier rounds give the
+    loop's path, or None with it."""
+    system = build_system(name)
+    rng = random.Random(21)
+    unreachable = 0
+    for q in range(queries):
+        bits = system.inv_bits[rng.randrange(system.size)]
+        bits |= system.inv_bits[rng.randrange(system.size)]
+        if q % 4 == 0:
+            bits &= rng.getrandbits(system.table.n_roots)
+        labels = RootSubset(system.table, bits)
+        target = rng.randrange(system.table.n_roots)
+        witness = path_witness(system, labels, target)
+        assert witness == path_witness_loop(system, labels, target)
+        unreachable += witness is None
+    assert 0 < unreachable < queries
 
 
 def test_to_dot_structure():

@@ -225,6 +225,19 @@ def test_tables_refuse_an_inversion_set_whose_size_is_not_its_length():
         system.numpy_tables()
 
 
+def test_tables_refuse_an_element_with_the_wrong_number_of_descents():
+    # the reachability program gives an element of length k exactly k steps
+    system = build_system("A3")
+    npt = system.numpy_tables()
+    x = system.element_from_word([1, 2]).index
+    falls = np.flatnonzero(npt.lengths[npt.right[:, x]] < 2)
+    assert falls.size == 2
+    npt.right = npt.right.copy()
+    npt.right[falls[0], x] = system.longest_element.index  # now an ascent
+    with pytest.raises(CoxeterError, match="does not have k descents"):
+        npt._build_programs()
+
+
 def test_join_kernel_errors_on_a_broken_table():
     system = build_system("A3")
     npt = system.numpy_tables()

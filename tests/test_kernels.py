@@ -10,6 +10,9 @@ frontier search checks it on every union of A3, B3 and H3.  The join
 kernel takes its unions in order of size, so batches that mix sizes, the
 empty union and the full set meet the matrix-product oracle; reachability
 runs over column tiles, which are shrunk here so that every type splits.
+The reflection-only run of the reachability program must give reach_words'
+rows at the reflections bit for bit, and its down-set of the reflections
+must hold them and be closed under the steps of both sides.
 """
 
 import functools
@@ -25,14 +28,21 @@ from oracles import (
     reflection_bits,
 )
 from weakorder import (
+    RootSubset,
     build_system,
     check_conjecture_H,
     conjectural_join_D,
     join_bruteforce,
     left_reflection_set,
+    reachable_reflection_roots,
 )
 from weakorder import coxeter
-from weakorder.coxeter import bits_to_words, reach_words, weak_joins
+from weakorder.coxeter import (
+    bits_to_words,
+    reach_words,
+    reflection_reach_words,
+    weak_joins,
+)
 
 TYPES = ["A3", "B3", "H3", "I2(7)", "D4", "F4"]
 CHUNKS = [1, 63, 64, 65, 4096]
@@ -208,3 +218,116 @@ def test_multi_word_inversion_sets():
             system, reachable_ids_bfs(system, bits, "left")
         )
     assert join_bruteforce(system.element(1), system.element(2)).inversion_bits == top
+
+
+REFLECTION_TYPES = ["A3", "B3", "H3", "I2(9)", "F4"]
+
+
+def _reflection_rows_agree(npt, words, side):
+    rows = reflection_reach_words(npt, words, side)
+    full = reach_words(npt, words, side)
+    assert rows.shape == (npt.n_roots, full.shape[1]) and rows.flags.c_contiguous
+    assert np.array_equal(rows, full[npt.refl_ids]), side
+
+
+@pytest.mark.parametrize("chunk", [1, 65, 4096])
+@pytest.mark.parametrize("name", REFLECTION_TYPES)
+def test_reflection_rows_match_reach_words_on_every_union(name, chunk):
+    system = _system(name)
+    npt = system.numpy_tables()
+    words = _union_words(system, _unions(name))
+    if chunk == 1:  # one union at a time: at most 600 seeded ones
+        words = words[random.Random(1).sample(range(len(words)), min(len(words), 600))]
+    for lo in range(0, len(words), chunk):
+        for side in ("left", "right"):
+            _reflection_rows_agree(npt, words[lo:lo + chunk], side)
+
+
+@pytest.mark.parametrize("tile", [1, 4])
+@pytest.mark.parametrize("name", REFLECTION_TYPES)
+def test_reflection_rows_in_ragged_tiles(monkeypatch, name, tile):
+    """Tiles of `tile` words of the down-set's rows over a batch of 6 words."""
+    system = _system(name)
+    npt = system.numpy_tables()
+    unions = random.Random(tile).choices(_unions(name), k=5 * 64 + 17)
+    words = _union_words(system, unions)
+    monkeypatch.setattr(coxeter, "_REACH_TILE_BYTES", tile * 8 * npt.down_size + 7)
+    for side in ("left", "right"):
+        _reflection_rows_agree(npt, words, side)
+        rows = reflection_reach_words(npt, words, side)
+        expected = reachable_ids_push(system, unions, side)[:, npt.refl_ids]
+        assert np.array_equal(_reach_rows(rows, len(unions)), expected), side
+
+
+@pytest.mark.parametrize("name", ["H4", "E6"])
+def test_reflection_rows_of_seeded_unions_of_large_types(name):
+    system = _system(name)
+    rng = random.Random(13)
+    inv = system.inv_bits
+    unions = [inv[rng.randrange(system.size)] | inv[rng.randrange(system.size)]
+              for _ in range(300)]
+    npt = system.numpy_tables()
+    for side in ("left", "right"):
+        _reflection_rows_agree(npt, _union_words(system, unions), side)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(9)", "D4"])
+def test_single_pairs_through_the_helpers_match_the_push_oracle(name):
+    system = _system(name)
+    rng = random.Random(14)
+    pairs = [(system.element(rng.randrange(system.size)),
+              system.element(rng.randrange(system.size))) for _ in range(60)]
+    unions = [u.inversion_bits | v.inversion_bits for u, v in pairs]
+    left = reachable_ids_push(system, unions, "left")
+    right = reachable_ids_push(system, unions, "right")
+    for i, (u, v) in enumerate(pairs):
+        assert check_conjecture_H(u, v).rhs.bits == reflection_bits(system, left[i])
+        phi_u, phi_v = left_reflection_set(u), left_reflection_set(v)
+        assert conjectural_join_D(system, phi_u, phi_v).bits == reflection_bits(
+            system, right[i]
+        )
+    # random label sets, not unions of inversion sets: the two sides still
+    # reach the same reflections, since x is reached on the right exactly
+    # when x^-1 is on the left and a reflection is its own inverse
+    labels = [rng.getrandbits(system.table.n_roots) for _ in range(60)]
+    left = reachable_ids_push(system, labels, "left")
+    right = reachable_ids_push(system, labels, "right")
+    for i, bits in enumerate(labels):
+        subset = RootSubset(system.table, bits)
+        on_left = reachable_reflection_roots(system, subset).bits
+        assert on_left == reflection_bits(system, left[i])
+        assert on_left == conjectural_join_D(system, subset, subset).bits
+        assert on_left == reflection_bits(system, right[i])
+
+
+def _down_set(npt):
+    """The elements the reflection-only program fills: e and its blocks' slots."""
+    filled = np.zeros(npt.lengths.size, dtype=bool)
+    filled[0] = True
+    for lo, hi, _, _ in npt.reflection_programs["left"]:
+        filled[lo:hi] = True
+    return filled[npt.slots]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(9)", "F4", "D5"])
+def test_the_down_set_holds_the_reflections_and_is_closed_under_descents(name):
+    system = _system(name)
+    npt = system.numpy_tables()
+    inside = _down_set(npt)
+    assert inside.sum() == npt.down_size
+    assert inside[npt.refl_ids].all()
+    ids = np.flatnonzero(inside)
+    for mul in (npt.left, npt.right):
+        below = mul[:, ids]
+        falls = npt.lengths[below] < npt.lengths[ids]
+        assert inside[below[falls]].all()
+    # and no larger: a depth-first walk down from the reflections marks it all
+    marked = np.zeros(system.size, dtype=bool)
+    todo = npt.refl_ids.tolist()
+    while todo:
+        x = todo.pop()
+        if not marked[x]:
+            marked[x] = True
+            below = npt.left[:, x]
+            todo.extend(below[npt.lengths[below] < npt.lengths[x]].tolist())
+    assert np.array_equal(marked, inside)

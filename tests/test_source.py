@@ -8,6 +8,7 @@ from pathlib import Path
 import weakorder
 
 SRC = Path(weakorder.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_no_invariant_rests_on_assert():
@@ -97,3 +98,13 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(weakorder, name)]
     assert missing == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists(monkeypatch):
+    # a renamed helper would drop its per-layer metric from traced runs
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        pass
+    assert tracer.absent == []
