@@ -15,10 +15,16 @@ routes agree pair by pair (same verdict and the same rhs).
 The engine batches work by *distinct unions*: many ordered pairs share one
 union A, and every quantity above depends on the pair only through A.
 The distinct unions are found by streaming: a union is symmetric, so an
-exhaustive sweep reads only the pairs u <= v, in blocks of rows of u of
-about _PAIR_BLOCK_CELLS pairs each, and merges each block's sorted
-distinct unions into one running sorted array.  It builds no array as
-long as its list of pairs; a sampled sweep is one block.  Both kernels
+exhaustive sweep reads only the pairs u <= v, in spans of rows of u of
+about _PAIR_BLOCK_CELLS pairs each.  A span's unions are one broadcast OR
+of its rows' inversion sets against a run of columns (the columns past
+the span, then the span's own square cut to its upper triangle), so no
+array of pair ids is built, and they are sorted and deduplicated as words
+of the narrowest unsigned type that holds n_roots bits (uint32 for F4 and
+D5, uint64 for H4).  The sorted distinct runs are merged into one running
+sorted array whenever they are as many as it holds; the distinct unions
+are widened to uint64 for the kernels.  A sampled sweep is one block of
+its seeded pairs.  Both kernels
 live in `coxeter`.  Reachability runs as a length-level dynamic program
 over all unions in a chunk at once, on uint64 words that each hold 64
 unions, in column tiles whose working set stays in cache; the sweeps read
@@ -31,8 +37,9 @@ it runs the join kernel only for the unions of the pairs it records as
 failing.
 
 Failing pairs are counted and recorded by a second stream, over the
-ordered pairs, that runs only when some union fails: each pair's union is
-looked up among the sorted failing unions, and the first
+ordered pairs on the same grid of spans, that runs only when some union
+fails: each cell's union is looked up among the sorted failing unions,
+(u, v) is recovered for the failing cells alone, and the first
 MAX_RECORDED_FAILURES failing pairs in record order are kept across
 blocks, so memory stays bounded even when every pair fails.
 """
@@ -61,7 +68,7 @@ from .coxeter import (
 
 DEFAULT_CHUNK = 4096
 MAX_RECORDED_FAILURES = 100
-_PAIR_BLOCK_CELLS = 1 << 18  # pairs per streamed block (about 10 MB of temporaries)
+_PAIR_BLOCK_CELLS = 1 << 18  # pairs per streamed span of rows
 # the quantities each conjecture compares: (join, left route, right route)
 _ROUTES = {
     "H": (True, True, False),
@@ -206,7 +213,9 @@ def _sweep_unions(
 
 # -- streamed pairs, distinct unions and failure records --------------------------------
 
-PairBlocks = Iterator[tuple[np.ndarray, np.ndarray]]
+# A block of pairs: element ids us and vs whose broadcast cells are the pairs,
+# and a mask over those cells that keeps some of them (None keeps every cell).
+PairBlocks = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
 def _pair_arrays(
@@ -223,53 +232,79 @@ def _pair_arrays(
 def _pair_blocks(
     n: int, pairs: tuple[np.ndarray, np.ndarray] | None, ordered: bool
 ) -> PairBlocks:
-    """Blocks (us, vs) of element ids that together hold the pairs to check.
+    """Blocks (us, vs, keep) that together hold each pair to check once.
 
-    Seeded pairs are one block.  Otherwise each block is a span of rows u
-    of the n x n grid, every row against all v (ordered) or against v >= u
-    only (the symmetric half, which holds every union), with about
-    _PAIR_BLOCK_CELLS pairs and at least one row a block.
+    Seeded pairs are one block of two 1-D arrays.  Otherwise the n x n grid
+    is cut into spans of rows u of about _PAIR_BLOCK_CELLS pairs each (at
+    least one row), and a block is a span's rows as a column us against a
+    row vs of v.  Ordered, a span is one block of every v, so the blocks
+    hold the pairs in order.  The symmetric half (v >= u, which holds every
+    union) takes from a span the v past its last row, then the span's own
+    square of rows against rows, cut to its upper triangle by keep.
     """
     if pairs is not None:
-        yield pairs
+        yield pairs[0], pairs[1], None
         return
-    rows = np.arange(n, dtype=np.intp)
-    counts = np.full(n, n, dtype=np.intp) if ordered else n - rows
+    ids = np.arange(n, dtype=np.intp)
+    counts = np.full(n, n, dtype=np.intp) if ordered else n - ids
     ends = np.cumsum(counts)
     lo = 0
     while lo < n:
         limit = ends[lo] - counts[lo] + _PAIR_BLOCK_CELLS
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-        size = counts[lo:hi]
-        us = np.repeat(rows[lo:hi], size)
-        first_v = 0 if ordered else rows[lo:hi]
-        offsets = np.cumsum(size) - size  # where each row starts in the block
-        vs = np.arange(us.size) - np.repeat(offsets - first_v, size)
-        yield us, vs
+        us = ids[lo:hi, None]
+        if ordered:
+            yield us, ids[None, :], None
+        else:
+            if hi < n:
+                yield us, ids[None, hi:], None
+            square = ids[None, lo:hi]
+            yield us, square, us <= square
         lo = hi
+
+
+def _union_keys(system: CoxeterSystem) -> np.ndarray:
+    """Each element's inversion set as one word of the narrowest unsigned
+    type that holds n_roots bits (at most 64 roots)."""
+    key = np.min_scalar_type((1 << system.table.n_roots) - 1)
+    return system.numpy_tables().inv_words[:, 0].astype(key, copy=False)
 
 
 def _distinct_unions(words: np.ndarray, blocks: PairBlocks) -> np.ndarray:
     """Sorted distinct unions words[u] | words[v] over the pair blocks.
 
-    Each block's distinct unions are merged into the running sorted array
-    at once, so memory is that array plus one block.
+    Each block's unions are sorted and their repeats dropped.  These runs
+    are held until they are as many as the running sorted array and then
+    merged into it at once, so merges are few and memory stays at about
+    twice that array plus one block.
     """
-    seen = np.zeros(0, dtype=np.uint64)
-    for us, vs in blocks:
-        part = words[us] | words[vs]
+    runs = [np.zeros(0, dtype=words.dtype)]  # the running array, then new runs
+    held = 0
+    for us, vs, keep in blocks:
+        unions = words[us] | words[vs]
+        part = unions.ravel() if keep is None else unions[keep]
         part.sort()
-        merged = np.concatenate([seen, _drop_repeats(part)])
-        merged.sort(kind="stable")  # two sorted runs: timsort merges them in one pass
-        seen = _drop_repeats(merged)
-    return seen
+        runs.append(_drop_repeats(part))
+        held += runs[-1].size
+        if held >= runs[0].size:
+            runs, held = [_merged(runs)], 0
+    return _merged(runs)
+
+
+def _merged(runs: list[np.ndarray]) -> np.ndarray:
+    """The distinct values of sorted runs, sorted.  Empties the list, so the
+    runs are freed before the merged array is sorted."""
+    merged = np.concatenate(runs)
+    runs.clear()
+    merged.sort()  # numpy's default sort beats timsort's run merging here
+    return _drop_repeats(merged)
 
 
 def _drop_repeats(ordered: np.ndarray) -> np.ndarray:
     """The distinct values of a sorted array (np.unique without its sort)."""
     fresh = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    return ordered[fresh]
+    return ordered[np.flatnonzero(fresh)]  # 2-4x faster than a boolean mask here
 
 
 def _root_names(system: CoxeterSystem, bits: int) -> list[str]:
@@ -286,30 +321,34 @@ def _failure_records(
 ) -> tuple[int, list[dict]]:
     """Failure count and records of the pairs whose union is failing.
 
-    failing holds the sorted failing unions, and rhs_left / rhs_right the
-    route bits of each (None for a route the conjecture does not read).
-    Pairs are counted over all blocks; each block keeps only the first
-    MAX_RECORDED_FAILURES failing pairs in (len u, len v, u, v) order, so
-    memory stays bounded when every pair fails.  The joins are computed
-    for the recorded pairs only.
+    blocks are the ordered stream of _pair_blocks, whose every cell is a
+    pair.  failing holds the sorted failing unions as _union_keys words, and
+    rhs_left / rhs_right the route bits of each (None for a route the
+    conjecture does not read).  Pairs are counted over all blocks; each
+    block keeps only the first MAX_RECORDED_FAILURES failing pairs in
+    (len u, len v, u, v) order, and recovers (u, v) for its failing cells
+    alone, so memory stays bounded when every pair fails.  The joins are
+    computed for the recorded pairs only.
     """
     npt = system.numpy_tables()
-    words = npt.inv_words[:, 0]
+    words = _union_keys(system)
     count = 0
     top_u = top_v = np.zeros(0, dtype=np.intp)
-    for us, vs in blocks:
+    for us, vs, _ in blocks:
         unions = words[us] | words[vs]
         at = np.minimum(np.searchsorted(failing, unions), failing.size - 1)
         hit = failing[at] == unions
         count += int(np.count_nonzero(hit))
-        cand_u = np.concatenate([top_u, us[hit]])
-        cand_v = np.concatenate([top_v, vs[hit]])
+        cells = np.nonzero(hit)
+        cand_u = np.concatenate([top_u, np.broadcast_to(us, hit.shape)[cells]])
+        cand_v = np.concatenate([top_v, np.broadcast_to(vs, hit.shape)[cells]])
         lengths_u, lengths_v = npt.lengths[cand_u], npt.lengths[cand_v]
         order = np.lexsort((cand_v, cand_u, lengths_v, lengths_u))
         order = order[:MAX_RECORDED_FAILURES]
         top_u, top_v = cand_u[order], cand_v[order]
     k = np.searchsorted(failing, words[top_u] | words[top_v])
-    lhs = npt.inv_words[_joins_for_chunk(system, failing[k, None]), 0]
+    joins = _joins_for_chunk(system, failing[k, None].astype(np.uint64))
+    lhs = npt.inv_words[joins, 0]
     records = []
     for p in range(k.size):
         rec = {
@@ -352,11 +391,12 @@ def sweep(
     system = _as_system(target)
     if system.table.n_roots > 64:
         raise UsageError("sweeps support at most 64 positive roots")
-    # within the root guard every inversion set and union is one uint64 word
-    words = system.numpy_tables().inv_words[:, 0]
+    # within the root guard every inversion set and union is one word; the
+    # dedupe sorts them in the narrowest type, the kernels read uint64
     n = system.size
     pairs = None if sample is None else _pair_arrays(system, sample, seed)
-    unions = _distinct_unions(words, _pair_blocks(n, pairs, ordered=False))
+    keys = _distinct_unions(_union_keys(system), _pair_blocks(n, pairs, ordered=False))
+    unions = keys.astype(np.uint64, copy=False)
     lhs, rhs_left, rhs_right = _sweep_unions(
         system, unions, *_ROUTES[conjecture], workers, chunk
     )
@@ -374,7 +414,7 @@ def sweep(
         failure_count, failures = _failure_records(
             system,
             _pair_blocks(n, pairs, ordered=True),
-            unions[bad],
+            keys[bad],
             None if rhs_left is None else rhs_left[bad],
             None if rhs_right is None else rhs_right[bad],
         )

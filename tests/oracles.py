@@ -20,6 +20,9 @@ scalars with interval_sign, not with the library's MinimalPolynomial.signs.
 The cones of a rank-2 table also follow from its reflection order alone,
 read off act, with no arithmetic.
 
+The bit-matrix transpose between one word row per union and one word
+row per root has the unpack, transpose and pack the library used before.
+
 Reachability has a second oracle that is its own algorithm: a forward
 push over the length-increasing entries of a product table, with one
 Python int per element holding a bit per union, checked against the
@@ -196,6 +199,21 @@ def reflection_bits(system, visited):
     for r in np.nonzero(visited[npt.refl_ids])[0]:
         bits |= 1 << int(r)
     return bits
+
+
+def transpose_bits_unpacked(words, n_bits):
+    """The bit-matrix transpose the library used before its byte-first one.
+
+    Every bit of (rows, w) uint64 words becomes one bool, the bool matrix
+    is transposed as a strided view and packed again, each row padded to
+    whole little-endian uint64 words: (n_bits, ceil(rows / 64)).
+    """
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    bools = np.unpackbits(as_bytes, axis=-1, count=n_bits, bitorder="little")
+    packed = np.packbits(bools.T, axis=-1, bitorder="little")
+    out = np.zeros((n_bits, 8 * -(-words.shape[0] // 64)), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8").astype(np.uint64)
 
 
 def joins_matmul(system, union_bits):

@@ -2,7 +2,8 @@
 element-by-element oracles in oracles.py, plus the checks enumeration and
 the tables make on their input: the element cap at its exact boundary,
 inconsistent root tables, a parent off its level, and Python-int indices;
-and the root-set codec every packed inversion set goes through.
+and the root-set codec every packed inversion set goes through, with the
+bit-matrix transpose against the unpacked one in oracles.py.
 """
 
 import json
@@ -12,7 +13,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from oracles import enumerate_bfs, product_tables_loop
+from oracles import enumerate_bfs, product_tables_loop, transpose_bits_unpacked
 from weakorder.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -163,9 +164,26 @@ def test_root_set_codec_round_trips(name):
     rows = _unpack_words(words, n)
     assert rows.tolist() == [[bool(bits >> r & 1) for r in range(n)] for bits in sets]
     assert np.array_equal(_pack_words(rows), words)
+    # a strided view packs the same (its packed rows are strided too)
+    assert np.array_equal(_pack_words(np.asfortranarray(rows)), words)
     assert np.array_equal(transpose_bits(transpose_bits(words, n), len(sets)), words)
     for bits, row in zip(sets, rows):
         assert RootSubset(system.table, bits).indices() == tuple(np.flatnonzero(row))
+
+
+@pytest.mark.parametrize("n_bits", [1, 24, 60, 64, 65, 130])
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 4096, 5000])
+def test_transpose_bits_matches_the_unpacked_transpose(rows, n_bits):
+    rng = np.random.default_rng(rows * 1000 + n_bits)
+    # every bit random, those past n_bits included: the transpose ignores them
+    words = rng.integers(0, 1 << 64, size=(rows, -(-n_bits // 64)), dtype=np.uint64)
+    columns = transpose_bits(words, n_bits)
+    assert columns.dtype == np.uint64 and columns.shape == (n_bits, -(-rows // 64))
+    assert np.array_equal(columns, transpose_bits_unpacked(words, n_bits))
+    back = transpose_bits(columns, rows)
+    assert np.array_equal(back, transpose_bits_unpacked(columns, rows))
+    kept = _unpack_words(words, n_bits)
+    assert np.array_equal(_unpack_words(back, n_bits), kept)
 
 
 @pytest.mark.parametrize("name", TYPES + ["H4"])

@@ -10,6 +10,7 @@ oracles.py.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,61 +218,93 @@ def test_report_names_matrix_builds():
     assert report.type.startswith("matrix")
 
 
-def test_failure_records_sorted_and_truncated(monkeypatch):
-    system = build_system("A3")
-    n = system.size
-    words = _inv_words(system)
-    unions = np.unique(words[:, None] | words[None, :])  # pretend every union failed
-    rhs = words[np.zeros(unions.size, dtype=np.int32)]
-    lengths = system.lengths
+# one type per key width the dedupe sorts in
+KEY_WIDTHS = {"A3": np.uint8, "H3": np.uint16, "F4": np.uint32, "I2(64)": np.uint64}
 
+
+def _block_cells(blocks, n):
+    """The pairs of each block as cells u * n + v, block after block."""
+    cells = []
+    for us, vs, keep in blocks:
+        grid = np.add(*np.broadcast_arrays(us * n, vs))
+        cells.append(grid.ravel() if keep is None else grid[keep])
+    return np.concatenate(cells)
+
+
+def test_failure_records_sorted_and_truncated(monkeypatch):
     def key(rec):
         def ln(text):
             return 0 if text == "e" else len(text.split())
 
         return (ln(rec["u"]), ln(rec["v"]))
 
-    # one block of all 576 pairs, then blocks of 2 rows (48 pairs) whose
-    # kept records are merged block by block
-    results = []
-    for cells in (1 << 20, 2 * n):
-        monkeypatch.setattr(vf, "_PAIR_BLOCK_CELLS", cells)
-        blocks = vf._pair_blocks(n, None, ordered=True)
-        count, records = vf._failure_records(system, blocks, unions, rhs, rhs)
-        assert count == n * n
-        assert len(records) == vf.MAX_RECORDED_FAILURES
-        assert records[0]["u"] == "e" and records[0]["v"] == "e"
-        # sorted by (len(u), len(v)) first: the identity row comes before any
-        # pair with a longer u, and within the row v lengths ascend
-        keys = [key(r) for r in records]
-        assert keys == sorted(keys)
-        assert all("reachable_left" in r and "reachable_right" in r for r in records)
-        blocks = vf._pair_blocks(n, None, ordered=True)
-        _, only_h = vf._failure_records(system, blocks, unions, rhs, None)
-        assert all("reachable_right" not in r for r in only_h)
-        assert all("reachable_left" in r for r in only_h)
-        results.append(records)
-    assert results[0] == results[1]
-    assert len(lengths) == n
+    for name, width in KEY_WIDTHS.items():
+        system = build_system(name)
+        n = system.size
+        words = vf._union_keys(system)
+        assert words.dtype == width
+        unions = np.unique(words[:, None] | words[None, :])  # pretend every union failed
+        rhs = _inv_words(system)[np.zeros(unions.size, dtype=np.int32)]
+        # blocks of up to 2^20 pairs (one block but on F4), then blocks of 2
+        # rows whose kept records are merged block by block
+        results = []
+        for cells in (1 << 20, 2 * n):
+            monkeypatch.setattr(vf, "_PAIR_BLOCK_CELLS", cells)
+            blocks = vf._pair_blocks(n, None, ordered=True)
+            count, records = vf._failure_records(system, blocks, unions, rhs, rhs)
+            assert count == n * n
+            assert len(records) == vf.MAX_RECORDED_FAILURES
+            assert records[0]["u"] == "e" and records[0]["v"] == "e"
+            # sorted by (len(u), len(v)) first: the identity row comes before
+            # any pair with a longer u, and within the row v lengths ascend
+            keys = [key(r) for r in records]
+            assert keys == sorted(keys)
+            assert all("reachable_left" in r and "reachable_right" in r for r in records)
+            blocks = vf._pair_blocks(n, None, ordered=True)
+            _, only_h = vf._failure_records(system, blocks, unions, rhs, None)
+            assert all("reachable_right" not in r for r in only_h)
+            assert all("reachable_left" in r for r in only_h)
+            results.append(records)
+        assert results[0] == results[1], name
+        assert len(system.lengths) == n
 
 
-@pytest.mark.parametrize("name", ["A3", "H3", "I2(64)"])
+@pytest.mark.parametrize("name", KEY_WIDTHS)
 def test_streamed_dedupe_matches_one_unique_over_all_pairs(monkeypatch, name):
     system = build_system(name)
     n = system.size
-    words = _inv_words(system)
+    words = vf._union_keys(system)
+    width = KEY_WIDTHS[name]
+    assert words.dtype == width and np.array_equal(words, _inv_words(system))
     monkeypatch.setattr(vf, "_PAIR_BLOCK_CELLS", 3 * n)
     half = list(vf._pair_blocks(n, None, ordered=False))
     ordered = list(vf._pair_blocks(n, None, ordered=True))
     assert len(half) > 3 and len(ordered) > 3
     # the half holds each pair u <= v once, the ordered blocks each pair once
-    cells = np.concatenate([us * n + vs for us, vs in half])
+    # and in order
     upper = np.triu_indices(n)
-    assert np.array_equal(np.sort(cells), upper[0] * n + upper[1])
-    cells = np.concatenate([us * n + vs for us, vs in ordered])
-    assert np.array_equal(cells, np.arange(n * n))
+    assert np.array_equal(np.sort(_block_cells(half, n)), upper[0] * n + upper[1])
+    assert np.array_equal(_block_cells(ordered, n), np.arange(n * n))
     streamed = vf._distinct_unions(words, iter(half))
-    assert np.array_equal(streamed, np.unique(words[:, None] | words[None, :]))
+    assert streamed.dtype == width
+    wide = _inv_words(system)
+    assert np.array_equal(streamed, np.unique(wide[:, None] | wide[None, :]))
+
+
+@pytest.mark.parametrize("name", ["F4", "D5"])
+def test_exhaustive_sweep_memory_stays_small(name):
+    # per-pair id arrays would be 4 MB a block of 262,144 pairs, with as
+    # much again for their gathered unions; the broadcast grid needs neither
+    system = build_system(name)
+    system.numpy_tables()
+    tracemalloc.start()
+    try:
+        report = sweep(system, "EQ", workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.pairs_checked == system.size**2
+    assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 # -- fault injection on real groups: counts and records against the old method ----------
