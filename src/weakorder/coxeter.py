@@ -12,14 +12,14 @@ product, and only the simple reflections are computed from coordinates.
 Group elements are enumerated breadth-first and keyed canonically by their
 inversion sets, each packed once in the root-set codec's words.
 
-The element model is permutation-based: enumeration reads each element w
-as the signed action of w^{-1} on the positive-root indices, from which
-inversion sets, lengths and the root-to-reflection dictionary phi follow
-without further vector arithmetic.  Enumeration and the product tables are
-array code over whole length levels: a level's products by the simple
-generators are one gather over these signed actions, and its products by
-reflections are one gather per side in the generator table, from the
-products of each element's breadth-first parent.
+The element model is permutation-based: enumeration holds each element w
+of the level being extended as the signed action of w on the positive-root
+indices, from which the length and inversion set of each product w * s_i
+follow by one root flip, without further vector arithmetic; the
+root-to-reflection dictionary phi reads the signs of the reflection table.
+Enumeration and the product tables are array code over whole length
+levels: a level's products by reflections are one take per side in the
+generator table, from the products of each element's breadth-first parent.
 
 For the closure predicates the root table also keeps the cone of every
 pair of positive roots as a packed bit-set, built on first use: exact
@@ -44,7 +44,6 @@ DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
 _JOIN_BLOCK_CELLS = 1 << 20  # (union, element) cells per block of the subset test
 _REACH_TILE_BYTES = 1 << 20  # reach array bytes per column tile, to stay in L2 cache
-_ENUM_BLOCK_CELLS = 1 << 22  # (element, generator, root) cells per enumeration gather
 
 
 class CoxeterError(Exception):
@@ -204,7 +203,10 @@ def bits_to_words(bits: int, n_words: int) -> np.ndarray:
 
 def words_to_bits(words: np.ndarray) -> list[int]:
     """Each row of a 2-D uint64 word array as a Python int bit-set."""
-    return [int.from_bytes(row, "little") for row in _word_keys(words).tolist()]
+    keys = _word_keys(words)
+    if keys.dtype == np.uint64:
+        return keys.tolist()
+    return [int.from_bytes(row, "little") for row in keys.tolist()]
 
 
 _BYTE_COUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -217,12 +219,16 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 
 def _word_keys(words: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D uint64 word array as one void scalar, a view.
+    """Each row of a 2-D uint64 word array as one sortable key, a view.
 
-    Equal rows give equal keys and keys compare bytewise, so np.unique and
-    np.searchsorted work on them whatever the number of words.
+    A row of one word (at most 64 roots) is its own uint64 key; wider rows
+    are one void scalar each, which compares bytewise.  Equal rows give
+    equal keys, so np.unique and np.searchsorted work on them whatever the
+    number of words; the order of the keys is not the order of the sets.
     """
     rows = np.ascontiguousarray(words, dtype="<u8")
+    if rows.shape[1] == 1:
+        return rows[:, 0].view(np.uint64)
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
@@ -645,6 +651,32 @@ class NonUniqueMinimal(CoxeterError):
     """The minimal upper bounds are not unique, so the join does not exist."""
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """np.concatenate of a list of arrays that empties the list, so that its
+    parts are freed before the next list is joined (E7: 78 MB less peak)."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
+def _times_simple(
+    tau: np.ndarray, rows: np.ndarray, gens: np.ndarray, perm: np.ndarray
+) -> np.ndarray:
+    """Signed actions tau[rows[j]] o s_{gens[j]} on the positive root indices.
+
+    perm[g] holds the 0-based root index of s_g(beta_v) for each v; the
+    simple row negates root g and no other.  Per generator, one take of
+    the rows, one take of the columns and the sign of column g.
+    """
+    out = np.empty((rows.size, tau.shape[1]), dtype=tau.dtype)
+    for g in range(perm.shape[0]):
+        at = np.flatnonzero(gens == g)
+        block = tau.take(rows[at], axis=0).take(perm[g], axis=1)
+        block[:, g] *= -1
+        out[at] = block
+    return out
+
+
 def _match(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per key: a position in the sorted table, and whether the key is there."""
     pos = np.minimum(np.searchsorted(table, keys), table.size - 1)
@@ -671,7 +703,8 @@ class _NumpyTables:
     time from column e = refl_ids: every other x is p * s_g with its parent
     p one level up, so t * x = (t * p) * s_g and x * t = (p * t') * s_g with
     t' = s_g t s_g, the reflection through s_g(beta_t).  A level is one
-    gather per side in the generator table _right_by_gen.
+    flat take per side from the generator table _right_by_gen, raveled so
+    that x * s_g sits at x * rank + g.
 
     Elements are numbered in enumeration order, along which length never
     decreases, so each length level is a contiguous range of ids: level k
@@ -701,19 +734,21 @@ class _NumpyTables:
             raise CoxeterError("an element's parent is not one length level up")
         if (_popcount(self.inv_words) != self.lengths).any():
             raise CoxeterError("an inversion set's size is not its element's length")
-        by_gen = system._right_by_gen
+        rank = system.graph.rank
+        by_gen = system._right_by_gen.ravel()  # x * s_g at x * rank + g
         # conj[t, g]: the root of s_g t s_g, the reflection through s_g(beta_t)
-        conj = np.abs(np.array(system.table.act[:system.graph.rank])).T - 1
+        conj = np.abs(np.array(system.table.act[:rank])).T - 1
         left = np.empty((n_roots, size), dtype=np.int32)
         right = np.empty((n_roots, size), dtype=np.int32)
         left[:, 0] = right[:, 0] = self.refl_ids
         self.bounds = bounds = np.searchsorted(
             self.lengths, np.arange(int(self.lengths[-1]) + 2)
         )
+        flat_right = right.ravel()  # right[t, x] at t * size + x
         for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
             p, g = parent[lo:hi], gen[lo:hi]
-            left[:, lo:hi] = by_gen[left[:, p], g]
-            right[:, lo:hi] = by_gen[right[conj[:, g], p], g]
+            left[:, lo:hi] = by_gen.take(left.take(p, axis=1) * rank + g)
+            right[:, lo:hi] = by_gen.take(flat_right.take(conj[:, g] * size + p) * rank + g)
         self.left = left
         self.right = right
         self._build_programs()
@@ -962,98 +997,116 @@ class CoxeterSystem:
         self.table = table
         self.graph = table.graph
         self._words: list[tuple[int, ...]] | None = None
+        self._inv_bits: list[int] | None = None
         self._enumerate(element_cap)
         self._np_tables: _NumpyTables | None = None
 
     def _enumerate(self, element_cap: int) -> None:
         """Breadth-first enumeration, one length level at a time.
 
-        An element x of the level being extended is held as sigma_x, the
-        signed action of x^-1 on the positive root indices (1-based,
-        negative for a negative image), with its inversion set
-        {v : sigma_x(v) < 0}; a level's sigmas are dropped once the next
-        level is built.  For a level of length k, every x * s_i has
-        sigma = s_i o sigma_x, computed in one gather.  Products of length
-        k + 1 are the next level, numbered by first occurrence in (x, i)
-        order; products of length k - 1 are looked up in the level before.
-        Ids, words and _right_by_gen are those of a FIFO breadth-first
-        search over x * s_i in the same order; each new element records
-        its parent x and letter i + 1, from which words are spelled out on
-        first use and the product tables are built.
+        Each simple row of act must be an involution that negates its own
+        root and no other, which is checked first.  An element x of the
+        level being extended is held as tau_x, the signed action of x on
+        the positive root indices (1-based, negative for a negative image),
+        beside its inversion set Phi_x = {beta > 0 : x^-1(beta) < 0} in the
+        codec's words; a level's tau is dropped once the next level is
+        built.  x * s_i is longer than x exactly when tau_x(alpha_i) > 0,
+        and its inversion set is Phi_x with the one root |tau_x(alpha_i)|
+        flipped (Humphreys, Reflection Groups and Coxeter Groups, 1990,
+        5.4-5.6): a level's products are the first n columns of its tau and
+        one XOR per longer product.  The longer products are the next
+        level, numbered by first occurrence in (x, i) order.
+        The shorter ones need no lookup: x * s_i = y one level down exactly
+        when y * s_i = x one level up, so they are the longer products of
+        the level before, scattered back.  tau is made for the new elements
+        only, as tau_{x s_i} = tau_x o s_i (_times_simple).  Ids, words and
+        _right_by_gen are those of a FIFO breadth-first search over x * s_i
+        in the same order; each new element records its parent x and letter
+        i + 1, from which words are spelled out on first use and the
+        product tables are built.
 
-        Each inversion set is packed once: inv_words, whose void views are
-        the sorted lookup keys and from which inv_bits is spelled out.
+        With valid simple rows every product is one level up or down, so
+        no word can fail to be reduced and nothing checks for it.  Valid
+        simple rows can still generate a group that is not the table's (a
+        row that fixes a root its reflection moves); then some shorter
+        product is the product of no element of the level before, or of
+        two, and CoxeterError is raised.  The other rows of act are read
+        for the reflections only: a row whose negated roots are no
+        element's inversion set, or are even in number, raises
+        CoxeterError, and so does a group with no element that inverts
+        every root.
+
+        Each inversion set is packed once, in inv_words; its _word_keys
+        (the word itself up to 64 roots) are the sorted lookup keys, and
+        inv_bits is spelled out from it on first read.
         """
         n = self.graph.rank
         n_roots = self.table.n_roots
         act = np.array(self.table.act, dtype=np.intp)
-        dtype = np.min_scalar_type(-n_roots - 1)  # holds +-n_roots
-        # images[i, n_roots + s] = s_i(s) for a signed root index s
-        images = np.zeros((n, 2 * n_roots + 1), dtype=dtype)
-        images[:, n_roots + 1:] = act[:n]
-        images[:, :n_roots] = -act[:n, ::-1]
-        offsets = (np.arange(n) * images.shape[1] + n_roots)[:, None]
-        rows = max(1, _ENUM_BLOCK_CELLS // (n * n_roots))
-
-        level = np.arange(1, n_roots + 1, dtype=dtype)[None, :]
-        by_gen = []
-        inv_words = [np.zeros((1, -(-n_roots // 64)), dtype=np.uint64)]
+        simple = act[:n]
+        perm = np.abs(simple) - 1
+        if (
+            (perm < 0).any()
+            or (perm >= n_roots).any()
+            or ((simple < 0) != np.eye(n, n_roots, dtype=bool)).any()
+            or (_compose(simple, simple) != np.arange(1, n_roots + 1)).any()
+        ):
+            raise CoxeterError(
+                "a simple reflection must be an involution that negates its "
+                "own root and no other: the root table is inconsistent"
+            )
+        level = np.arange(1, n_roots + 1, dtype=np.min_scalar_type(-n_roots - 1))[None]
+        flips = _pack_words(np.eye(n_roots, dtype=bool))  # row r is the set {r}
+        words = np.zeros((1, flips.shape[1]), dtype=np.uint64)
+        by_gen, inv_words = [], [words]
         parents, letters = [np.zeros(1, dtype=np.int32)], [np.zeros(1, dtype=np.int32)]
         self.lengths: list[int] = [0]
-        below = None  # sorted keys and ids of the level before
-        keys, ids = _word_keys(inv_words[0]), np.zeros(1, dtype=np.intp)
+        back = back_ids = np.zeros(0, dtype=np.intp)  # the level before's products
         start = 0
         for k in range(n_roots + 1):  # lengths run from 0 to n_roots
             m = level.shape[0]
-            length, found = [], []
-            for lo in range(0, m, rows):
-                negative = images.take(level[lo:lo + rows, None, :] + offsets) < 0
-                negative = negative.reshape(-1, n_roots)
-                length.append(np.count_nonzero(negative, axis=1))
-                found.append(_pack_words(negative))
-            length, found = np.concatenate(length), np.concatenate(found)
-            found_keys = _word_keys(found)
-            up = length == k + 1
-            down = length == k - 1
-            if not (up | down).all():
-                raise CoxeterError(
-                    "breadth-first word is not reduced: the root table "
-                    "is inconsistent"
-                )
+            images = level[:, :n].ravel()  # tau_x(alpha_i) in (x, i) order
+            down = images < 0
+            # y * s_i = x one level up is x * s_i = y one level down: each
+            # shorter product is written once, by the level before
             product = np.empty(m * n, dtype=np.int32)
-            if down.any():
-                product[down] = _find(
-                    *below, found_keys[down],
+            product[back] = back_ids
+            if (np.bincount(back, minlength=m * n) != down).any():
+                raise CoxeterError(
                     "a shorter product is not in the level before: the root "
-                    "table is inconsistent",
+                    "table is inconsistent"
                 )
-            fresh, first, slot = np.unique(
-                found_keys[up], return_index=True, return_inverse=True
+            by_gen.append(product.reshape(m, n))
+            ups = np.flatnonzero(~down)
+            if not ups.size:
+                break
+            x, gen = np.divmod(ups, n)
+            found = words.take(x, axis=0) ^ flips.take(images[ups] - 1, axis=0)
+            _, first, slot = np.unique(
+                _word_keys(found), return_index=True, return_inverse=True
             )
             size = start + m
-            if size + fresh.size > element_cap:
+            if size + first.size > element_cap:
                 raise FinitenessExceeded(f"more than {element_cap} group elements")
             order = np.argsort(first)
             rank = np.empty_like(order)
             rank[order] = np.arange(order.size)
-            product[up] = size + rank[slot]
-            by_gen.append(product.reshape(m, n))
-            if not fresh.size:
-                break
-            new = np.flatnonzero(up)[first[order]]
-            parent, gen = np.divmod(new, n)
-            level = images.take(level[parent] + offsets[gen])
-            inv_words.append(found[new])
+            number = rank[slot]  # the new elements, numbered by first occurrence
+            product[ups] = size + number
+            back, back_ids = number * n + gen, start + x
+            new = first[order]
+            parent, gen = x[new], gen[new]
+            level = _times_simple(level, parent, gen, perm)
+            words = found[new]
+            inv_words.append(words)
             parents.append((start + parent).astype(np.int32))
             letters.append((gen + 1).astype(np.int32))
-            self.lengths.extend([k + 1] * fresh.size)
-            below, keys, ids = (keys, ids), fresh, size + rank
+            self.lengths.extend([k + 1] * new.size)
             start = size
-        self._parent, self._letter = np.concatenate(parents), np.concatenate(letters)
-        self._right_by_gen = np.concatenate(by_gen)
-        self.inv_words = np.concatenate(inv_words)
-        self.inv_bits = words_to_bits(self.inv_words)
-        self.size = len(self.inv_bits)
+        self._parent, self._letter = _joined(parents), _joined(letters)
+        self._right_by_gen = _joined(by_gen)
+        self.inv_words = _joined(inv_words)
+        self.size = self.inv_words.shape[0]
         keys = _word_keys(self.inv_words)
         self._by_key = np.argsort(keys)
         self._sorted_keys = keys[self._by_key]
@@ -1062,7 +1115,8 @@ class CoxeterSystem:
             "a reflection is not an element of the group: the root table "
             "is inconsistent",
         )
-        if (np.array(self.lengths)[refl] % 2 != 1).any():
+        # a reflection's length is the number of roots its row negates
+        if (np.count_nonzero(act < 0, axis=1) % 2 != 1).any():
             raise CoxeterError("a reflection must have odd length")
         self.refl_ids = refl.astype(np.int32)
         full = bits_to_words((1 << n_roots) - 1, self.inv_words.shape[1])[None]
@@ -1076,6 +1130,16 @@ class CoxeterSystem:
         return _find(self._sorted_keys, self._by_key, _word_keys(words), what)
 
     # -- basic access -------------------------------------------------------
+
+    @property
+    def inv_bits(self) -> list[int]:
+        """Every element's inversion set as a Python int bit-set, by id.
+
+        Spelled out from inv_words on first read and kept; no sweep reads it.
+        """
+        if self._inv_bits is None:
+            self._inv_bits = words_to_bits(self.inv_words)
+        return self._inv_bits
 
     @property
     def words(self) -> list[tuple[int, ...]]:

@@ -327,25 +327,33 @@ def _failure_records(
     conjecture does not read).  Pairs are counted over all blocks; each
     block keeps only the first MAX_RECORDED_FAILURES failing pairs in
     (len u, len v, u, v) order, and recovers (u, v) for its failing cells
-    alone, so memory stays bounded when every pair fails.  The joins are
-    computed for the recorded pairs only.
+    alone, so memory stays bounded when every pair fails.  That order is
+    the order of one int64 key per pair, ((len u * (n_roots + 1) + len v)
+    * |W| + u) * |W| + v, exact below 4.6e7 elements: a block's first
+    pairs are one partition of its keys, and only the kept ones are
+    sorted.  The joins are computed for the recorded pairs only.
     """
     npt = system.numpy_tables()
     words = _union_keys(system)
+    n = np.int64(system.size)
+    span = np.int64(system.table.n_roots + 1)
+    lengths = npt.lengths.astype(np.int64)
     count = 0
-    top_u = top_v = np.zeros(0, dtype=np.intp)
+    top = np.zeros(0, dtype=np.int64)  # the record keys kept so far
     for us, vs, _ in blocks:
         unions = words[us] | words[vs]
         at = np.minimum(np.searchsorted(failing, unions), failing.size - 1)
         hit = failing[at] == unions
         count += int(np.count_nonzero(hit))
         cells = np.nonzero(hit)
-        cand_u = np.concatenate([top_u, np.broadcast_to(us, hit.shape)[cells]])
-        cand_v = np.concatenate([top_v, np.broadcast_to(vs, hit.shape)[cells]])
-        lengths_u, lengths_v = npt.lengths[cand_u], npt.lengths[cand_v]
-        order = np.lexsort((cand_v, cand_u, lengths_v, lengths_u))
-        order = order[:MAX_RECORDED_FAILURES]
-        top_u, top_v = cand_u[order], cand_v[order]
+        u = np.broadcast_to(us, hit.shape)[cells]
+        v = np.broadcast_to(vs, hit.shape)[cells]
+        keys = np.concatenate([top, ((lengths[u] * span + lengths[v]) * n + u) * n + v])
+        if keys.size > MAX_RECORDED_FAILURES:
+            keys = np.partition(keys, MAX_RECORDED_FAILURES - 1)
+        top = keys[:MAX_RECORDED_FAILURES]
+    top.sort()
+    top_u, top_v = top // n % n, top % n
     k = np.searchsorted(failing, words[top_u] | words[top_v])
     joins = _joins_for_chunk(system, failing[k, None].astype(np.uint64))
     lhs = npt.inv_words[joins, 0]

@@ -202,9 +202,30 @@ def test_left_and_right_reflection_products_are_involutions():
 
 
 def test_enumeration_rejects_an_inconsistent_root_table():
+    # s1 acts as the length-3 reflection, which negates every root; a valid
+    # simple row keeps every product one level up or down, so this is caught
+    # by the simple rows' own check before any word could fail to be reduced
     table = generate_positive_roots(CoxeterGraph.from_name("A2"))
-    table.act = (table.act[2],) + table.act[1:]  # s1 acts as the length-3 reflection
-    with pytest.raises(CoxeterError, match="not reduced"):
+    table.act = (table.act[2],) + table.act[1:]
+    with pytest.raises(CoxeterError, match="negates its own root and no other"):
+        CoxeterSystem(table)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (-1, 4, 2),  # A2 has three roots
+        (-1, 0, 2),  # no root 0
+        (-1, 3, 3),  # not a permutation
+        (-1, 2, 2),  # not a permutation
+        (-1, -3, -2),  # negates other roots
+        (1, 3, 2),  # keeps its own root
+    ],
+)
+def test_enumeration_rejects_a_simple_row_that_is_no_simple_reflection(row):
+    table = generate_positive_roots(CoxeterGraph.from_name("A2"))
+    table.act = (row,) + table.act[1:]
+    with pytest.raises(CoxeterError, match="negates its own root and no other"):
         CoxeterSystem(table)
 
 

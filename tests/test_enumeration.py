@@ -7,6 +7,7 @@ bit-matrix transpose against the unpacked one in oracles.py.
 """
 
 import json
+import math
 from functools import lru_cache
 from random import Random
 
@@ -22,14 +23,18 @@ from weakorder.coxeter import (
     RootSubset,
     _pack_words,
     _unpack_words,
+    _word_keys,
     bits_to_words,
     build_system,
     generate_positive_roots,
     transpose_bits,
     words_to_bits,
 )
+from weakorder.verify import sweep
 
-TYPES = ["A3", "B3", "H3", "I2(7)", "I2(65)", "D4", "F4", "D5"]
+# I2(64) has the widest inversion sets that are one uint64 key, I2(65) the
+# narrowest that are void keys of two words
+TYPES = ["A3", "B3", "H3", "I2(7)", "I2(64)", "I2(65)", "D4", "F4", "D5"]
 
 
 # the oracle tables for H4 take about 14 s, so H4 compares enumeration here
@@ -52,6 +57,35 @@ def test_enumeration_and_tables_match_oracles(name, tables):
         npt = system.numpy_tables()
         assert npt.left.dtype == left.dtype and np.array_equal(npt.left, left)
         assert npt.right.dtype == right.dtype and np.array_equal(npt.right, right)
+
+
+# the degrees of the basic invariants (Humphreys 1990, 3.7): the number of
+# elements of length k is the coefficient of q^k in prod_i (1 + q + ... + q^(d_i - 1))
+DEGREES = {
+    "A3": (2, 3, 4), "B3": (2, 4, 6), "H3": (2, 6, 10), "I2(65)": (2, 65),
+    "A4": (2, 3, 4, 5), "B4": (2, 4, 6, 8), "D4": (2, 4, 4, 6), "F4": (2, 6, 8, 12),
+    "D5": (2, 4, 5, 6, 8), "H4": (2, 12, 20, 30), "E6": (2, 5, 6, 8, 9, 12),
+}
+
+
+@pytest.mark.parametrize("name", DEGREES)
+def test_level_sizes_are_the_poincare_polynomial(name):
+    poincare = np.ones(1, dtype=np.int64)
+    for d in DEGREES[name]:
+        poincare = np.convolve(poincare, np.ones(d, dtype=np.int64))
+    system = _system(name)
+    assert np.bincount(system.lengths).tolist() == poincare.tolist()
+    assert system.size == math.prod(DEGREES[name])
+
+
+def test_inversion_bits_are_spelled_out_only_on_first_read():
+    system = build_system("F4")
+    system.numpy_tables()
+    assert sweep(system, "EQ").ok
+    assert system._inv_bits is None
+    bits = system.inv_bits
+    assert bits == words_to_bits(system.inv_words)
+    assert system.inv_bits is bits
 
 
 def test_h4_tables_match_the_oracle_on_sampled_columns():
@@ -91,20 +125,34 @@ def _a2_with_simple_rows(first, second):
     return table
 
 
+SIMPLE_ROW_CHECK = "negates its own root and no other"
+
+
 def test_enumeration_rejects_a_shorter_product_missing_from_the_level_before():
-    # s1 negates alpha1 + alpha2 and s2 swaps it with alpha2: consistent up to
-    # length 2, then s2 * (s1 s2 s1) has the inversion set {alpha2}, which is
-    # not one of the length-1 elements
+    # s1 negates alpha1 + alpha2, not alpha1: no simple reflection
     table = _a2_with_simple_rows((1, 2, -3), (-1, 3, 2))
+    with pytest.raises(CoxeterError, match=SIMPLE_ROW_CHECK):
+        CoxeterSystem(table)
+    # s1 is A2's and s2 a valid simple row, but it fixes alpha1 and
+    # alpha1 + alpha2: s1 s2 has the inversion set {alpha1, alpha1 + alpha2},
+    # and its product by s1 goes down, to {alpha1 + alpha2}, which is no
+    # product of the level before by s1
+    s1 = generate_positive_roots(CoxeterGraph.from_name("A2")).act[0]
+    table = _a2_with_simple_rows(s1, (1, -2, 3))
     with pytest.raises(CoxeterError, match="not in the level before"):
         CoxeterSystem(table)
 
 
 def test_enumeration_rejects_a_reflection_outside_the_group():
-    # both generators negate alpha1 + alpha2 only, so the group is {e, s}
-    # and the reflection through alpha1 + alpha2 (inversion set: every root)
-    # is not in it
+    # both generators negate alpha1 + alpha2 only, which is no simple row
     table = _a2_with_simple_rows((1, 2, -3), (1, 2, -3))
+    with pytest.raises(CoxeterError, match=SIMPLE_ROW_CHECK):
+        CoxeterSystem(table)
+    # A2's simple rows, and a reflection through alpha1 + alpha2 that negates
+    # {alpha1, alpha2}, which is no inversion set: the group is whole, but
+    # the reflection is not in it
+    table = generate_positive_roots(CoxeterGraph.from_name("A2"))
+    table.act = table.act[:2] + ((-1, -2, 3),)
     with pytest.raises(CoxeterError, match="reflection is not an element"):
         CoxeterSystem(table)
 
@@ -167,6 +215,11 @@ def test_root_set_codec_round_trips(name):
     # a strided view packs the same (its packed rows are strided too)
     assert np.array_equal(_pack_words(np.asfortranarray(rows)), words)
     assert np.array_equal(transpose_bits(transpose_bits(words, n), len(sets)), words)
+    # up to 64 roots a set is its own uint64 lookup key, past that a void key
+    keys = _word_keys(words)
+    assert keys.dtype == (np.uint64 if n_words == 1 else np.dtype((np.void, 8 * n_words)))
+    assert system._sorted_keys.dtype == keys.dtype
+    assert (keys[:, None] == keys[None, :]).tolist() == [[a == b for b in sets] for a in sets]
     for bits, row in zip(sets, rows):
         assert RootSubset(system.table, bits).indices() == tuple(np.flatnonzero(row))
 
