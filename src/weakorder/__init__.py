@@ -45,8 +45,6 @@ from .verify import (
     workers_from_env,
 )
 from .weak_order import (
-    NonUniqueMinimal,
-    NoUpperBound,
     OracleTooLarge,
     conjectural_join_D,
     enumerate_biclosed,
@@ -69,8 +67,6 @@ __all__ = [
     "GroupElement",
     "HVerdict",
     "MinimalPolynomial",
-    "NonUniqueMinimal",
-    "NoUpperBound",
     "NotAReflection",
     "OracleTooLarge",
     "Root",

@@ -21,7 +21,7 @@ Enumeration and the product tables are array code over whole length
 levels: a level's products by reflections are one take per side in the
 generator table, from the products of each element's breadth-first parent.
 
-For the closure predicates the root table also keeps the cone of every
+For closure and the join the root table also keeps the cone of every
 pair of positive roots as a packed bit-set, built on first use: exact
 integer array code for the cones of the simple roots, conjugation for the
 rest.
@@ -42,7 +42,7 @@ from .scalar import AlgebraicScalar, build_ring, embed_cos
 DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
-_JOIN_BLOCK_CELLS = 1 << 20  # (union, element) cells per block of the subset test
+_CERTIFY_ROWS = 1 << 16  # inversion sets per round of the join's certification
 _REACH_TILE_BYTES = 1 << 20  # reach array bytes per column tile, to stay in L2 cache
 
 
@@ -243,11 +243,12 @@ def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     result is (n_bits, ceil(rows / 64)) uint64 whose row c has bit r set
     exactly when row r of the input has bit c set.
 
-    A matrix of up to _BOOL_TRANSPOSE_BITS bits (one union, or the routes
-    of one) is unpacked to a bool a bit, transposed as a view and packed,
-    which takes the fewest array calls.  A larger one moves bytes before
-    bits: the ceil(n_bits / 8) bytes that hold the bits of each row are
-    copied once into a (bytes, rows) matrix, rows padded to whole words,
+    A single row (one union) is its bits, one a word.  Any other matrix of
+    up to _BOOL_TRANSPOSE_BITS bits is unpacked to a bool a bit, transposed
+    as a view and packed, which takes the fewest array calls.  A larger one
+    moves bytes before bits: the ceil(n_bits / 8) bytes that hold the bits
+    of each row are copied once into a (bytes, rows) matrix, rows padded to
+    whole words,
     so bit c is bit c % 8 of byte row c // 8.  Masking each byte row with
     each of its 8 bits gives every column c as one contiguous row of
     bytes, nonzero where the bit is set, and _pack_words packs those rows.
@@ -255,6 +256,8 @@ def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     matrix transposes about ten times faster, a single union 1-2 µs slower.
     """
     rows = words.shape[0]
+    if rows == 1:
+        return _unpack_words(words, n_bits).T.astype(np.uint64)
     if rows * n_bits <= _BOOL_TRANSPOSE_BITS:
         return _pack_words(_unpack_words(words, n_bits).T)
     n_bytes = -(-n_bits // 8)
@@ -317,7 +320,7 @@ class RootTable:
     index, the only geometric data the group model needs; past the simple
     rows, each row is a conjugate s_i s_u s_i of a row one depth level up.
 
-    The closure predicates read the cone table instead: cone_words()[i, j]
+    Closure and the join read the cone table instead: cone_words()[i, j]
     is the set of positive roots a*beta_i + b*beta_j with a, b >= 0, in the
     codec's words, for every pair of roots.  It is built on the first
     cone query (_cone_table), never by the constructor.
@@ -327,6 +330,7 @@ class RootTable:
         self.graph = graph
         self.ring = ring = build_ring(graph.ring_parameter)
         self._cones: np.ndarray | None = None
+        self._cone_triples: tuple[np.ndarray, ...] | None = None
         n, d = graph.rank, ring.degree
         # row block j, column block i: multiplication by 2B_ij = -2cos(pi/m_ij)
         entries = np.array(
@@ -454,6 +458,23 @@ class RootTable:
                 raise ValueError(f"root index {index} out of range")
         return words_to_bits(self.cone_words()[i, j][None])[0]
 
+    def cone_round(self, sets: np.ndarray) -> np.ndarray:
+        """The roots one round of 2-closure adds to (n_roots, w) uint64 sets,
+        64 a word as transpose_bits lays them out: g joins a set that holds
+        two roots i < j with g in their cone.  A set is closed when a round
+        adds nothing.  The triples (i, j, g), g not i or j, are listed by g
+        on the first round, so a round is one gather of sets[i] & sets[j]
+        and one OR per g."""
+        if self._cone_triples is None:
+            self._cone_triples = _cone_triples(self.cone_words(), self.n_roots)
+        first, second, targets, starts = self._cone_triples
+        hits = sets.take(first, axis=0)
+        hits &= sets.take(second, axis=0)
+        hits = np.bitwise_or.reduceat(hits, starts, axis=0)
+        added = np.zeros_like(sets)
+        added[targets] = hits & ~sets.take(targets, axis=0)
+        return added
+
 
 def generate_positive_roots(graph: CoxeterGraph, cap: int = DEFAULT_ROOT_CAP) -> RootTable:
     """Close the simple roots under simple reflections, exactly."""
@@ -498,18 +519,23 @@ def _base_cones(table: RootTable) -> np.ndarray:
     nonzero (so beta_q > 0), or k when beta = alpha_k.  gamma is in the plane
     of alpha_k and beta when gamma_c beta_q - gamma_q beta_c vanishes for
     every c != k; it is then a alpha_k + b beta, b = gamma_q / beta_q >= 0,
-    and in the cone when a beta_q, that form at c = k, is >= 0.
+    and in the cone when a beta_q, that form at c = k, is >= 0.  Only the
+    c < q forms are multiplied out: forms[g, q, c] = -forms[g, c, q].
     """
     ring = table.ring
     x = _narrow(ring, table._coeffs)
-    n_roots, n = x.shape[:2]
+    n_roots, n, d = x.shape
     ks = np.arange(n)
+    lo, hi = np.triu_indices(n, 1)  # the pairs c < q
+    gamma_lo, gamma_hi = x[:, lo, :, None], x[:, hi, :, None]
+    forms = np.zeros((n_roots, n, n, d), dtype=x.dtype)  # [g, c, q]
     planes = []
     for j, nonzero in enumerate((x != 0).any(axis=2)):
         if j >= n and nonzero.sum() < 2:
             raise CoxeterError("distinct positive roots cannot be proportional")
-        products = (ring.times(x[j]) @ x[:, :, None, :, None])[..., 0]
-        forms = products - products.swapaxes(1, 2)  # [g, c, q]
+        times = ring.times(x[j])  # times[q] multiplies by beta_q
+        upper = (times[hi] @ gamma_lo - times[lo] @ gamma_hi)[..., 0]
+        forms[:, lo, hi], forms[:, hi, lo] = upper, -upper
         others = nonzero & (ks[:, None] != ks)
         q = np.where(others.any(axis=1), others.argmax(axis=1), ks)
         zero = ~(forms[:, :, q] != 0).any(axis=3)
@@ -538,6 +564,18 @@ def _cone_table(table: RootTable) -> np.ndarray:
         cone[roots] = _pack_words(np.take_along_axis(rows, perm[:, None], axis=2))
         cone[roots, :n] = cone[:n, roots].swapaxes(0, 1)
     return cone
+
+
+def _cone_triples(cone: np.ndarray, n_roots: int) -> tuple[np.ndarray, ...]:
+    """i, j, the distinct g and their starts, of the (i < j, g) by g with
+    g in cone[i, j] and not i or j."""
+    i, j = np.triu_indices(n_roots, 1)
+    inside = _unpack_words(cone[i, j], n_roots)  # [pair, g]
+    pairs = np.arange(i.size)
+    inside[pairs, i] = inside[pairs, j] = False
+    g, pair = np.nonzero(np.ascontiguousarray(inside.T))
+    targets, starts = np.unique(g, return_index=True)
+    return i[pair], j[pair], targets, starts
 
 
 # -- root subsets ----------------------------------------------------------------
@@ -643,14 +681,6 @@ class GroupElement:
         return f"<{self.word_str()}>"
 
 
-class NoUpperBound(CoxeterError):
-    """No element dominates both arguments (cannot happen in a finite group)."""
-
-
-class NonUniqueMinimal(CoxeterError):
-    """The minimal upper bounds are not unique, so the join does not exist."""
-
-
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
     """np.concatenate of a list of arrays that empties the list, so that its
     parts are freed before the next list is joined (E7: 78 MB less peak)."""
@@ -713,8 +743,8 @@ class _NumpyTables:
     one (k, n_k) block of roots and of predecessors per level k, since an
     element of length k has exactly k such steps on each side; the
     programs are all the reachability kernel reads (_build_programs).  The
-    join kernel reads inv_words from bounds[|A|] on, which needs
-    |Phi_x| = length(x) for every x; the constructor checks it.
+    routes read lengths and the join inversion sets, so the constructor
+    checks that both describe one group: |Phi_x| = length(x) for every x.
     """
 
     def __init__(self, system: "CoxeterSystem"):
@@ -799,12 +829,6 @@ class _NumpyTables:
                 (lo, cut, level_roots[:, :cut - lo], level_preds[:, :cut - lo])
                 for (lo, _, level_roots, level_preds), cut in zip(blocks[:top], cuts[1:])
             ]
-
-    def words(self, bits: int) -> np.ndarray:
-        """One root bit-set as a (1, n_words) batch; ValueError outside the roots."""
-        if not 0 <= bits < 1 << self.n_roots:
-            raise ValueError(f"bits outside the {self.n_roots} positive roots")
-        return bits_to_words(bits, self.n_words)[None, :]
 
 
 def _descent_steps(mul: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -927,67 +951,33 @@ def _reach_tile(blocks: list, labels: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _upper_bounds(
-    tables: _NumpyTables, sets: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each row A of sets: how many x have A inside Phi_x, and the first x.
+def weak_joins(system: "CoxeterSystem", unions: np.ndarray) -> np.ndarray:
+    """Element id of the weak-order join of each union of inversion sets.
 
-    An exact subset test over blocks of element rows; first is -1 when no
-    element contains A.  sizes holds |A| per row, in nondecreasing order.
-    An upper bound x has length |Phi_x| >= |A|, so each run of rows of one
-    size is tested only against the elements from the first of that length
-    on; a batch of one size is one run.
+    unions is (k, n_words) uint64.  In a finite group Phi(u v v) is the
+    2-closure cl(A) of A = Phi_u | Phi_v (Bjorner-Edelman-Ziegler 1990;
+    Hohlweg-Labbe 2016): cone rounds run over the transposed unions until
+    none adds a root, and each closure is looked up among the sorted keys.
+    That is certified: before a system's first join, a round over every
+    inversion set must add nothing.  Then the x found has Phi_x = cl(A),
+    so x is an upper bound, and every upper bound y has a closed Phi_y
+    that holds A, hence cl(A).  Either check failing raises CoxeterError.
     """
-    inv, bounds = tables.inv_words, tables.bounds
-    k, n_words = sets.shape
-    count = np.zeros(k, dtype=np.int64)
-    first = np.full(k, -1, dtype=np.intp)
-    cuts = ((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist()
-    edges = [0, *cuts, k] if k else []
-    for a, b in zip(edges, edges[1:]):
-        rows = max(1, _JOIN_BLOCK_CELLS // (b - a))
-        start = int(bounds[min(int(sizes[a]), bounds.size - 1)])
-        for lo in range(start, inv.shape[0], rows):
-            absent = ~inv[lo:lo + rows]
-            miss = sets[a:b, None, 0] & absent[None, :, 0]
-            for w in range(1, n_words):
-                miss |= sets[a:b, None, w] & absent[None, :, w]
-            upper = miss == 0
-            found = upper.sum(axis=1)
-            fresh = ((first[a:b] < 0) & (found > 0)).nonzero()[0]
-            first[a + fresh] = lo + upper[fresh].argmax(axis=1)
-            count[a:b] += found
-    return count, first
-
-
-def weak_joins(tables: _NumpyTables, unions: np.ndarray) -> np.ndarray:
-    """Element id of the weak-order join for each union of inversion sets.
-
-    unions is (k, n_words) uint64.  x is an upper bound of A when Phi_x
-    contains A, so |Phi_x| >= |A|: the unions are taken in order of size,
-    and each is tested only against elements of length >= |A|.  The first
-    upper bound in enumeration order is the shortest, since length never
-    decreases along that order.  It is the join only if it lies below
-    every other upper bound, i.e. A and Phi_join have the same upper bounds
-    (those of Phi_join are always among those of A), so both are counted;
-    a finite weak order is a lattice and either failure raises.  Distinct
-    joins come out in id order, so their lengths, the sizes of their
-    inversion sets, are already in order.
-    """
-    sizes = _popcount(unions)
-    single = sizes.size == 1  # one union: nothing to sort, one join
-    order = slice(None) if single else sizes.argsort(kind="stable")
-    count, first = _upper_bounds(tables, unions[order], sizes[order])
-    if (first < 0).any():
-        raise NoUpperBound("some union admits no upper bound in a finite group")
-    joins, slot = (first, 0) if single else np.unique(first, return_inverse=True)
-    above_join, _ = _upper_bounds(
-        tables, tables.inv_words[joins], tables.lengths[joins]
-    )
-    if (above_join[slot] != count).any():
-        raise NonUniqueMinimal("minimal upper bound is not unique")
-    first[order] = first.copy()  # back to the order of the unions
-    return first
+    table = system.table
+    if not system._joins_certified:
+        for lo in range(0, system.size, _CERTIFY_ROWS):
+            sets = transpose_bits(system.inv_words[lo:lo + _CERTIFY_ROWS], table.n_roots)
+            if table.cone_round(sets).any():
+                raise CoxeterError(
+                    "an inversion set is not closed: the cone table is inconsistent"
+                )
+        system._joins_certified = True
+    sets = transpose_bits(unions, table.n_roots)
+    while (added := table.cone_round(sets)).any():
+        sets |= added
+    what = ("the closure of a union is no element's inversion set: the cone "
+            "table is inconsistent")
+    return system._ids_of(transpose_bits(sets, unions.shape[0]), what)
 
 
 class CoxeterSystem:
@@ -1000,6 +990,7 @@ class CoxeterSystem:
         self._inv_bits: list[int] | None = None
         self._enumerate(element_cap)
         self._np_tables: _NumpyTables | None = None
+        self._joins_certified = False
 
     def _enumerate(self, element_cap: int) -> None:
         """Breadth-first enumeration, one length level at a time.
@@ -1129,6 +1120,13 @@ class CoxeterSystem:
         """
         return _find(self._sorted_keys, self._by_key, _word_keys(words), what)
 
+    def _set_words(self, bits: int) -> np.ndarray:
+        """One root bit-set as a (1, n_words) batch; ValueError outside the roots."""
+        n_roots = self.table.n_roots
+        if not 0 <= bits < 1 << n_roots:
+            raise ValueError(f"bits outside the {n_roots} positive roots")
+        return bits_to_words(bits, self.inv_words.shape[1])[None, :]
+
     # -- basic access -------------------------------------------------------
 
     @property
@@ -1243,8 +1241,8 @@ class CoxeterSystem:
         vertex (the identity) is marked.  One call of the batched kernel
         with a batch of one.
         """
-        npt = self.numpy_tables()
-        return reach_words(npt, npt.words(label_bits), side)[:, 0] & 1 != 0
+        words = self._set_words(label_bits)
+        return reach_words(self.numpy_tables(), words, side)[:, 0] & 1 != 0
 
     def reach(self, labels: RootSubset, side: str) -> np.ndarray:
         """reachable_ids for a root subset.
@@ -1265,8 +1263,8 @@ class CoxeterSystem:
         """
         if labels.table is not self.table:
             raise ValueError("label subset belongs to a different root table")
-        npt = self.numpy_tables()
-        rows = reflection_reach_words(npt, npt.words(labels.bits), side)
+        words = self._set_words(labels.bits)
+        rows = reflection_reach_words(self.numpy_tables(), words, side)
         return RootSubset(self.table, words_to_bits(transpose_bits(rows, 1))[0])
 
     # -- type-A permutation dictionary ----------------------------------------

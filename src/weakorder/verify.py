@@ -29,12 +29,12 @@ live in `coxeter`.  Reachability runs as a length-level dynamic program
 over all unions in a chunk at once, on uint64 words that each hold 64
 unions, in column tiles whose working set stays in cache; the sweeps read
 only the reflections' rows, so the program runs only over the elements
-below some reflection in Bruhat order (reflection_reach_words).  Joins come
-from an exact integer subset test of A against the packed inversion sets
-of the elements of length >= |A| (the first upper bound in enumeration
-order, then minimality of that one).  "EQ" decides without the join, so
-it runs the join kernel only for the unions of the pairs it records as
-failing.
+below some reflection in Bruhat order (reflection_reach_words).  The join
+of A is the element whose inversion set is the 2-closure cl(A): cone
+rounds over a chunk's unions, then one lookup among the sorted keys
+(weak_joins), never a read of the product tables.  "EQ" decides without
+the join, so it runs the join kernel only for the unions of the pairs it
+records as failing.
 
 Failing pairs are counted and recorded by a second stream, over the
 ordered pairs on the same grid of spans, that runs only when some union
@@ -148,7 +148,7 @@ _POOL_STATE: dict = {}
 
 def _joins_for_chunk(system: CoxeterSystem, unions: np.ndarray) -> np.ndarray:
     """Join element id for each union in the chunk (unions: kc x n_words)."""
-    return weak_joins(system.numpy_tables(), unions)
+    return weak_joins(system, unions)
 
 
 def _reachable_reflection_bits(
@@ -166,7 +166,7 @@ def _process_chunk(span: tuple[int, int]) -> tuple[np.ndarray | None, ...]:
     unions = _POOL_STATE["unions"][span[0]:span[1], None]
     want_join, want_left, want_right = _POOL_STATE["want"]
     lhs = (
-        system.numpy_tables().inv_words[_joins_for_chunk(system, unions), 0]
+        system.inv_words[_joins_for_chunk(system, unions), 0]
         if want_join else None
     )
     rhs_left = (
@@ -356,7 +356,7 @@ def _failure_records(
     top_u, top_v = top // n % n, top % n
     k = np.searchsorted(failing, words[top_u] | words[top_v])
     joins = _joins_for_chunk(system, failing[k, None].astype(np.uint64))
-    lhs = npt.inv_words[joins, 0]
+    lhs = system.inv_words[joins, 0]
     records = []
     for p in range(k.size):
         rec = {
@@ -385,6 +385,11 @@ def sweep(
     conjecture "H" compares join inversion sets with left-product reachable
     reflections, "D" with right-product ones, "HD" with both, and "EQ"
     checks that the two routes give identical verdicts and sets.
+
+    "EQ" and the "D" half of "HD" check the right product table against
+    the left, not the conjecture: x is reached by right products exactly
+    when x^-1 is reached by left ones, and reflections are involutions, so
+    these checks cannot fail on consistent tables.
     """
     if conjecture not in _CONJECTURES:
         raise UsageError(f"conjecture must be one of {_CONJECTURES}")

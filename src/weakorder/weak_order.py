@@ -1,32 +1,30 @@
 """Weak order on a finite Coxeter group via inversion bit-sets.
 
 u <=_R v iff Phi_u is a subset of Phi_v, so order tests are bit-mask tests.
-Joins are computed by brute force as the unique inclusion-minimal upper
-bound; the conjectural route computes the reflections reachable by the
-length-increasing product map tau and compares elsewhere.
+The join u v v is the element whose inversion set is the 2-closure of
+Phi_u | Phi_v (coxeter.weak_joins); the conjectural route computes the
+reflections reachable by the length-increasing product map tau and
+compares elsewhere.
 
 Closure here is the pairwise-cone notion: A is closed when every positive
-root lying in the nonnegative span of two members of A is itself a member.
-Biclosed means A and its complement are both closed; the finite biclosed
-sets are exactly the inversion sets, which `enumerate_biclosed` can verify
-against a brute-force subset enumeration at small rank.  The predicates
-read the root table's cone table (RootTable.cone_words, every pair's cone
-as packed words, built on the first query) and test all pairs of members
-in one gather.
+root lying in the nonnegative span of two members of A is itself a member,
+i.e. when one cone round (RootTable.cone_round), the round the join runs
+to a fixed point, adds nothing.  Biclosed means A and its complement are
+both closed; the finite biclosed sets are exactly the inversion sets,
+which `enumerate_biclosed` can verify against every subset of the roots
+at small rank.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coxeter import (  # the join errors are re-exported from here
+from .coxeter import (
     CoxeterError,
     CoxeterSystem,
     GroupElement,
-    NonUniqueMinimal,
-    NoUpperBound,
     RootSubset,
-    RootTable,
+    _pack_words,
     _unpack_words,
     bits_to_words,
     left_reflection_set,
@@ -43,28 +41,28 @@ class OracleTooLarge(CoxeterError):
 # -- closure predicates -----------------------------------------------------------
 
 
-def _closed_bits(table: RootTable, bits: int) -> bool:
-    """No two members have a root of their cone outside the set.
-
-    One gather of the cone table over the members tests every pair at once.
-    """
-    cones = table.cone_words()
-    words = bits_to_words(bits, cones.shape[2])
-    members = np.flatnonzero(_unpack_words(words[None], table.n_roots)[0])
-    return not (cones[np.ix_(members, members)] & ~words).any()
+def _closed_and_coclosed(subset: RootSubset) -> tuple[bool, bool]:
+    """Whether the set and its complement are closed: one cone round
+    (RootTable.cone_round) over the two as bits 0 and 1 of one column."""
+    table = subset.table
+    words = bits_to_words(subset.bits, -(-table.n_roots // 64))[None]
+    member = _unpack_words(words, table.n_roots)[0]
+    sets = np.where(member, 1, 2).astype(np.uint64)[:, None]
+    added = int(np.bitwise_or.reduce(table.cone_round(sets), axis=0)[0])
+    return not added & 1, not added & 2
 
 
 def is_closed(subset: RootSubset) -> bool:
     """Every nonnegative combination of two members that is a root is a member."""
-    return _closed_bits(subset.table, subset.bits)
+    return _closed_and_coclosed(subset)[0]
 
 
 def is_coclosed(subset: RootSubset) -> bool:
-    return _closed_bits(subset.table, subset.complement().bits)
+    return _closed_and_coclosed(subset)[1]
 
 
 def is_biclosed(subset: RootSubset) -> bool:
-    return is_closed(subset) and is_coclosed(subset)
+    return all(_closed_and_coclosed(subset))
 
 
 def enumerate_biclosed(
@@ -73,8 +71,8 @@ def enumerate_biclosed(
     """All biclosed subsets of the positive roots, sorted by (size, bit-set).
 
     method="fast" reads them off as the inversion sets of the group
-    elements; method="oracle" filters every subset of the positive roots
-    with the closure predicates (capped: 2^n subsets).
+    elements; method="oracle" passes every subset of the positive roots,
+    and every complement, through one cone round (capped: 2^n subsets).
     """
     table = system.table
     if method == "fast":
@@ -85,11 +83,11 @@ def enumerate_biclosed(
             raise OracleTooLarge(
                 f"{n} positive roots exceed the oracle cap of {oracle_cap}"
             )
-        found = [
-            bits for bits in range(1 << n)
-            if _closed_bits(table, bits)
-            and _closed_bits(table, ~bits & ((1 << n) - 1))
-        ]
+        subsets = np.arange(1 << n)  # subset s holds root r when bit r of s is set
+        sets = np.stack([_pack_words(subsets >> r & 1) for r in range(n)])
+        added = table.cone_round(sets) | table.cone_round(~sets)
+        grown = _unpack_words(np.bitwise_or.reduce(added, axis=0)[None], subsets.size)[0]
+        found = np.flatnonzero(~grown).tolist()
     else:
         raise ValueError(f"unknown method {method!r}")
     subsets = [RootSubset(table, bits) for bits in found]
@@ -110,17 +108,16 @@ def leq_weak(u: GroupElement, v: GroupElement) -> bool:
 def join_of_union_bits(system: CoxeterSystem, union_bits: int) -> int:
     """Index of the least element whose inversion set contains the given roots.
 
-    The batched join kernel with a batch of one: the shortest upper bound,
-    checked to lie below every other upper bound; a finite weak order is a
-    lattice, so failure of either step raises NoUpperBound or
-    NonUniqueMinimal.
+    The batched join kernel with a batch of one: the element whose
+    inversion set is the 2-closure of the roots.  It reads the cone table
+    and the sorted keys only, never the product tables.
     """
-    npt = system.numpy_tables()
-    return int(weak_joins(npt, npt.words(union_bits))[0])
+    return int(weak_joins(system, system._set_words(union_bits))[0])
 
 
 def join_bruteforce(u: GroupElement, v: GroupElement) -> GroupElement:
-    """The weak-order join, as the unique inclusion-minimal upper bound."""
+    """The weak-order join u v v: the element whose inversion set is the
+    2-closure of Phi_u | Phi_v, by the batched join kernel."""
     if u.system is not v.system:
         raise ValueError("elements belong to different systems")
     system = u.system

@@ -299,15 +299,20 @@ def test_cap_exceeded_is_construction_error(capsys):
 # so the conjectures that read the join carry this check
 @pytest.mark.parametrize("conjecture", ["H", "D", "HD"])
 def test_broken_inversion_table_is_construction_error(monkeypatch, capsys, conjecture):
+    # the join looks its closures up among the inversion sets: with a1 + a2
+    # gone from cone(a1, a2), {a1, a2} = Phi(s1) | Phi(s2) is its own
+    # closure and no element's inversion set
     system = build_system("A3")
-    npt = system.numpy_tables()
-    npt.inv_words = npt.inv_words.copy()
-    npt.inv_words[system.longest_element.index] = 0  # no element holds every root
+    cones = system.table.cone_words()
+    cones[0, 1, 0] = cones[1, 0, 0] = np.uint64(0b011)
     monkeypatch.setattr(cli, "build_system", lambda *args, **kwargs: system)
     rc, out, err = run(capsys, "verify", "--type", "A3", "--conjecture", conjecture)
     assert rc == EXIT_CONSTRUCTION
     assert out == ""
-    assert err == "construction error: some union admits no upper bound in a finite group\n"
+    assert err == (
+        "construction error: the closure of a union is no element's inversion "
+        "set: the cone table is inconsistent\n"
+    )
 
 
 def test_malformed_matrix_file_is_usage_error(tmp_path, capsys):

@@ -11,8 +11,6 @@ from weakorder.coxeter import (
     CoxeterGraph,
     CoxeterSystem,
     FinitenessExceeded,
-    NonUniqueMinimal,
-    NoUpperBound,
     NotAReflection,
     RootSubset,
     WrongType,
@@ -21,7 +19,7 @@ from weakorder.coxeter import (
     left_reflection_set,
     weak_joins,
 )
-from weakorder.weak_order import join_of_union_bits
+from weakorder.weak_order import join_bruteforce, join_of_union_bits
 
 # root counts and group orders from the classification of finite types
 ROOT_COUNTS = {
@@ -238,7 +236,7 @@ def test_tables_refuse_an_order_that_decreases_length():
 
 
 def test_tables_refuse_an_inversion_set_whose_size_is_not_its_length():
-    # the join kernel skips every element shorter than the union
+    # the routes read lengths and the join reads inversion sets
     system = build_system("A3")
     system.inv_words = system.inv_words.copy()
     system.inv_words[5, 0] ^= np.uint64(1 << 5)
@@ -260,19 +258,32 @@ def test_tables_refuse_an_element_with_the_wrong_number_of_descents():
 
 
 def test_join_kernel_errors_on_a_broken_table():
+    # A3's roots: a1, a2, a3, a2 + a3, a1 + a2, a1 + a2 + a3
     system = build_system("A3")
-    npt = system.numpy_tables()
-    s1 = system.element_from_word([1]).index
-    npt.inv_words = npt.inv_words.copy()
-    npt.inv_words[s1] = 0
-    # Phi(s1) now has the two upper covers of s1 as minimal upper bounds
-    with pytest.raises(NonUniqueMinimal):
-        weak_joins(npt, npt.words(system.inv_bits[s1]))
-    npt.inv_words[system.longest_element.index] = 0
-    with pytest.raises(NoUpperBound):
-        weak_joins(npt, npt.words(system.inv_bits[system.longest_element.index]))
-    assert issubclass(NoUpperBound, CoxeterError)
-    assert issubclass(NonUniqueMinimal, CoxeterError)
+    cones = system.table.cone_words()
+    assert cones[0, 2, 0] == 0b101 and cones[0, 1, 0] == 0b10011
+    # a2 added to cone(a1, a3): Phi(s1 s3) = {a1, a3} is no longer closed,
+    # and the check of every inversion set before the first join catches it
+    cones[0, 2, 0] = cones[2, 0, 0] = np.uint64(0b111)
+    with pytest.raises(CoxeterError, match="an inversion set is not closed"):
+        join_of_union_bits(system, 0b001)
+    # a1 + a2 removed from cone(a1, a2): {a1, a2} is then closed, but no
+    # element's inversion set
+    system = build_system("A3")
+    cones = system.table.cone_words()
+    cones[0, 1, 0] = cones[1, 0, 0] = np.uint64(0b011)
+    assert join_of_union_bits(system, 0b001) == system.element_from_word([1]).index
+    with pytest.raises(CoxeterError, match="no element's inversion set"):
+        weak_joins(system, system._set_words(0b011))
+
+
+def test_joins_never_build_the_product_tables():
+    system = build_system("B3")
+    u, v = system.element_from_word([1, 2]), system.element_from_word([3])
+    assert join_bruteforce(u, v).index == join_of_union_bits(
+        system, u.inversion_bits | v.inversion_bits
+    )
+    assert system._np_tables is None
 
 
 def test_left_product_by_reflection_agrees_with_word_composition():

@@ -1,4 +1,4 @@
-"""The packed reachability kernel and the subset-test join kernel, bit for bit
+"""The packed reachability kernel and the closure join kernel, bit for bit
 against the independent oracles in oracles.py.
 
 Every distinct union Phi_u | Phi_v of each type is run through both kernels
@@ -7,9 +7,11 @@ and of many words all meet the oracle; a system with more than 64 roots
 checks the multi-word inversion sets of the single-pair helpers.  The
 reachability oracle is the forward push over all unions at once; the
 frontier search checks it on every union of A3, B3 and H3.  The join
-kernel takes its unions in order of size, so batches that mix sizes, the
-empty union and the full set meet the matrix-product oracle; reachability
-runs over column tiles, which are shrunk here so that every type splits.
+kernel runs cone rounds until the whole batch is closed, so batches that
+mix sizes, the empty union and the full set meet the matrix-product
+oracle, and every inversion set must be closed and its own join;
+reachability runs over column tiles, which are shrunk here so that every
+type splits.
 The reflection-only run of the reachability program must give reach_words'
 rows at the reflections bit for bit, and its down-set of the reflections
 must hold them and be closed under the steps of both sides.
@@ -65,8 +67,8 @@ def _oracle_reach(name, side):
 
 
 def _union_words(system, unions):
-    npt = system.numpy_tables()
-    return np.array([bits_to_words(bits, npt.n_words) for bits in unions])
+    n_words = system.inv_words.shape[1]
+    return np.array([bits_to_words(bits, n_words) for bits in unions])
 
 
 def _reach_rows(reach, count):
@@ -87,7 +89,7 @@ def test_kernels_match_oracles_bit_for_bit(name, chunk):
     unions = _unions(name)
     words = _union_words(system, unions)
     joins = np.concatenate(
-        [weak_joins(npt, words[lo:lo + chunk]) for lo in range(0, len(unions), chunk)]
+        [weak_joins(system, words[lo:lo + chunk]) for lo in range(0, len(unions), chunk)]
     )
     assert np.array_equal(joins, joins_matmul(system, unions))
     for side in ("left", "right"):
@@ -140,7 +142,6 @@ def test_join_of_a_batch_that_mixes_union_sizes(name):
     """Shuffled batches with the empty union (join e) and the full set (join
     w0) among the others, in one batch and one union at a time."""
     system = _system(name)
-    npt = system.numpy_tables()
     rng = random.Random(9)
     full = (1 << system.table.n_roots) - 1
     others = _unions(name)
@@ -149,11 +150,11 @@ def test_join_of_a_batch_that_mixes_union_sizes(name):
     assert len({bits.bit_count() for bits in unions}) > 3
     words = _union_words(system, unions)
     expected = joins_matmul(system, unions)
-    joins = weak_joins(npt, words)
+    joins = weak_joins(system, words)
     assert np.array_equal(joins, expected)
     assert joins[unions.index(0)] == 0
     assert joins[unions.index(full)] == system.longest_element.index
-    singles = [weak_joins(npt, words[i:i + 1])[0] for i in range(len(unions))]
+    singles = [weak_joins(system, words[i:i + 1])[0] for i in range(len(unions))]
     assert singles == expected.tolist()
 
 
@@ -164,8 +165,21 @@ def test_join_of_seeded_unions_of_large_types(name):
     inv = system.inv_bits
     unions = [inv[rng.randrange(system.size)] | inv[rng.randrange(system.size)]
               for _ in range(300)]
-    joins = weak_joins(system.numpy_tables(), _union_words(system, unions))
+    joins = weak_joins(system, _union_words(system, unions))
     assert np.array_equal(joins, joins_matmul(system, unions))
+
+
+@pytest.mark.parametrize(
+    "name", ["A3", "B3", "H3", "I2(7)", "D4", "F4", "D5", "B5", "H4", "E6"]
+)
+def test_every_inversion_set_is_closed_and_its_own_join(name):
+    """One cone round adds nothing to any inversion set, so each is its own
+    closure: the join kernel maps every inversion set to its element."""
+    system = _system(name)
+    sets = coxeter.transpose_bits(system.inv_words, system.table.n_roots)
+    assert not system.table.cone_round(sets).any()
+    joins = weak_joins(system, system.inv_words)
+    assert np.array_equal(joins, np.arange(system.size))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
