@@ -243,12 +243,11 @@ def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     result is (n_bits, ceil(rows / 64)) uint64 whose row c has bit r set
     exactly when row r of the input has bit c set.
 
-    A single row (one union) is its bits, one a word.  Any other matrix of
-    up to _BOOL_TRANSPOSE_BITS bits is unpacked to a bool a bit, transposed
-    as a view and packed, which takes the fewest array calls.  A larger one
-    moves bytes before bits: the ceil(n_bits / 8) bytes that hold the bits
-    of each row are copied once into a (bytes, rows) matrix, rows padded to
-    whole words,
+    A matrix of up to _BOOL_TRANSPOSE_BITS bits (one union, or the routes
+    of one) is unpacked to a bool a bit, transposed as a view and packed,
+    which takes the fewest array calls.  A larger one moves bytes before
+    bits: the ceil(n_bits / 8) bytes that hold the bits of each row are
+    copied once into a (bytes, rows) matrix, rows padded to whole words,
     so bit c is bit c % 8 of byte row c // 8.  Masking each byte row with
     each of its 8 bits gives every column c as one contiguous row of
     bytes, nonzero where the bit is set, and _pack_words packs those rows.
@@ -256,8 +255,6 @@ def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     matrix transposes about ten times faster, a single union 1-2 µs slower.
     """
     rows = words.shape[0]
-    if rows == 1:
-        return _unpack_words(words, n_bits).T.astype(np.uint64)
     if rows * n_bits <= _BOOL_TRANSPOSE_BITS:
         return _pack_words(_unpack_words(words, n_bits).T)
     n_bytes = -(-n_bits // 8)
@@ -519,23 +516,18 @@ def _base_cones(table: RootTable) -> np.ndarray:
     nonzero (so beta_q > 0), or k when beta = alpha_k.  gamma is in the plane
     of alpha_k and beta when gamma_c beta_q - gamma_q beta_c vanishes for
     every c != k; it is then a alpha_k + b beta, b = gamma_q / beta_q >= 0,
-    and in the cone when a beta_q, that form at c = k, is >= 0.  Only the
-    c < q forms are multiplied out: forms[g, q, c] = -forms[g, c, q].
+    and in the cone when a beta_q, that form at c = k, is >= 0.
     """
     ring = table.ring
     x = _narrow(ring, table._coeffs)
-    n_roots, n, d = x.shape
+    n_roots, n = x.shape[:2]
     ks = np.arange(n)
-    lo, hi = np.triu_indices(n, 1)  # the pairs c < q
-    gamma_lo, gamma_hi = x[:, lo, :, None], x[:, hi, :, None]
-    forms = np.zeros((n_roots, n, n, d), dtype=x.dtype)  # [g, c, q]
     planes = []
     for j, nonzero in enumerate((x != 0).any(axis=2)):
         if j >= n and nonzero.sum() < 2:
             raise CoxeterError("distinct positive roots cannot be proportional")
-        times = ring.times(x[j])  # times[q] multiplies by beta_q
-        upper = (times[hi] @ gamma_lo - times[lo] @ gamma_hi)[..., 0]
-        forms[:, lo, hi], forms[:, hi, lo] = upper, -upper
+        products = (ring.times(x[j]) @ x[:, :, None, :, None])[..., 0]
+        forms = products - products.swapaxes(1, 2)  # [g, c, q]
         others = nonzero & (ks[:, None] != ks)
         q = np.where(others.any(axis=1), others.argmax(axis=1), ks)
         zero = ~(forms[:, :, q] != 0).any(axis=3)
@@ -727,7 +719,7 @@ def _find(table: np.ndarray, ids: np.ndarray, keys: np.ndarray, what: str) -> np
 class _NumpyTables:
     """Vectorized product tables, packed inversion sets and step programs.
 
-    inv_words and refl_ids are the system's own arrays, not copies.
+    refl_ids is the system's own array, not a copy.
     right[t, x] = x * t and left[t, x] = t * x for the reflection t of root
     t.  Both are filled along the enumeration tree, one length level at a
     time from column e = refl_ids: every other x is p * s_g with its parent
@@ -743,8 +735,9 @@ class _NumpyTables:
     one (k, n_k) block of roots and of predecessors per level k, since an
     element of length k has exactly k such steps on each side; the
     programs are all the reachability kernel reads (_build_programs).  The
-    routes read lengths and the join inversion sets, so the constructor
-    checks that both describe one group: |Phi_x| = length(x) for every x.
+    sweeps compare the system's inversion sets with what the routes reach
+    over these tables, so the constructor checks that both describe one
+    group: |Phi_x| = length(x) for every x.
     """
 
     def __init__(self, system: "CoxeterSystem"):
@@ -756,13 +749,11 @@ class _NumpyTables:
         n_roots = system.table.n_roots
         size = system.size
         self.n_roots = n_roots
-        self.inv_words = system.inv_words
-        self.n_words = self.inv_words.shape[1]
         self.refl_ids = system.refl_ids
         parent, gen = system._parent, system._letter - 1
         if (self.lengths[parent[1:]] != self.lengths[1:] - 1).any():
             raise CoxeterError("an element's parent is not one length level up")
-        if (_popcount(self.inv_words) != self.lengths).any():
+        if (_popcount(system.inv_words) != self.lengths).any():
             raise CoxeterError("an inversion set's size is not its element's length")
         rank = system.graph.rank
         by_gen = system._right_by_gen.ravel()  # x * s_g at x * rank + g

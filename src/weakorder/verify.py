@@ -267,7 +267,7 @@ def _union_keys(system: CoxeterSystem) -> np.ndarray:
     """Each element's inversion set as one word of the narrowest unsigned
     type that holds n_roots bits (at most 64 roots)."""
     key = np.min_scalar_type((1 << system.table.n_roots) - 1)
-    return system.numpy_tables().inv_words[:, 0].astype(key, copy=False)
+    return system.inv_words[:, 0].astype(key, copy=False)
 
 
 def _distinct_unions(words: np.ndarray, blocks: PairBlocks) -> np.ndarray:

@@ -295,10 +295,26 @@ def test_cap_exceeded_is_construction_error(capsys):
     assert "construction error" in err
 
 
+# the routes' tables check |Phi_x| = length(x), so an inversion set corrupted
+# after set-up stops every conjecture before its sets are compared
+@pytest.mark.parametrize("conjecture", ["H", "D", "HD", "EQ"])
+def test_broken_inversion_table_is_construction_error(monkeypatch, capsys, conjecture):
+    system = build_system("A3")
+    system.inv_words = system.inv_words.copy()
+    system.inv_words[system.longest_element.index] = 0  # as short as e
+    monkeypatch.setattr(cli, "build_system", lambda *args, **kwargs: system)
+    rc, out, err = run(capsys, "verify", "--type", "A3", "--conjecture", conjecture)
+    assert rc == EXIT_CONSTRUCTION
+    assert out == ""
+    assert err == (
+        "construction error: an inversion set's size is not its element's length\n"
+    )
+
+
 # "EQ" compares the two routes only and computes no join when they agree,
 # so the conjectures that read the join carry this check
 @pytest.mark.parametrize("conjecture", ["H", "D", "HD"])
-def test_broken_inversion_table_is_construction_error(monkeypatch, capsys, conjecture):
+def test_broken_cone_table_is_construction_error(monkeypatch, capsys, conjecture):
     # the join looks its closures up among the inversion sets: with a1 + a2
     # gone from cone(a1, a2), {a1, a2} = Phi(s1) | Phi(s2) is its own
     # closure and no element's inversion set

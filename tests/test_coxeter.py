@@ -236,7 +236,7 @@ def test_tables_refuse_an_order_that_decreases_length():
 
 
 def test_tables_refuse_an_inversion_set_whose_size_is_not_its_length():
-    # the routes read lengths and the join reads inversion sets
+    # the sweeps compare inversion sets with what the routes reach by length
     system = build_system("A3")
     system.inv_words = system.inv_words.copy()
     system.inv_words[5, 0] ^= np.uint64(1 << 5)

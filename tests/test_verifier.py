@@ -35,7 +35,7 @@ from weakorder import verify as vf
 
 def _inv_words(system):
     """Inversion sets as one uint64 word each (every type here has <= 64 roots)."""
-    return system.numpy_tables().inv_words[:, 0]
+    return system.inv_words[:, 0]
 
 
 def _per_pair_bits(system):
