@@ -17,9 +17,10 @@ of the level being extended as the signed action of w on the positive-root
 indices, from which the length and inversion set of each product w * s_i
 follow by one root flip, without further vector arithmetic; the
 root-to-reflection dictionary phi reads the signs of the reflection table.
-Enumeration and the product tables are array code over whole length
-levels: a level's products by reflections are one take per side in the
-generator table, from the products of each element's breadth-first parent.
+Enumeration and the reachability step programs are array code over
+whole length levels: a level's steps are one take per side of its
+breadth-first parents' steps and one in the generator table.  The
+product tables by reflections are built the same way, on first read.
 
 For closure and the join the root table also keeps the cone of every
 pair of positive roots as a packed bit-set, built on first use: exact
@@ -717,27 +718,33 @@ def _find(table: np.ndarray, ids: np.ndarray, keys: np.ndarray, what: str) -> np
 
 
 class _NumpyTables:
-    """Vectorized product tables, packed inversion sets and step programs.
-
-    refl_ids is the system's own array, not a copy.
-    right[t, x] = x * t and left[t, x] = t * x for the reflection t of root
-    t.  Both are filled along the enumeration tree, one length level at a
-    time from column e = refl_ids: every other x is p * s_g with its parent
-    p one level up, so t * x = (t * p) * s_g and x * t = (p * t') * s_g with
-    t' = s_g t s_g, the reflection through s_g(beta_t).  A level is one
-    flat take per side from the generator table _right_by_gen, raveled so
-    that x * s_g sits at x * rank + g.
+    """The reachability kernel's step programs, and product tables on demand.
 
     Elements are numbered in enumeration order, along which length never
     decreases, so each length level is a contiguous range of ids: level k
-    is bounds[k]..bounds[k + 1] - 1.  For both sides the length-decreasing
-    steps (root r, predecessor p) into every element make a step program,
-    one (k, n_k) block of roots and of predecessors per level k, since an
-    element of length k has exactly k such steps on each side; the
-    programs are all the reachability kernel reads (_build_programs).  The
-    sweeps compare the system's inversion sets with what the routes reach
-    over these tables, so the constructor checks that both describe one
-    group: |Phi_x| = length(x) for every x.
+    is bounds[k]..bounds[k + 1] - 1.  The length-decreasing steps (root r,
+    predecessor q) into an element x are (r, t_r * x) on the left, for the
+    k roots of Phi_x, and (r, x * t_r) on the right, for the k roots of
+    Phi_{x^-1}, when x has length k.  Per side they make a step program,
+    one (k, n_k) block of roots and of predecessors per level k, and the
+    programs are all the reachability kernel reads.  The constructor
+    builds them along the enumeration tree, one level at a time
+    (_build_programs), and nothing else.
+
+    left[t, x] = t * x and right[t, x] = x * t, for the reflection t of
+    root t, are built on first read, one side at a time (_product_table):
+    only path_witness, to_dot and the products by one reflection read
+    them, never a sweep, check_conjecture_H, conjectural_join_D or
+    reachable_ids.
+
+    The sweeps compare the system's inversion sets with what the routes
+    reach, so the constructor checks that both describe one group before
+    it builds anything: the order never decreases length, every parent is
+    one level up, |Phi_x| = length(x), and Phi_x is Phi_parent plus the
+    root the enumeration recorded for x, so that the left roots of x are
+    exactly Phi_x.  The build checks that every step's predecessor lies
+    in a shorter level, since the kernel reads only the rows of shorter
+    levels, which it has filled.
     """
 
     def __init__(self, system: "CoxeterSystem"):
@@ -746,74 +753,104 @@ class _NumpyTables:
             raise CoxeterError(
                 "enumeration order must start at e and never decrease length"
             )
-        n_roots = system.table.n_roots
-        size = system.size
-        self.n_roots = n_roots
+        self.n_roots = n_roots = system.table.n_roots
         self.refl_ids = system.refl_ids
         parent, gen = system._parent, system._letter - 1
         if (self.lengths[parent[1:]] != self.lengths[1:] - 1).any():
             raise CoxeterError("an element's parent is not one length level up")
-        if (_popcount(system.inv_words) != self.lengths).any():
+        inv_words = system.inv_words
+        if (_popcount(inv_words) != self.lengths).any():
             raise CoxeterError("an inversion set's size is not its element's length")
+        flips = _pack_words(np.eye(n_roots, dtype=bool))  # row r is the set {r}
+        grown = inv_words.take(parent[1:], axis=0) | flips.take(system._added[1:], axis=0)
+        if (grown != inv_words[1:]).any():
+            raise CoxeterError(
+                "an inversion set is not its parent's plus one root: the "
+                "inversion sets are inconsistent"
+            )
         rank = system.graph.rank
-        by_gen = system._right_by_gen.ravel()  # x * s_g at x * rank + g
         # conj[t, g]: the root of s_g t s_g, the reflection through s_g(beta_t)
-        conj = np.abs(np.array(system.table.act[:rank])).T - 1
-        left = np.empty((n_roots, size), dtype=np.int32)
-        right = np.empty((n_roots, size), dtype=np.int32)
-        left[:, 0] = right[:, 0] = self.refl_ids
-        self.bounds = bounds = np.searchsorted(
-            self.lengths, np.arange(int(self.lengths[-1]) + 2)
-        )
-        flat_right = right.ravel()  # right[t, x] at t * size + x
-        for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
-            p, g = parent[lo:hi], gen[lo:hi]
-            left[:, lo:hi] = by_gen.take(left.take(p, axis=1) * rank + g)
-            right[:, lo:hi] = by_gen.take(flat_right.take(conj[:, g] * size + p) * rank + g)
-        self.left = left
-        self.right = right
+        self._conj = np.abs(np.array(system.table.act[:rank])).T - 1
+        self._tree = (parent, gen, system._added, system._right_by_gen)
+        self.bounds = np.searchsorted(self.lengths, np.arange(int(self.lengths[-1]) + 2))
+        self._left: np.ndarray | None = None
+        self._right: np.ndarray | None = None
         self._build_programs()
+
+    @property
+    def left(self) -> np.ndarray:
+        """left[t, x] = t * x, int32; built on first read and kept."""
+        if self._left is None:
+            self._left = self._product_table("left")
+        return self._left
+
+    @property
+    def right(self) -> np.ndarray:
+        """right[t, x] = x * t, int32; built on first read and kept."""
+        if self._right is None:
+            self._right = self._product_table("right")
+        return self._right
+
+    def _product_table(self, side: str) -> np.ndarray:
+        """One side's product table, filled along the enumeration tree.
+
+        Column e is refl_ids.  Every other x is p * s_g with its parent p
+        one level up, so t * x = (t * p) * s_g and x * t = (p * t') * s_g
+        with t' = s_g t s_g, the reflection through s_g(beta_t).  A level
+        is one flat take in the generator table, raveled so that x * s_g
+        sits at x * rank + g.
+        """
+        parent, gen, _, by_gen = self._tree
+        size, rank = by_gen.shape
+        table = np.empty((self.n_roots, size), dtype=np.int32)
+        table[:, 0] = self.refl_ids
+        flat_gen, flat = by_gen.ravel(), table.ravel()  # table[t, x] at t * size + x
+        bounds = self.bounds.tolist()
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            p, g = parent[lo:hi], gen[lo:hi]
+            if side == "left":
+                before = table.take(p, axis=1)
+            else:
+                before = flat.take(self._conj[:, g] * size + p)
+            table[:, lo:hi] = flat_gen.take(before * rank + g)
+        return table
 
     def _build_programs(self) -> None:
         """The reachability kernel's step programs, one a side.
 
-        Each side's descents are one nonzero over its product table
-        (_descent_steps), made one side at a time to bound the build's
-        memory, and D is marked from the left side's
-        (_reflection_down_set).  The kernel's reach rows are slots: within
-        each length level D's elements come first, each part in id order,
-        so level k's slots are bounds[k]..bounds[k + 1] - 1 like its ids,
-        and slots[x] is the slot of element x.  One permutation puts the
-        steps of both sides in slot order; level k's block is then a view
-        of k * n_k of them.
+        The kernel's reach rows are slots: within each length level the
+        elements of D come first, each part in id order, so level k's
+        slots are bounds[k]..bounds[k + 1] - 1 like its ids, and slots[x]
+        is the slot of element x.  D is marked from the left steps in id
+        order of the levels up to the longest reflection's
+        (_reflection_down_set).  Then both sides are built along the
+        enumeration tree renumbered by slot (_tree_steps), so that each
+        level's rows are in slot order as they are made and its
+        predecessors are slots: level k's block is that level's (n_k, k)
+        arrays, transposed as views.
         """
         lengths, bounds, size = self.lengths, self.bounds, self.lengths.size
-        left = _descent_steps(self.left, lengths)
-        inside = _reflection_down_set(left[1], lengths, bounds, self.refl_ids)
+        top = int(lengths[self.refl_ids].max())  # the longest reflection's level
+        _, preds = _tree_steps(self._tree, self._conj, bounds[:top + 2], ("left",))["left"]
+        inside = _reflection_down_set(preds, bounds, self.refl_ids)
+        del preds
         order = np.argsort(2 * lengths + ~inside, kind="stable")
-        self.slots = np.empty(size, dtype=np.int32)
-        self.slots[order] = np.arange(size, dtype=np.int32)
-        self.refl_slots = self.slots[self.refl_ids]
+        self.slots = slots = np.empty(size, dtype=np.int32)
+        slots[order] = np.arange(size, dtype=np.int32)
+        self.refl_slots = slots[self.refl_ids]
         self.down_size = int(np.count_nonzero(inside))
-        # the end of D's slots in each level, and the levels a reflection reaches
+        # the end of D's slots in each level
         cuts = (bounds[:-1] + np.add.reduceat(inside.astype(np.intp), bounds[:-1])).tolist()
-        top = int(lengths[self.refl_ids].max())
-        starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)])
-        # step i of slot s is step i of element order[s]; slot s has its length
-        moved = np.repeat((starts[order] - starts[:-1]).astype(np.int32), lengths)
-        moved += np.arange(moved.size, dtype=np.int32)
-        ends = starts[bounds].tolist()
-        levels = list(zip(range(1, bounds.size - 1), bounds[1:].tolist(),
-                          bounds[2:].tolist(), ends[1:], ends[2:]))
+        parent, gen, added, by_gen = self._tree
+        by_slot = (slots.take(parent.take(order)), gen.take(order), added.take(order),
+                   slots.take(by_gen.take(order, axis=0)))
+        levels = list(zip(bounds[1:].tolist(), bounds[2:].tolist()))
+        steps = _tree_steps(by_slot, self._conj, bounds, ("left", "right"))
         self.programs, self.reflection_programs = {}, {}
-        for side in ("left", "right"):
-            roots, preds = left if side == "left" else _descent_steps(self.right, lengths)
-            left = None
-            roots, preds = roots.take(moved), self.slots.take(preds.take(moved))
+        for side, (roots, preds) in steps.items():
             blocks = [
-                (lo, hi, roots[start:end].reshape(hi - lo, k).T,
-                 preds[start:end].reshape(hi - lo, k).T)
-                for k, lo, hi, start, end in levels
+                (lo, hi, level_roots.T, level_preds.T)
+                for (lo, hi), level_roots, level_preds in zip(levels, roots[1:], preds[1:])
             ]
             self.programs[side] = blocks
             self.reflection_programs[side] = [
@@ -822,50 +859,77 @@ class _NumpyTables:
             ]
 
 
-def _descent_steps(mul: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots and predecessors of the length-decreasing steps into every element.
+def _tree_steps(
+    tree: tuple[np.ndarray, ...], conj: np.ndarray, bounds: np.ndarray, sides: tuple[str, ...]
+) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Roots and predecessors of the length-decreasing steps, by level, per side.
 
-    The steps (r, mul[r, x]) with lengths[mul[r, x]] < lengths[x] are
-    listed by element, then by root, as the narrowest unsigned roots and
-    int32 predecessors.  An element of length k has exactly k
-    of them on each side (its left and right reflection sets have k roots),
-    which is checked: another count raises CoxeterError.
+    tree is (parent, gen, added, by_gen) in a numbering of the elements in
+    which level k is bounds[k]..bounds[k + 1] - 1: element x's parent,
+    the generator g with x = parent * s_g, the root of Phi_x that is not
+    in its parent's, and the generator table.  Entry k of each list is an
+    (n_k, k) array, row x - bounds[k] holding the steps into x: roots of
+    added's dtype, int32 predecessors.
+
+    Take x = p * s_g.  On the left, Phi_x is Phi_p plus added[x] =
+    p(alpha_g): each step (beta, q) into p gives the step (beta, q * s_g)
+    into x, since t_beta x = (t_beta p) s_g, and (p(alpha_g), p) is the
+    new one.  On the right, N(x) = {alpha_g} + s_g N(p) for N(w) =
+    Phi_{w^-1} (Humphreys 1990, 5.6): each step (r, q) into p gives
+    (s_g(r), q * s_g), since x t_{s_g(r)} = (p t_r) s_g, and (alpha_g, p)
+    is the new one.  conj[r, g] is the root of s_g(beta_r).  A level is,
+    per side, one row take of its parents' steps and one take in the
+    generator table.  A predecessor outside the shorter levels raises
+    CoxeterError.
     """
-    n_roots = mul.shape[0]
-    table = mul.T.copy()
-    falls = lengths[table] < lengths[:, None]
-    if (np.count_nonzero(falls, axis=1) != lengths).any():
-        raise CoxeterError(
-            "an element of length k does not have k descents: the product "
-            "tables are inconsistent"
-        )
-    flat = np.flatnonzero(falls)
-    preds = table.ravel()[flat]
-    del table, falls
-    roots = np.remainder(flat, n_roots, out=flat).astype(np.min_scalar_type(n_roots - 1))
-    return roots, preds
+    parent, gen, added, by_gen = tree
+    rank = by_gen.shape[1]
+    flat_gen = by_gen.ravel()  # x * s_g at x * rank + g
+    flat_conj = conj.T.astype(added.dtype).ravel()  # s_g(beta_r) at g * n_roots + r
+    n_roots = conj.shape[0]
+    ids = bounds.tolist()
+    out = {side: ([np.zeros((1, 0), dtype=added.dtype)], [np.zeros((1, 0), dtype=np.int32)])
+           for side in sides}
+    for k in range(1, len(ids) - 1):
+        up, lo, hi = ids[k - 1], ids[k], ids[k + 1]
+        p, g = parent[lo:hi, None], gen[lo:hi, None]
+        rows = p[:, 0] - up  # the parents' rows in level k - 1
+        for side, (roots, preds) in out.items():
+            steps = flat_gen.take(preds[-1].take(rows, axis=0) * rank + g)
+            if steps.max(initial=0) >= lo:
+                raise CoxeterError(
+                    "a step's predecessor is not in a shorter length level: the "
+                    "generator table is inconsistent"
+                )
+            preds.append(np.concatenate([steps, p], axis=1))
+            before = roots[-1].take(rows, axis=0)
+            if side == "left":
+                last = added[lo:hi, None]
+            else:
+                before = flat_conj.take(before + g * n_roots)
+                last = g.astype(added.dtype)
+            roots.append(np.concatenate([before, last], axis=1))
+    return out
 
 
 def _reflection_down_set(
-    preds: np.ndarray, lengths: np.ndarray, bounds: np.ndarray, refl_ids: np.ndarray
+    preds: list[np.ndarray], bounds: np.ndarray, refl_ids: np.ndarray
 ) -> np.ndarray:
     """Bool mask of D, the elements below some reflection in Bruhat order.
 
-    preds are one side's descent predecessors as _descent_steps lists them.
-    Bruhat order is generated by the descent steps, and the left and right
-    steps into x reach the same elements (x * t = (x t x^-1) * x), so D is
-    closed under the predecessors of both sides.  Marked one level at a
-    time, from the longest reflection's level down.
+    preds are one side's step predecessors by level, in id order, as
+    _tree_steps lists them, up to the longest reflection's level.  Bruhat
+    order is generated by the steps, and the left and right steps into x
+    reach the same elements (x * t = (x t x^-1) * x), so D is closed under
+    the predecessors of both sides.  Marked one level at a time, from the
+    longest reflection's level down.
     """
-    inside = np.zeros(lengths.size, dtype=bool)
-    inside[refl_ids] = True
     ids = bounds.tolist()
-    # level k's n_k * k steps end at ends[k]
-    ends = np.cumsum(np.diff(bounds) * np.arange(bounds.size - 1)).tolist()
-    for k in range(int(lengths[refl_ids].max()), 0, -1):
-        rows = preds[ends[k - 1]:ends[k]].reshape(ids[k + 1] - ids[k], k)
+    inside = np.zeros(ids[-1], dtype=bool)
+    inside[refl_ids] = True
+    for k in range(len(preds) - 1, 0, -1):
         # a scatter through intp indices is the fast one
-        inside[rows[inside[ids[k]:ids[k + 1]]].astype(np.intp)] = True
+        inside[preds[k][inside[ids[k]:ids[k + 1]]].astype(np.intp)] = True
     return inside
 
 
@@ -932,12 +996,20 @@ def _reach_tile(blocks: list, labels: np.ndarray) -> np.ndarray:
 
     Slot 0 is e.  Block (lo, hi, roots, preds) fills slots lo..hi-1 from
     slots of shorter elements; slots that no block fills are left unset.
+    Every level gathers into the same two scratch arrays, sized for the
+    largest block, so that no level allocates (and page-faults) its own.
+    Their takes skip the bounds check (mode="clip" never clips): every
+    predecessor lies in a shorter level, which the build checks.
     """
-    reach = np.empty((blocks[-1][1], labels.shape[1]), dtype=np.uint64)
+    width = labels.shape[1]
+    reach = np.empty((blocks[-1][1], width), dtype=np.uint64)
     reach[0] = _WORD_MASK
+    scratch = np.empty((2, max(roots.size for _, _, roots, _ in blocks) * width), np.uint64)
     for lo, hi, roots, preds in blocks:
-        step = reach.take(preds, axis=0)
-        step &= labels.take(roots, axis=0)
+        step, mask = scratch[:, :roots.size * width].reshape(2, *roots.shape, width)
+        reach.take(preds, axis=0, out=step, mode="clip")
+        labels.take(roots, axis=0, out=mask, mode="clip")
+        step &= mask
         np.bitwise_or.reduce(step, axis=0, out=reach[lo:hi])
     return reach
 
@@ -1003,9 +1075,10 @@ class CoxeterSystem:
         the level before, scattered back.  tau is made for the new elements
         only, as tau_{x s_i} = tau_x o s_i (_times_simple).  Ids, words and
         _right_by_gen are those of a FIFO breadth-first search over x * s_i
-        in the same order; each new element records its parent x and letter
-        i + 1, from which words are spelled out on first use and the
-        product tables are built.
+        in the same order; each new element records its parent x, letter
+        i + 1 and, in _added, the root |tau_x(alpha_i)| its inversion set
+        adds to x's, from which words are spelled out on first use and the
+        step programs and product tables are built.
 
         With valid simple rows every product is one level up or down, so
         no word can fail to be reduced and nothing checks for it.  Valid
@@ -1042,6 +1115,7 @@ class CoxeterSystem:
         words = np.zeros((1, flips.shape[1]), dtype=np.uint64)
         by_gen, inv_words = [], [words]
         parents, letters = [np.zeros(1, dtype=np.int32)], [np.zeros(1, dtype=np.int32)]
+        added = [np.zeros(1, dtype=np.min_scalar_type(n_roots - 1))]
         self.lengths: list[int] = [0]
         back = back_ids = np.zeros(0, dtype=np.intp)  # the level before's products
         start = 0
@@ -1077,6 +1151,7 @@ class CoxeterSystem:
             product[ups] = size + number
             back, back_ids = number * n + gen, start + x
             new = first[order]
+            added.append((images[ups[new]] - 1).astype(added[0].dtype))
             parent, gen = x[new], gen[new]
             level = _times_simple(level, parent, gen, perm)
             words = found[new]
@@ -1086,11 +1161,12 @@ class CoxeterSystem:
             self.lengths.extend([k + 1] * new.size)
             start = size
         self._parent, self._letter = _joined(parents), _joined(letters)
+        self._added = _joined(added)
         self._right_by_gen = _joined(by_gen)
         self.inv_words = _joined(inv_words)
         self.size = self.inv_words.shape[0]
         keys = _word_keys(self.inv_words)
-        self._by_key = np.argsort(keys)
+        self._by_key = np.argsort(keys).astype(np.int32)
         self._sorted_keys = keys[self._by_key]
         refl = self._ids_of(
             _pack_words(act < 0),

@@ -32,7 +32,7 @@ only the reflections' rows, so the program runs only over the elements
 below some reflection in Bruhat order (reflection_reach_words).  The join
 of A is the element whose inversion set is the 2-closure cl(A): cone
 rounds over a chunk's unions, then one lookup among the sorted keys
-(weak_joins), never a read of the product tables.  "EQ" decides without
+(weak_joins).  Neither kernel reads a product table.  "EQ" decides without
 the join, so it runs the join kernel only for the unions of the pairs it
 records as failing.
 
@@ -386,10 +386,10 @@ def sweep(
     reflections, "D" with right-product ones, "HD" with both, and "EQ"
     checks that the two routes give identical verdicts and sets.
 
-    "EQ" and the "D" half of "HD" check the right product table against
+    "EQ" and the "D" half of "HD" check the right step program against
     the left, not the conjecture: x is reached by right products exactly
     when x^-1 is reached by left ones, and reflections are involutions, so
-    these checks cannot fail on consistent tables.
+    these checks cannot fail on consistent programs.
     """
     if conjecture not in _CONJECTURES:
         raise UsageError(f"conjecture must be one of {_CONJECTURES}")

@@ -2,10 +2,12 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from oracles import enumerate_bfs, product_tables_loop
 from weakorder.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -19,7 +21,9 @@ from weakorder.coxeter import (
     left_reflection_set,
     weak_joins,
 )
-from weakorder.weak_order import join_bruteforce, join_of_union_bits
+from weakorder.bruhat import check_conjecture_H, path_witness, to_dot
+from weakorder.verify import sweep
+from weakorder.weak_order import conjectural_join_D, join_bruteforce, join_of_union_bits
 
 # root counts and group orders from the classification of finite types
 ROOT_COUNTS = {
@@ -244,17 +248,27 @@ def test_tables_refuse_an_inversion_set_whose_size_is_not_its_length():
         system.numpy_tables()
 
 
-def test_tables_refuse_an_element_with_the_wrong_number_of_descents():
-    # the reachability program gives an element of length k exactly k steps
+def test_tables_refuse_a_step_from_a_longer_element():
+    # the reachability kernel reads only the rows of shorter levels, which
+    # it has filled: e * s2 pointed at w0 makes w0 a predecessor of s1 s2
     system = build_system("A3")
-    npt = system.numpy_tables()
+    system._right_by_gen = system._right_by_gen.copy()
+    system._right_by_gen[0, 1] = system.longest_element.index
+    with pytest.raises(CoxeterError, match="not in a shorter length level"):
+        system.numpy_tables()
+
+
+def test_tables_refuse_an_inversion_set_that_does_not_hold_its_parents():
+    # the left roots of x are its parent's and one more, so they are Phi_x
+    # only when Phi_parent is in Phi_x: Phi(s1 s2) = {a1, a1 + a2} made
+    # {a2, a1 + a2}, which keeps its size but drops Phi(s1) = {a1}
+    system = build_system("A3")
     x = system.element_from_word([1, 2]).index
-    falls = np.flatnonzero(npt.lengths[npt.right[:, x]] < 2)
-    assert falls.size == 2
-    npt.right = npt.right.copy()
-    npt.right[falls[0], x] = system.longest_element.index  # now an ascent
-    with pytest.raises(CoxeterError, match="does not have k descents"):
-        npt._build_programs()
+    assert system.inv_words[x, 0] == 0b10001
+    system.inv_words = system.inv_words.copy()
+    system.inv_words[x, 0] = 0b10010
+    with pytest.raises(CoxeterError, match="not its parent's plus one root"):
+        system.numpy_tables()
 
 
 def test_join_kernel_errors_on_a_broken_table():
@@ -284,6 +298,53 @@ def test_joins_never_build_the_product_tables():
         system, u.inversion_bits | v.inversion_bits
     )
     assert system._np_tables is None
+
+
+@lru_cache(maxsize=None)
+def _b3_oracle_tables():
+    table = generate_positive_roots(CoxeterGraph.from_name("B3"))
+    return product_tables_loop(table, enumerate_bfs(table))
+
+
+def _union(u, v):
+    return left_reflection_set(u) | left_reflection_set(v)
+
+
+# what each reader does with B3, u = s1 s2 and v = s3 s2, and the product
+# table sides it may build
+TABLE_READERS = {
+    "sweeps": (lambda system, u, v: all(
+        sweep(system, conjecture, workers=1).ok for conjecture in ("H", "D", "EQ", "HD")
+    ), ()),
+    "check_conjecture_H": (lambda system, u, v: check_conjecture_H(u, v).holds, ()),
+    "conjectural_join_D": (lambda system, u, v: conjectural_join_D(
+        system, left_reflection_set(u), left_reflection_set(v)
+    ).bits, ()),
+    "reachable_ids": (lambda system, u, v: all(
+        system.reachable_ids(_union(u, v).bits, side).any() for side in ("left", "right")
+    ), ()),
+    "path_witness": (lambda system, u, v: path_witness(system, _union(u, v), 0), ("left",)),
+    "to_dot": (lambda system, u, v: to_dot(u, v), ("left",)),
+    "left_mul_reflection": (lambda system, u, v: system.left_mul_reflection(2, u.index) + 1,
+                            ("left",)),
+    "right_mul_reflection": (lambda system, u, v: system.right_mul_reflection(u.index, 2) + 1,
+                             ("right",)),
+}
+
+
+@pytest.mark.parametrize("reader", TABLE_READERS)
+def test_only_products_by_one_reflection_build_the_product_tables(reader):
+    read, sides = TABLE_READERS[reader]
+    system = build_system("B3")
+    u, v = system.element_from_word([1, 2]), system.element_from_word([3, 2])
+    assert read(system, u, v)
+    npt = system.numpy_tables()
+    for side, oracle in zip(("left", "right"), _b3_oracle_tables()):
+        built = getattr(npt, f"_{side}")
+        if side in sides:
+            assert built.dtype == oracle.dtype and np.array_equal(built, oracle)
+        else:
+            assert built is None
 
 
 def test_left_product_by_reflection_agrees_with_word_composition():

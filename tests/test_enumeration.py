@@ -1,9 +1,11 @@
 """Level-wise enumeration and the product tables, bit for bit against the
-element-by-element oracles in oracles.py, plus the checks enumeration and
-the tables make on their input: the element cap at its exact boundary,
-inconsistent root tables, a parent off its level, and Python-int indices;
-and the root-set codec every packed inversion set goes through, with the
-bit-matrix transpose against the unpacked one in oracles.py.
+element-by-element oracles in oracles.py, and the step programs, built
+from the enumeration tree, against the descents of the oracle tables;
+plus the checks enumeration and the tables make on their input: the
+element cap at its exact boundary, inconsistent root tables, a parent off
+its level, and Python-int indices; and the root-set codec every packed
+inversion set goes through, with the bit-matrix transpose against the
+unpacked one in oracles.py.
 """
 
 import json
@@ -37,12 +39,28 @@ from weakorder.verify import sweep
 TYPES = ["A3", "B3", "H3", "I2(7)", "I2(64)", "I2(65)", "D4", "F4", "D5"]
 
 
-# the oracle tables for H4 take about 14 s, so H4 compares enumeration here
-# and sampled columns of its tables below
+@lru_cache(maxsize=None)
+def _oracle(name):
+    return enumerate_bfs(_system(name).table)
+
+
+@lru_cache(maxsize=None)
+def _oracle_tables(name):
+    """The columns the oracle tables cover, and the tables: every element,
+    or 200 sampled ones of H4, whose whole tables take about 14 s."""
+    system = _system(name)
+    if name != "H4":
+        return range(system.size), *product_tables_loop(system.table, _oracle(name))
+    columns = sorted(Random(4).sample(range(1, system.size - 1), 198))
+    columns = [0, *columns, system.size - 1]
+    return columns, *product_tables_loop(system.table, _oracle(name), columns)
+
+
+# H4 compares enumeration here and sampled columns of its tables below
 @pytest.mark.parametrize("name,tables", [(t, True) for t in TYPES] + [("H4", False)])
 def test_enumeration_and_tables_match_oracles(name, tables):
     system = build_system(name)
-    oracle = enumerate_bfs(system.table)
+    oracle = _oracle(name)
     assert system.size == len(oracle.inv_bits)
     assert system.inv_bits == oracle.inv_bits
     assert [x.word for x in system.elements()] == oracle.words
@@ -53,7 +71,7 @@ def test_enumeration_and_tables_match_oracles(name, tables):
     assert [r.index for r in system.reflections()] == oracle.refl_elem
     assert system.longest_element.index == oracle.w0
     if tables:
-        left, right = product_tables_loop(system.table, oracle)
+        _, left, right = _oracle_tables(name)
         npt = system.numpy_tables()
         assert npt.left.dtype == left.dtype and np.array_equal(npt.left, left)
         assert npt.right.dtype == right.dtype and np.array_equal(npt.right, right)
@@ -92,13 +110,38 @@ def test_h4_tables_match_the_oracle_on_sampled_columns():
     system = build_system("H4")
     npt = system.numpy_tables()
     assert system._words is None  # the tables spell no reduced words
-    columns = sorted(Random(4).sample(range(1, system.size - 1), 198))
-    columns = [0, *columns, system.size - 1]
-    left, right = product_tables_loop(
-        system.table, enumerate_bfs(system.table), columns
-    )
+    columns, left, right = _oracle_tables("H4")
     assert np.array_equal(npt.left[:, columns], left)
     assert np.array_equal(npt.right[:, columns], right)
+
+
+def _program_steps(npt, side, x, elements):
+    """The (root, predecessor id) steps into element x of one side's
+    program; elements[s] is the element of slot s."""
+    k = int(npt.lengths[x])
+    if k == 0:
+        return []
+    lo, _, roots, preds = npt.programs[side][k - 1]
+    column = npt.slots[x] - lo
+    return list(zip(roots[:, column].tolist(), elements[preds[:, column]].tolist()))
+
+
+@pytest.mark.parametrize("name", TYPES + ["H4"])
+def test_step_programs_are_the_descents_of_the_oracle_tables(name):
+    # the programs are built along the enumeration tree, never from the
+    # tables: each element's steps must be its descents in the oracle tables
+    system = build_system(name)
+    npt = system.numpy_tables()
+    assert npt._left is None and npt._right is None
+    columns, left, right = _oracle_tables(name)
+    lengths, elements = np.array(system.lengths), np.argsort(npt.slots)
+    for side, mul in (("left", left), ("right", right)):
+        for column, x in enumerate(columns):
+            below = mul[:, column]
+            falls = np.flatnonzero(lengths[below] < lengths[x])
+            steps = _program_steps(npt, side, x, elements)
+            assert len(steps) == lengths[x]
+            assert set(steps) == set(zip(falls.tolist(), below[falls].tolist())), (side, x)
 
 
 def test_product_tables_reject_a_parent_not_one_level_up():
