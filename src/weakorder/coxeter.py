@@ -45,6 +45,7 @@ DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
 _CERTIFY_ROWS = 1 << 16  # inversion sets per round of the join's certification
 _REACH_TILE_BYTES = 1 << 20  # reach array bytes per column tile, to stay in L2 cache
+_SCRATCH_WORDS = 1 << 14  # 128 KiB, glibc's default threshold for mapping an allocation
 
 
 class CoxeterError(Exception):
@@ -827,7 +828,7 @@ class _NumpyTables:
         enumeration tree renumbered by slot (_tree_steps), so that each
         level's rows are in slot order as they are made and its
         predecessors are slots: level k's block is that level's (n_k, k)
-        arrays, transposed as views.
+        views, transposed.
         """
         lengths, bounds, size = self.lengths, self.bounds, self.lengths.size
         top = int(lengths[self.refl_ids].max())  # the longest reflection's level
@@ -868,8 +869,9 @@ def _tree_steps(
     which level k is bounds[k]..bounds[k + 1] - 1: element x's parent,
     the generator g with x = parent * s_g, the root of Phi_x that is not
     in its parent's, and the generator table.  Entry k of each list is an
-    (n_k, k) array, row x - bounds[k] holding the steps into x: roots of
-    added's dtype, int32 predecessors.
+    (n_k, k) view, row x - bounds[k] holding the steps into x, of one
+    array a side of roots (of added's dtype) and one of int32
+    predecessors, so that a side is two allocations, not two a level.
 
     Take x = p * s_g.  On the left, Phi_x is Phi_p plus added[x] =
     p(alpha_g): each step (beta, q) into p gives the step (beta, q * s_g)
@@ -888,27 +890,34 @@ def _tree_steps(
     flat_conj = conj.T.astype(added.dtype).ravel()  # s_g(beta_r) at g * n_roots + r
     n_roots = conj.shape[0]
     ids = bounds.tolist()
-    out = {side: ([np.zeros((1, 0), dtype=added.dtype)], [np.zeros((1, 0), dtype=np.int32)])
-           for side in sides}
+    sizes = np.diff(bounds)
+    # level k's n_k * k steps are ends[k]..ends[k + 1] - 1 of one array a side
+    ends = np.concatenate([[0], np.cumsum(sizes * np.arange(sizes.size))]).tolist()
+
+    def by_level(dtype: type) -> list[np.ndarray]:
+        flat = np.empty(ends[-1], dtype=dtype)
+        return [flat[a:b].reshape(n, k) for k, (a, b, n) in enumerate(zip(ends, ends[1:], sizes))]
+
+    out = {side: (by_level(added.dtype), by_level(np.int32)) for side in sides}
     for k in range(1, len(ids) - 1):
         up, lo, hi = ids[k - 1], ids[k], ids[k + 1]
         p, g = parent[lo:hi, None], gen[lo:hi, None]
         rows = p[:, 0] - up  # the parents' rows in level k - 1
         for side, (roots, preds) in out.items():
-            steps = flat_gen.take(preds[-1].take(rows, axis=0) * rank + g)
+            steps = flat_gen.take(preds[k - 1].take(rows, axis=0) * rank + g)
             if steps.max(initial=0) >= lo:
                 raise CoxeterError(
                     "a step's predecessor is not in a shorter length level: the "
                     "generator table is inconsistent"
                 )
-            preds.append(np.concatenate([steps, p], axis=1))
-            before = roots[-1].take(rows, axis=0)
+            np.concatenate([steps, p], axis=1, out=preds[k])
+            before = roots[k - 1].take(rows, axis=0)
             if side == "left":
                 last = added[lo:hi, None]
             else:
                 before = flat_conj.take(before + g * n_roots)
                 last = g.astype(added.dtype)
-            roots.append(np.concatenate([before, last], axis=1))
+            np.concatenate([before, last], axis=1, out=roots[k])
     return out
 
 
@@ -996,20 +1005,30 @@ def _reach_tile(blocks: list, labels: np.ndarray) -> np.ndarray:
 
     Slot 0 is e.  Block (lo, hi, roots, preds) fills slots lo..hi-1 from
     slots of shorter elements; slots that no block fills are left unset.
-    Every level gathers into the same two scratch arrays, sized for the
-    largest block, so that no level allocates (and page-faults) its own.
-    Their takes skip the bounds check (mode="clip" never clips): every
-    predecessor lies in a shorter level, which the build checks.
+    A level whose gathers hold _SCRATCH_WORDS words or more gathers into
+    two scratch arrays that every such level of the tile reuses: fresh
+    arrays that large may be fresh memory mappings, page-faulted on every
+    level, depending on what the process freed before.  The scratch takes
+    skip the bounds check (mode="clip" never clips): every predecessor
+    lies in a shorter level, which the build checks.  Smaller gathers
+    allocate their own, which costs less than slicing scratch views.
     """
     width = labels.shape[1]
     reach = np.empty((blocks[-1][1], width), dtype=np.uint64)
     reach[0] = _WORD_MASK
-    scratch = np.empty((2, max(roots.size for _, _, roots, _ in blocks) * width), np.uint64)
+    scratch = None
     for lo, hi, roots, preds in blocks:
-        step, mask = scratch[:, :roots.size * width].reshape(2, *roots.shape, width)
-        reach.take(preds, axis=0, out=step, mode="clip")
-        labels.take(roots, axis=0, out=mask, mode="clip")
-        step &= mask
+        if roots.size * width < _SCRATCH_WORDS:
+            step = reach.take(preds, axis=0)
+            step &= labels.take(roots, axis=0)
+        else:
+            if scratch is None:
+                most = max(block[2].size for block in blocks)
+                scratch = np.empty((2, most * width), dtype=np.uint64)
+            step, mask = scratch[:, :roots.size * width].reshape(2, *roots.shape, width)
+            reach.take(preds, axis=0, out=step, mode="clip")
+            labels.take(roots, axis=0, out=mask, mode="clip")
+            step &= mask
         np.bitwise_or.reduce(step, axis=0, out=reach[lo:hi])
     return reach
 
@@ -1137,7 +1156,8 @@ class CoxeterSystem:
             if not ups.size:
                 break
             x, gen = np.divmod(ups, n)
-            found = words.take(x, axis=0) ^ flips.take(images[ups] - 1, axis=0)
+            flipped = images[ups] - 1  # the root each longer product adds
+            found = words.take(x, axis=0) ^ flips.take(flipped, axis=0)
             _, first, slot = np.unique(
                 _word_keys(found), return_index=True, return_inverse=True
             )
@@ -1151,7 +1171,7 @@ class CoxeterSystem:
             product[ups] = size + number
             back, back_ids = number * n + gen, start + x
             new = first[order]
-            added.append((images[ups[new]] - 1).astype(added[0].dtype))
+            added.append(flipped[new].astype(added[0].dtype))
             parent, gen = x[new], gen[new]
             level = _times_simple(level, parent, gen, perm)
             words = found[new]
