@@ -43,7 +43,6 @@ from .scalar import AlgebraicScalar, build_ring, embed_cos
 DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
-_CERTIFY_ROWS = 1 << 16  # inversion sets per round of the join's certification
 _REACH_TILE_BYTES = 1 << 20  # reach array bytes per column tile, to stay in L2 cache
 _SCRATCH_WORDS = 1 << 14  # 128 KiB, glibc's default threshold for mapping an allocation
 
@@ -217,7 +216,7 @@ _BYTE_COUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 def _popcount(words: np.ndarray) -> np.ndarray:
     """The number of roots in each row of a 2-D uint64 word array."""
     as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return _BYTE_COUNTS[as_bytes].sum(axis=1, dtype=np.intp)
+    return _BYTE_COUNTS.take(as_bytes.T).sum(axis=0, dtype=np.intp)
 
 
 def _word_keys(words: np.ndarray) -> np.ndarray:
@@ -457,6 +456,14 @@ class RootTable:
                 raise ValueError(f"root index {index} out of range")
         return words_to_bits(self.cone_words()[i, j][None])[0]
 
+    def cone_triples(self) -> tuple[np.ndarray, ...]:
+        """i, j, then the distinct g and their starts, of the triples
+        (i < j, g) by g with g in cone_mask(i, j) and not i or j; built on
+        the first call and kept."""
+        if self._cone_triples is None:
+            self._cone_triples = _cone_triples(self.cone_words(), self.n_roots)
+        return self._cone_triples
+
     def cone_round(self, sets: np.ndarray) -> np.ndarray:
         """The roots one round of 2-closure adds to (n_roots, w) uint64 sets,
         64 a word as transpose_bits lays them out: g joins a set that holds
@@ -464,9 +471,7 @@ class RootTable:
         adds nothing.  The triples (i, j, g), g not i or j, are listed by g
         on the first round, so a round is one gather of sets[i] & sets[j]
         and one OR per g."""
-        if self._cone_triples is None:
-            self._cone_triples = _cone_triples(self.cone_words(), self.n_roots)
-        first, second, targets, starts = self._cone_triples
+        first, second, targets, starts = self.cone_triples()
         hits = sets.take(first, axis=0)
         hits &= sets.take(second, axis=0)
         hits = np.bitwise_or.reduceat(hits, starts, axis=0)
@@ -505,7 +510,7 @@ def _descents(simple: np.ndarray, roots: list[Root]) -> list[tuple]:
 def _narrow(ring, x: np.ndarray) -> np.ndarray:
     """x as int64 when every form _base_cones builds fits."""
     d = x.shape[-1]
-    biggest = max(abs(a) for a in x.ravel().tolist())
+    biggest = int(np.abs(x).max())
     # the largest entry sum of c^a's multiplication matrices over a < d
     spread = np.abs(ring.times(np.eye(d, dtype=object))).sum(axis=0).max()
     return x.astype(np.int64) if 2 * d * biggest**2 * spread < 1 << 63 else x
@@ -519,23 +524,40 @@ def _base_cones(table: RootTable) -> np.ndarray:
     of alpha_k and beta when gamma_c beta_q - gamma_q beta_c vanishes for
     every c != k; it is then a alpha_k + b beta, b = gamma_q / beta_q >= 0,
     and in the cone when a beta_q, that form at c = k, is >= 0.
+
+    The roots j run in blocks whose arrays hold about _SCRATCH_WORDS
+    entries each, with no loop over single roots.  A block's products
+    gamma_c beta_p, for every root g and coordinates c and p, are one
+    integer matrix product per coefficient, and the forms gamma_c beta_p -
+    gamma_p beta_c their antisymmetric difference, the coefficient axis
+    leading so that the zero test reduces over a leading axis.  At p = q,
+    g is in the plane when no form other than the one at c = k fails to
+    vanish.  The forms at c = k of every plane are signed in one call.
     """
     ring = table.ring
     x = _narrow(ring, table._coeffs)
-    n_roots, n = x.shape[:2]
+    n_roots, n, d = x.shape
+    nonzero = (x != 0).any(axis=2)
+    if (nonzero[n:].sum(axis=1) < 2).any():
+        raise CoxeterError("distinct positive roots cannot be proportional")
     ks = np.arange(n)
+    others = nonzero[:, None, :] & (ks[:, None] != ks)  # [j, k, c]
+    qs = np.where(others.any(axis=2), others.argmax(axis=2), ks)  # [j, k]
+    times = ring.times(x).transpose(2, 3, 0, 1)  # [t, e, j, p]: coefficient t of beta_j[p] c^e
+    gammas = x.reshape(n_roots * n, d)
+    step = max(1, _SCRATCH_WORDS // (n_roots * n * n * d))
     planes = []
-    for j, nonzero in enumerate((x != 0).any(axis=2)):
-        if j >= n and nonzero.sum() < 2:
-            raise CoxeterError("distinct positive roots cannot be proportional")
-        products = (ring.times(x[j]) @ x[:, :, None, :, None])[..., 0]
-        forms = products - products.swapaxes(1, 2)  # [g, c, q]
-        others = nonzero & (ks[:, None] != ks)
-        q = np.where(others.any(axis=1), others.argmax(axis=1), ks)
-        zero = ~(forms[:, :, q] != 0).any(axis=3)
-        zero[:, ks, ks] = True  # c = k is the cone test
-        g, k = np.nonzero(zero.all(axis=1))
-        planes.append((k, np.full(g.size, j), g, forms[g, k, q[k]]))
+    for lo in range(0, n_roots, step):
+        q = qs[lo:lo + step]
+        j = np.arange(q.shape[0])[:, None]
+        # forms[t, g, c, j, p]: coefficient t of gamma_c beta_p - gamma_p beta_c
+        products = gammas @ times[:, :, lo:lo + step].reshape(d, d, -1)
+        products = products.reshape(d, n_roots, n, q.shape[0], n)
+        forms = products - products.transpose(0, 1, 4, 3, 2)
+        moved = (forms != 0).any(axis=0)  # [g, c, j, p]
+        outside = moved.sum(axis=1)[:, j, q] - moved[:, ks, j, q]  # [g, j, k]
+        g, j, k = np.nonzero(outside == 0)
+        planes.append((k, lo + j, g, forms[:, g, k, j, q[j, k]].T))
     base = np.zeros((n, n_roots, n_roots), dtype=bool)
     k, j, g, values = map(np.concatenate, zip(*planes))
     base[k, j, g] = ring.signs(values) >= 0
@@ -547,7 +569,8 @@ def _cone_table(table: RootTable) -> np.ndarray:
 
     The simple rows are _base_cones.  If beta_t = s_i(beta_u) and beta_j !=
     alpha_i, s_i maps cone(beta_u, s_i beta_j), which lacks alpha_i, onto
-    cone(beta_t, beta_j): a depth level of rows is one gather.
+    cone(beta_t, beta_j): a depth level of rows is one gather of words and
+    one take of their bits.
     """
     n, n_roots = table.graph.rank, table.n_roots
     simple = np.array(table.act[:n], dtype=np.intp)
@@ -555,7 +578,9 @@ def _cone_table(table: RootTable) -> np.ndarray:
     for roots, gens, parents in _descents(simple, table.roots):
         perm = np.abs(simple[gens]) - 1
         rows = _unpack_words(cone[parents[:, None], perm], n_roots)
-        cone[roots] = _pack_words(np.take_along_axis(rows, perm[:, None], axis=2))
+        # [t, j, g] = rows[t, j, perm[t, g]], one take in the flat rows
+        at = np.arange(0, rows.size, n_roots).reshape(*perm.shape, 1) + perm[:, None]
+        cone[roots] = _pack_words(rows.ravel().take(at))
         cone[roots, :n] = cone[:n, roots].swapaxes(0, 1)
     return cone
 
@@ -728,9 +753,13 @@ class _NumpyTables:
     k roots of Phi_x, and (r, x * t_r) on the right, for the k roots of
     Phi_{x^-1}, when x has length k.  Per side they make a step program,
     one (k, n_k) block of roots and of predecessors per level k, and the
-    programs are all the reachability kernel reads.  The constructor
-    builds them along the enumeration tree, one level at a time
-    (_build_programs), and nothing else.
+    programs are all the reachability kernel reads (program(side)).  Each
+    is built along the enumeration tree, one level at a time, in one
+    pass: the constructor builds the left one, from which it marks D and
+    numbers the reach rows (_build_programs), and nothing else; the right
+    one is built on its first read, so "H" sweeps, check_conjecture_H and
+    path_witness never build it, while "D", "EQ", "HD",
+    conjectural_join_D and the right route of reachable_ids do, once.
 
     left[t, x] = t * x and right[t, x] = x * t, for the reflection t of
     root t, are built on first read, one side at a time (_product_table):
@@ -776,7 +805,24 @@ class _NumpyTables:
         self.bounds = np.searchsorted(self.lengths, np.arange(int(self.lengths[-1]) + 2))
         self._left: np.ndarray | None = None
         self._right: np.ndarray | None = None
+        self._programs: dict[str, tuple[list, list]] = {}
         self._build_programs()
+
+    def program(self, side: str, reflections_only: bool = False) -> list[tuple]:
+        """One side's step program: (lo, hi, roots, preds) per level.
+
+        With reflections_only, the blocks over D alone, up to the longest
+        reflection's level.  The left program is built by the constructor,
+        the right one on first read; both are kept.  Any other side raises
+        ValueError.
+        """
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        if side not in self._programs:
+            self._programs[side] = self._side_program(*_tree_steps(
+                self._tree, self._conj, self.bounds, side
+            ))
+        return self._programs[side][reflections_only]
 
     @property
     def left(self) -> np.ndarray:
@@ -817,61 +863,73 @@ class _NumpyTables:
         return table
 
     def _build_programs(self) -> None:
-        """The reachability kernel's step programs, one a side.
+        """The slots of the reach rows, and the left step program.
 
         The kernel's reach rows are slots: within each length level the
         elements of D come first, each part in id order, so level k's
         slots are bounds[k]..bounds[k + 1] - 1 like its ids, and slots[x]
-        is the slot of element x.  D is marked from the left steps in id
-        order of the levels up to the longest reflection's
-        (_reflection_down_set).  Then both sides are built along the
-        enumeration tree renumbered by slot (_tree_steps), so that each
-        level's rows are in slot order as they are made and its
-        predecessors are slots: level k's block is that level's (n_k, k)
-        views, transposed.
+        is the slot of element x.  The left steps are built once along
+        the enumeration tree, in id order (_tree_steps); D is marked from
+        their levels up to the longest reflection's (_reflection_down_set),
+        and then those levels are put in slot order (_side_program).
         """
         lengths, bounds, size = self.lengths, self.bounds, self.lengths.size
-        top = int(lengths[self.refl_ids].max())  # the longest reflection's level
-        _, preds = _tree_steps(self._tree, self._conj, bounds[:top + 2], ("left",))["left"]
-        inside = _reflection_down_set(preds, bounds, self.refl_ids)
-        del preds
+        self._top = top = int(lengths[self.refl_ids].max())  # the longest reflection's level
+        roots, preds = _tree_steps(self._tree, self._conj, bounds, "left")
+        inside = _reflection_down_set(preds[:top + 1], bounds, self.refl_ids)
         order = np.argsort(2 * lengths + ~inside, kind="stable")
         self.slots = slots = np.empty(size, dtype=np.int32)
         slots[order] = np.arange(size, dtype=np.int32)
         self.refl_slots = slots[self.refl_ids]
         self.down_size = int(np.count_nonzero(inside))
         # the end of D's slots in each level
-        cuts = (bounds[:-1] + np.add.reduceat(inside.astype(np.intp), bounds[:-1])).tolist()
-        parent, gen, added, by_gen = self._tree
-        by_slot = (slots.take(parent.take(order)), gen.take(order), added.take(order),
-                   slots.take(by_gen.take(order, axis=0)))
-        levels = list(zip(bounds[1:].tolist(), bounds[2:].tolist()))
-        steps = _tree_steps(by_slot, self._conj, bounds, ("left", "right"))
-        self.programs, self.reflection_programs = {}, {}
-        for side, (roots, preds) in steps.items():
-            blocks = [
-                (lo, hi, level_roots.T, level_preds.T)
-                for (lo, hi), level_roots, level_preds in zip(levels, roots[1:], preds[1:])
-            ]
-            self.programs[side] = blocks
-            self.reflection_programs[side] = [
-                (lo, cut, level_roots[:, :cut - lo], level_preds[:, :cut - lo])
-                for (lo, _, level_roots, level_preds), cut in zip(blocks[:top], cuts[1:])
-            ]
+        self._cuts = (bounds[:-1] + np.add.reduceat(inside.astype(np.intp), bounds[:-1])).tolist()
+        self._programs["left"] = self._side_program(roots, preds)
+
+    def _side_program(
+        self, roots: list[np.ndarray], preds: list[np.ndarray]
+    ) -> tuple[list, list]:
+        """A side's blocks, and its blocks over D, from its steps in id order.
+
+        No element above the longest reflection's level is in D, so slots
+        and ids differ only up to that level: each of those levels' rows
+        is put in slot order by one take.  Every level's predecessors
+        become slots by one take in place.  Level k's block is its
+        (n_k, k) views, transposed.
+        """
+        ids, cuts, slots = self.bounds.tolist(), self._cuts, self.slots
+        order = np.empty_like(slots)  # the ids by slot
+        order[slots] = np.arange(slots.size, dtype=slots.dtype)
+        for k in range(1, len(roots)):
+            level = preds[k]
+            if k <= self._top:
+                rows = order[ids[k]:ids[k + 1]] - ids[k]
+                roots[k][...] = roots[k].take(rows, axis=0)
+                level = level.take(rows, axis=0)
+            slots.take(level, out=preds[k])
+        blocks = [
+            (lo, hi, level_roots.T, level_preds.T)
+            for lo, hi, level_roots, level_preds in zip(ids[1:], ids[2:], roots[1:], preds[1:])
+        ]
+        down = [
+            (lo, cut, level_roots[:, :cut - lo], level_preds[:, :cut - lo])
+            for (lo, _, level_roots, level_preds), cut in zip(blocks[:self._top], cuts[1:])
+        ]
+        return blocks, down
 
 
 def _tree_steps(
-    tree: tuple[np.ndarray, ...], conj: np.ndarray, bounds: np.ndarray, sides: tuple[str, ...]
-) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Roots and predecessors of the length-decreasing steps, by level, per side.
+    tree: tuple[np.ndarray, ...], conj: np.ndarray, bounds: np.ndarray, side: str
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Roots and predecessors of one side's length-decreasing steps, by level.
 
-    tree is (parent, gen, added, by_gen) in a numbering of the elements in
-    which level k is bounds[k]..bounds[k + 1] - 1: element x's parent,
-    the generator g with x = parent * s_g, the root of Phi_x that is not
-    in its parent's, and the generator table.  Entry k of each list is an
-    (n_k, k) view, row x - bounds[k] holding the steps into x, of one
-    array a side of roots (of added's dtype) and one of int32
-    predecessors, so that a side is two allocations, not two a level.
+    tree is (parent, gen, added, by_gen), with level k the ids
+    bounds[k]..bounds[k + 1] - 1: element x's parent, the generator g
+    with x = parent * s_g, the root of Phi_x that is not in its parent's,
+    and the generator table.  Entry k of each list is an (n_k, k) view,
+    row x - bounds[k] holding the steps into x, of one array of roots (of
+    added's dtype) and one of int32 predecessors, so that a side is two
+    allocations, not two a level.
 
     Take x = p * s_g.  On the left, Phi_x is Phi_p plus added[x] =
     p(alpha_g): each step (beta, q) into p gives the step (beta, q * s_g)
@@ -879,10 +937,9 @@ def _tree_steps(
     new one.  On the right, N(x) = {alpha_g} + s_g N(p) for N(w) =
     Phi_{w^-1} (Humphreys 1990, 5.6): each step (r, q) into p gives
     (s_g(r), q * s_g), since x t_{s_g(r)} = (p t_r) s_g, and (alpha_g, p)
-    is the new one.  conj[r, g] is the root of s_g(beta_r).  A level is,
-    per side, one row take of its parents' steps and one take in the
-    generator table.  A predecessor outside the shorter levels raises
-    CoxeterError.
+    is the new one.  conj[r, g] is the root of s_g(beta_r).  A level is
+    one row take of its parents' steps and one take in the generator
+    table.  A predecessor outside the shorter levels raises CoxeterError.
     """
     parent, gen, added, by_gen = tree
     rank = by_gen.shape[1]
@@ -891,34 +948,33 @@ def _tree_steps(
     n_roots = conj.shape[0]
     ids = bounds.tolist()
     sizes = np.diff(bounds)
-    # level k's n_k * k steps are ends[k]..ends[k + 1] - 1 of one array a side
+    # level k's n_k * k steps are ends[k]..ends[k + 1] - 1 of one array
     ends = np.concatenate([[0], np.cumsum(sizes * np.arange(sizes.size))]).tolist()
 
     def by_level(dtype: type) -> list[np.ndarray]:
         flat = np.empty(ends[-1], dtype=dtype)
         return [flat[a:b].reshape(n, k) for k, (a, b, n) in enumerate(zip(ends, ends[1:], sizes))]
 
-    out = {side: (by_level(added.dtype), by_level(np.int32)) for side in sides}
+    roots, preds = by_level(added.dtype), by_level(np.int32)
     for k in range(1, len(ids) - 1):
         up, lo, hi = ids[k - 1], ids[k], ids[k + 1]
         p, g = parent[lo:hi, None], gen[lo:hi, None]
         rows = p[:, 0] - up  # the parents' rows in level k - 1
-        for side, (roots, preds) in out.items():
-            steps = flat_gen.take(preds[k - 1].take(rows, axis=0) * rank + g)
-            if steps.max(initial=0) >= lo:
-                raise CoxeterError(
-                    "a step's predecessor is not in a shorter length level: the "
-                    "generator table is inconsistent"
-                )
-            np.concatenate([steps, p], axis=1, out=preds[k])
-            before = roots[k - 1].take(rows, axis=0)
-            if side == "left":
-                last = added[lo:hi, None]
-            else:
-                before = flat_conj.take(before + g * n_roots)
-                last = g.astype(added.dtype)
-            np.concatenate([before, last], axis=1, out=roots[k])
-    return out
+        steps = flat_gen.take(preds[k - 1].take(rows, axis=0) * rank + g)
+        if steps.max(initial=0) >= lo:
+            raise CoxeterError(
+                "a step's predecessor is not in a shorter length level: the "
+                "generator table is inconsistent"
+            )
+        np.concatenate([steps, p], axis=1, out=preds[k])
+        before = roots[k - 1].take(rows, axis=0)
+        if side == "left":
+            last = added[lo:hi, None]
+        else:
+            before = flat_conj.take(before + g * n_roots)
+            last = g.astype(added.dtype)
+        np.concatenate([before, last], axis=1, out=roots[k])
+    return roots, preds
 
 
 def _reflection_down_set(
@@ -983,14 +1039,11 @@ def _run_program(
     tables: _NumpyTables, unions: np.ndarray, side: str, reflections_only: bool
 ) -> np.ndarray:
     """The wanted rows of the reach array, tile by tile."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    blocks = tables.program(side, reflections_only)
     if reflections_only:
-        blocks, rows = tables.reflection_programs[side], tables.refl_slots
-        filled = tables.down_size
+        rows, filled = tables.refl_slots, tables.down_size
     else:
-        blocks, rows = tables.programs[side], tables.slots
-        filled = tables.lengths.size
+        rows, filled = tables.slots, tables.lengths.size
     labels = transpose_bits(unions, tables.n_roots)
     width = max(1, _REACH_TILE_BYTES // (8 * filled))
     tiles = [
@@ -1044,11 +1097,17 @@ def weak_joins(system: "CoxeterSystem", unions: np.ndarray) -> np.ndarray:
     inversion set must add nothing.  Then the x found has Phi_x = cl(A),
     so x is an upper bound, and every upper bound y has a closed Phi_y
     that holds A, hence cl(A).  Either check failing raises CoxeterError.
+    The certifying round runs over blocks of inversion sets, 64 a word,
+    with as many words a block as keep its gather (one row a cone triple)
+    under _SCRATCH_WORDS: a larger gather may be a fresh mapping that
+    page-faults.
     """
     table = system.table
     if not system._joins_certified:
-        for lo in range(0, system.size, _CERTIFY_ROWS):
-            sets = transpose_bits(system.inv_words[lo:lo + _CERTIFY_ROWS], table.n_roots)
+        triples = table.cone_triples()[0].size
+        rows = 64 * max(1, _SCRATCH_WORDS // max(1, triples))
+        for lo in range(0, system.size, rows):
+            sets = transpose_bits(system.inv_words[lo:lo + rows], table.n_roots)
             if table.cone_round(sets).any():
                 raise CoxeterError(
                     "an inversion set is not closed: the cone table is inconsistent"

@@ -32,9 +32,10 @@ only the reflections' rows, so the program runs only over the elements
 below some reflection in Bruhat order (reflection_reach_words).  The join
 of A is the element whose inversion set is the 2-closure cl(A): cone
 rounds over a chunk's unions, then one lookup among the sorted keys
-(weak_joins).  Neither kernel reads a product table.  "EQ" decides without
-the join, so it runs the join kernel only for the unions of the pairs it
-records as failing.
+(weak_joins).  Neither kernel reads a product table, and a sweep builds
+the step program of a route only when it reads that route: "H" never
+builds the right one.  "EQ" decides without the join, so it runs the join
+kernel only for the unions of the pairs it records as failing.
 
 Failing pairs are counted and recorded by a second stream, over the
 ordered pairs on the same grid of spans, that runs only when some union
@@ -190,7 +191,12 @@ def _sweep_unions(
     chunk: int,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Join, left-route and right-route bits of every union, each None
-    unless wanted."""
+    unless wanted.  The step program of each wanted route is built here,
+    before any worker is forked, so that the workers share it."""
+    npt = system.numpy_tables()
+    for side, want in (("left", want_left), ("right", want_right)):
+        if want:
+            npt.program(side)
     spans = [
         (lo, min(lo + chunk, unions.size)) for lo in range(0, unions.size, chunk)
     ]

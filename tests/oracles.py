@@ -17,6 +17,8 @@ repeats, reflection images found by a scan over all roots, and cone masks
 solved one pair at a time by Cramer's rule with an exact inverse.  They
 read only the root coordinates and the bilinear form, and they sign
 scalars with interval_sign, not with the library's MinimalPolynomial.signs.
+The cones of the simple roots also have the per-root loop the library
+used before its blocked array passes, with the ring's products and signs.
 The cones of a rank-2 table also follow from its reflection order alone,
 read off act, with no arithmetic.
 
@@ -466,6 +468,38 @@ def cone_mask_cramer(table, i, j):
         if all((a * alpha[c] + b * beta[c] - gamma[c]).is_zero() for c in range(n)):
             mask |= 1 << k
     return mask
+
+
+def base_cones_loop(table):
+    """base[k, j, g]: whether beta_g lies in the cone of alpha_k and beta_j.
+
+    The per-root loop the library used before its blocked array passes,
+    on the exact coefficients as Python ints (never narrowed to int64).
+    Let q be the first coordinate other than k where beta = beta_j is
+    nonzero, or k when beta = alpha_k.  gamma is in the plane of alpha_k
+    and beta when gamma_c beta_q - gamma_q beta_c vanishes for every
+    c != k, and in the cone when that form at c = k is >= 0.
+    """
+    ring = table.ring
+    x = table._coeffs.astype(object)
+    n_roots, n = x.shape[:2]
+    ks = np.arange(n)
+    planes = []
+    for j, nonzero in enumerate((x != 0).any(axis=2)):
+        if j >= n and nonzero.sum() < 2:
+            raise CoxeterError("distinct positive roots cannot be proportional")
+        products = (ring.times(x[j]) @ x[:, :, None, :, None])[..., 0]
+        forms = products - products.swapaxes(1, 2)  # [g, c, q]
+        others = nonzero & (ks[:, None] != ks)
+        q = np.where(others.any(axis=1), others.argmax(axis=1), ks)
+        zero = ~(forms[:, :, q] != 0).any(axis=3)
+        zero[:, ks, ks] = True  # c = k is the cone test
+        g, k = np.nonzero(zero.all(axis=1))
+        planes.append((k, np.full(g.size, j), g, forms[g, k, q[k]]))
+    base = np.zeros((n, n_roots, n_roots), dtype=bool)
+    k, j, g, values = map(np.concatenate, zip(*planes))
+    base[k, j, g] = ring.signs(values) >= 0
+    return base
 
 
 def dihedral_cones(table):

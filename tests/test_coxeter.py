@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_bfs, product_tables_loop
+from weakorder import coxeter
 from weakorder.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -345,6 +346,79 @@ def test_only_products_by_one_reflection_build_the_product_tables(reader):
             assert built.dtype == oracle.dtype and np.array_equal(built, oracle)
         else:
             assert built is None
+
+
+# what each reader does with B3, u = s1 s2 and v = s3 s2, and the step
+# programs it builds: numpy_tables() builds the left one, the joins none
+LEFT, BOTH = ["left"], ["left", "right"]
+PROGRAM_READERS = {
+    "numpy_tables": (lambda system, u, v: system.numpy_tables().down_size > 0, LEFT),
+    "H sweep": (lambda system, u, v: sweep(system, "H", workers=1).ok, LEFT),
+    "check_conjecture_H": (lambda system, u, v: check_conjecture_H(u, v).holds, LEFT),
+    "joins": (lambda system, u, v: join_bruteforce(u, v).length > 0, []),
+    "path_witness": (lambda system, u, v: path_witness(system, _union(u, v), 0), LEFT),
+    "reachable_ids left": (
+        lambda system, u, v: system.reachable_ids(_union(u, v).bits, "left").any(), LEFT
+    ),
+    "D sweep": (lambda system, u, v: sweep(system, "D", workers=1).ok, BOTH),
+    "EQ sweep": (lambda system, u, v: sweep(system, "EQ", workers=1).ok, BOTH),
+    "HD sweep": (lambda system, u, v: sweep(system, "HD", workers=1).ok, BOTH),
+    "conjectural_join_D": (lambda system, u, v: conjectural_join_D(
+        system, left_reflection_set(u), left_reflection_set(v)
+    ).bits, BOTH),
+    "reachable_ids right": (
+        lambda system, u, v: system.reachable_ids(_union(u, v).bits, "right").any(), BOTH
+    ),
+}
+
+
+def _counted_tree_steps(monkeypatch) -> list[str]:
+    """The sides whose steps are built from now on, in order."""
+    built = []
+    steps = coxeter._tree_steps
+
+    def counted(tree, conj, bounds, side):
+        built.append(side)
+        return steps(tree, conj, bounds, side)
+
+    monkeypatch.setattr(coxeter, "_tree_steps", counted)
+    return built
+
+
+@pytest.mark.parametrize("reader", PROGRAM_READERS)
+def test_the_right_step_program_is_built_once_and_only_when_read(monkeypatch, reader):
+    read, sides = PROGRAM_READERS[reader]
+    built = _counted_tree_steps(monkeypatch)
+    system = build_system("B3")
+    u, v = system.element_from_word([1, 2]), system.element_from_word([3, 2])
+    assert read(system, u, v) and read(system, u, v)
+    assert built == sides
+    if "right" not in sides:
+        return
+    # the program built on first read holds the descents of the oracle table
+    npt = system.numpy_tables()
+    right = _b3_oracle_tables()[1]
+    elements = np.argsort(npt.slots)
+    for lo, hi, roots, preds in npt.program("right"):
+        for column, x in enumerate(elements[lo:hi]):
+            below = right[:, x]
+            falls = np.flatnonzero(npt.lengths[below] < npt.lengths[x])
+            steps = zip(roots[:, column].tolist(), elements[preds[:, column]].tolist())
+            assert set(steps) == set(zip(falls.tolist(), below[falls].tolist())), x
+    assert built == ["left", "right"]
+
+
+@pytest.mark.parametrize("conjecture", ["D", "EQ"])
+def test_pooled_right_route_sweeps_match_one_worker(monkeypatch, conjecture):
+    # the right program is built before the pool forks, in this process
+    built = _counted_tree_steps(monkeypatch)
+    system = build_system("F4")
+    pooled = sweep(system, conjecture, workers=2).as_dict()
+    assert built == ["left", "right"]
+    solo = sweep(build_system("F4"), conjecture, workers=1).as_dict()
+    for report in (pooled, solo):
+        del report["wall_time_ms"], report["workers"]
+    assert pooled == solo and solo["failure_count"] == 0
 
 
 def test_left_product_by_reflection_agrees_with_word_composition():

@@ -121,7 +121,7 @@ def _program_steps(npt, side, x, elements):
     k = int(npt.lengths[x])
     if k == 0:
         return []
-    lo, _, roots, preds = npt.programs[side][k - 1]
+    lo, _, roots, preds = npt.program(side)[k - 1]
     column = npt.slots[x] - lo
     return list(zip(roots[:, column].tolist(), elements[preds[:, column]].tolist()))
 

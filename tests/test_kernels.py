@@ -14,11 +14,13 @@ reachability runs over column tiles, which are shrunk here so that every
 type splits.
 The reflection-only run of the reachability program must give reach_words'
 rows at the reflections bit for bit, and its down-set of the reflections
-must hold them and be closed under the steps of both sides.
+must hold them and be closed under the steps of both sides.  Both runs,
+on both sides, must be monotone in their labels.
 """
 
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +184,21 @@ def test_every_inversion_set_is_closed_and_its_own_join(name):
     assert np.array_equal(joins, np.arange(system.size))
 
 
+def test_the_first_join_certifies_in_small_blocks():
+    # one round over all 14,400 H4 inversion sets gathered 3 MB, which a
+    # process that has freed nothing that large maps fresh and page-faults
+    system = build_system("H4")
+    system.table.cone_triples()
+    tracemalloc.start()
+    try:
+        joins = weak_joins(system, system.inv_words[:1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system._joins_certified and joins.tolist() == [0]
+    assert peak <= 2**19, f"{peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
 def test_push_oracle_matches_the_bfs_on_every_union(name):
     system = _system(name)
@@ -316,7 +333,7 @@ def _down_set(npt):
     """The elements the reflection-only program fills: e and its blocks' slots."""
     filled = np.zeros(npt.lengths.size, dtype=bool)
     filled[0] = True
-    for lo, hi, _, _ in npt.reflection_programs["left"]:
+    for lo, hi, _, _ in npt.program("left", reflections_only=True):
         filled[lo:hi] = True
     return filled[npt.slots]
 
@@ -343,3 +360,23 @@ def test_the_down_set_holds_the_reflections_and_is_closed_under_descents(name):
             below = npt.left[:, x]
             todo.extend(below[npt.lengths[below] < npt.lengths[x]].tolist())
     assert np.array_equal(marked, inside)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "F4", "D5", "H4"])
+def test_routes_are_monotone_in_their_labels(name):
+    # A within A' gives reach(A) within reach(A'), on both sides: a sweep
+    # that routes only the smallest and largest label sets of a join class
+    # rests on it
+    system = _system(name)
+    npt = system.numpy_tables()
+    rng = random.Random(19)
+    inv, n = system.inv_bits, system.table.n_roots
+    wide = [inv[rng.randrange(system.size)] | inv[rng.randrange(system.size)]
+            for _ in range(150)] + [rng.getrandbits(n) for _ in range(100)]
+    narrow = [bits & rng.getrandbits(n) for bits in wide]
+    for kernel in (reach_words, reflection_reach_words):
+        for side in ("left", "right"):
+            small = kernel(npt, _union_words(system, narrow), side)
+            large = kernel(npt, _union_words(system, wide), side)
+            assert not (small & ~large).any(), (kernel.__name__, side)
+            assert (large & ~small).any(), (kernel.__name__, side)
