@@ -100,12 +100,17 @@ def path_witness(
     when the reflection is not reachable.  Deterministic: breadth-first,
     each element's parent the first step into it in frontier order, then
     label index order.  A round gathers the products of the whole frontier
-    by every label at once.  A label subset of another root table raises
+    by every label at once.  When the target's root is a label, the path
+    is the one step e -> t, which raises length: the first round would
+    find it, so it is returned without a search, and without reading the
+    product table.  A label subset of another root table raises
     ValueError.
     """
     if labels.table is not system.table:
         raise ValueError("label subset belongs to a different root table")
     target = system.reflection(target_root).index
+    if int(target_root) in labels:
+        return {"labels": [int(target_root)], "vertices": ["e", system.element(target).word_str()]}
     npt = system.numpy_tables()
     roots = np.array(labels.indices(), dtype=np.intp)
     parent = np.full(system.size, -1, dtype=np.intp)

@@ -324,7 +324,9 @@ TABLE_READERS = {
     "reachable_ids": (lambda system, u, v: all(
         system.reachable_ids(_union(u, v).bits, side).any() for side in ("left", "right")
     ), ()),
-    "path_witness": (lambda system, u, v: path_witness(system, _union(u, v), 0), ("left",)),
+    # root 6 (a1 + a2 + c*a3) is three steps away, root 0 (a1) is a label
+    "path_witness": (lambda system, u, v: path_witness(system, _union(u, v), 6), ("left",)),
+    "path_witness one step": (lambda system, u, v: path_witness(system, _union(u, v), 0), ()),
     "to_dot": (lambda system, u, v: to_dot(u, v), ("left",)),
     "left_mul_reflection": (lambda system, u, v: system.left_mul_reflection(2, u.index) + 1,
                             ("left",)),
@@ -356,7 +358,8 @@ PROGRAM_READERS = {
     "H sweep": (lambda system, u, v: sweep(system, "H", workers=1).ok, LEFT),
     "check_conjecture_H": (lambda system, u, v: check_conjecture_H(u, v).holds, LEFT),
     "joins": (lambda system, u, v: join_bruteforce(u, v).length > 0, []),
-    "path_witness": (lambda system, u, v: path_witness(system, _union(u, v), 0), LEFT),
+    "path_witness": (lambda system, u, v: path_witness(system, _union(u, v), 6), LEFT),
+    "path_witness one step": (lambda system, u, v: path_witness(system, _union(u, v), 0), []),
     "reachable_ids left": (
         lambda system, u, v: system.reachable_ids(_union(u, v).bits, "left").any(), LEFT
     ),

@@ -268,7 +268,7 @@ def test_root_set_codec_round_trips(name):
 
 
 @pytest.mark.parametrize("n_bits", [1, 24, 60, 64, 65, 130])
-@pytest.mark.parametrize("rows", [1, 63, 64, 65, 4096, 5000])
+@pytest.mark.parametrize("rows", [1, 7, 9, 20, 63, 64, 65, 4096, 5000])
 def test_transpose_bits_matches_the_unpacked_transpose(rows, n_bits):
     rng = np.random.default_rng(rows * 1000 + n_bits)
     # every bit random, those past n_bits included: the transpose ignores them

@@ -14,11 +14,15 @@ reachability runs over column tiles, which are shrunk here so that every
 type splits.
 The reflection-only run of the reachability program must give reach_words'
 rows at the reflections bit for bit, and its down-set of the reflections
-must hold them and be closed under the steps of both sides.  Both runs,
-on both sides, must be monotone in their labels.
+must hold them and be closed under the steps of both sides.  It stops each
+tile at the longest reflection whose root is not in every union of the
+tile; the levels it runs are pinned against that count, over tiles that
+stop at 0, part way and at the top.  Both runs, on both sides, must be
+monotone in their labels.
 """
 
 import functools
+import operator
 import random
 import tracemalloc
 
@@ -298,6 +302,81 @@ def test_reflection_rows_of_seeded_unions_of_large_types(name):
     npt = system.numpy_tables()
     for side in ("left", "right"):
         _reflection_rows_agree(npt, _union_words(system, unions), side)
+
+
+def _levels(system):
+    """The length of each root's reflection."""
+    return [system.reflection(r).length for r in range(system.table.n_roots)]
+
+
+def _stop_unions(system):
+    """Sorted unions that make every kind of tile in tiles of 1 and 4
+    words, each part repeating its last union to a multiple of 256: 256
+    full sets (tiles that stop at 0); the empty union (a tile that runs
+    the top level) and the distinct unions of 400 seeded pairs; the same
+    unions with the roots of the longest reflections added (tiles that
+    stop part way); then 5 full sets, a tile of real unions that all hold
+    every root, and padding."""
+    full = (1 << system.table.n_roots) - 1
+    rng = random.Random(22)
+    inv = system.inv_bits
+    unions = sorted({inv[rng.randrange(system.size)] | inv[rng.randrange(system.size)]
+                     for _ in range(400)})
+    levels = _levels(system)
+    longest = sum(1 << r for r, level in enumerate(levels) if level == max(levels))
+    parts = [[full], [0, *unions], sorted({bits | longest for bits in unions})]
+    return [bits for part in parts for bits in part + part[-1:] * (-len(part) % 256)] + [full] * 5
+
+
+def _expected_stops(system, unions, width):
+    """Per tile of `width` words, the level of the longest reflection whose
+    root is not in every union of the tile, or 0."""
+    levels = _levels(system)
+    stops = []
+    for lo in range(0, len(unions), 64 * width):
+        common = functools.reduce(operator.and_, unions[lo:lo + 64 * width])
+        stops.append(max((level for r, level in enumerate(levels) if not common >> r & 1),
+                         default=0))
+    return stops
+
+
+@pytest.mark.parametrize("tile", [None, 1, 4])
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(7)", "F4", "D5", "H4", "E6"])
+def test_reflection_rows_stop_at_the_longest_open_reflection(monkeypatch, name, tile):
+    """Bit for bit, padding included, against reach_words' rows, in the
+    default tiles and in tiles of 1 and 4 words; with the fixed widths the
+    levels each tile runs are pinned: none for a word whose roots are all
+    in every union, the top level for the word with the empty union."""
+    system = _system(name)
+    npt = system.numpy_tables()
+    unions = _stop_unions(system)
+    words = _union_words(system, unions)
+    if tile is not None:
+        monkeypatch.setattr(coxeter, "_REACH_TILE_BYTES", tile * 8 * npt.down_size + 7)
+    runs = []
+    reach_tile = coxeter._reach_tile
+
+    def counted(blocks, labels):
+        runs.append(len(blocks))
+        return reach_tile(blocks, labels)
+
+    top = len(npt.program("left", reflections_only=True))
+    assert top == max(npt.lengths[npt.refl_ids])
+    for side in ("left", "right"):
+        npt.program(side)
+        monkeypatch.setattr(coxeter, "_reach_tile", counted)
+        runs.clear()
+        rows = reflection_reach_words(npt, words, side)
+        monkeypatch.setattr(coxeter, "_reach_tile", reach_tile)
+        full = reach_words(npt, words, side)
+        assert rows.shape == (npt.n_roots, full.shape[1]) and rows.flags.c_contiguous
+        assert np.array_equal(rows, full[npt.refl_ids]), side
+        if tile is None:
+            continue
+        stops = _expected_stops(system, unions, tile)
+        assert runs == [stop for stop in stops if stop], side
+        assert stops[0] == stops[-1] == 0 and top in stops
+        assert any(0 < stop < top for stop in stops)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(9)", "D4"])
