@@ -1095,15 +1095,21 @@ def _reflection_tile(
     rows = labels.copy()
     if stop:
         run = tables.refl_lengths <= stop
-        rows[run] = _reach_tile(blocks[:stop], labels).take(tables.refl_slots[run], axis=0)
+        rows[run] = _reach_tile(blocks, labels, stop).take(tables.refl_slots[run], axis=0)
     return rows
 
 
-def _reach_tile(blocks: list, labels: np.ndarray) -> np.ndarray:
+def _reach_tile(blocks: list, labels: np.ndarray, stop: int | None = None) -> np.ndarray:
     """Reach rows by slot over one tile of transposed labels.
 
     Slot 0 is e.  Block (lo, hi, roots, preds) fills slots lo..hi-1 from
-    slots of shorter elements; slots that no block fills are left unset.
+    slots of shorter elements; slots that no block fills are left unset,
+    and so are all slots above level stop when the blocks run only up to
+    it.  The arrays are sized for every block whatever stop is, so tiles
+    that stop at different levels ask the allocator for the same sizes
+    (sizes that vary left holes in the heap); np.empty touches no page a
+    tile leaves unused.
+
     A level whose gathers hold _SCRATCH_WORDS words or more gathers into
     two scratch arrays that every such level of the tile reuses: fresh
     arrays that large may be fresh memory mappings, page-faulted on every
@@ -1116,7 +1122,7 @@ def _reach_tile(blocks: list, labels: np.ndarray) -> np.ndarray:
     reach = np.empty((blocks[-1][1], width), dtype=np.uint64)
     reach[0] = _WORD_MASK
     scratch = None
-    for lo, hi, roots, preds in blocks:
+    for lo, hi, roots, preds in blocks[:stop]:
         if roots.size * width < _SCRATCH_WORDS:
             step = reach.take(preds, axis=0)
             step &= labels.take(roots, axis=0)

@@ -70,6 +70,7 @@ from .coxeter import (
 DEFAULT_CHUNK = 4096
 MAX_RECORDED_FAILURES = 100
 _PAIR_BLOCK_CELLS = 1 << 18  # pairs per streamed span of rows
+_SORTED_LOOKUP_UNIONS = 4096  # failing unions from which a block's are looked up sorted
 # the quantities each conjecture compares: (join, left route, right route)
 _ROUTES = {
     "H": (True, True, False),
@@ -330,19 +331,21 @@ def _failure_records(
     blocks are the ordered stream of _pair_blocks, whose every cell is a
     pair.  failing holds the sorted failing unions as _union_keys words, and
     rhs_left / rhs_right the route bits of each (None for a route the
-    conjecture does not read).  A block's distinct unions are looked up
-    among the failing ones in sorted order, and the lookup is mapped back
-    to the cells: a binary search per cell, in cell order, missed the
-    cache on most probes, and np.isin sorts or tables all of failing once
-    a block, which small blocks cannot repay.  Pairs are counted over all
-    blocks; each block keeps only the first MAX_RECORDED_FAILURES failing
-    pairs in (len u, len v, u, v) order, and recovers (u, v) for its
-    failing cells alone, so memory stays bounded when every pair fails.
-    That order is the order of one int64 key per pair, ((len u *
-    (n_roots + 1) + len v) * |W| + u) * |W| + v, exact below 4.6e7
-    elements: a block's first pairs are one partition of its keys, and
-    only the kept ones are sorted.  The joins are computed for the
-    recorded pairs only.
+    conjecture does not read).  Each cell's union is searched for among
+    the failing ones, cell by cell while they are few.  From
+    _SORTED_LOOKUP_UNIONS failing unions on, a binary search per cell, in
+    cell order, misses the cache on most probes and costs more than
+    sorting the block: a block's distinct unions are then searched for in
+    sorted order and the result mapped back to the cells.  (np.isin sorts
+    or tables all of failing once a block, which small blocks cannot
+    repay.)  Pairs are counted over all blocks; each block keeps only the
+    first MAX_RECORDED_FAILURES failing pairs in (len u, len v, u, v)
+    order, and recovers (u, v) for its failing cells alone, so memory
+    stays bounded when every pair fails.  That order is the order of one
+    int64 key per pair, ((len u * (n_roots + 1) + len v) * |W| + u) * |W|
+    + v, exact below 4.6e7 elements: a block's first pairs are one
+    partition of its keys, and only the kept ones are sorted.  The joins
+    are computed for the recorded pairs only.
     """
     npt = system.numpy_tables()
     words = _union_keys(system)
@@ -352,9 +355,14 @@ def _failure_records(
     count = 0
     top = np.zeros(0, dtype=np.int64)  # the record keys kept so far
     for us, vs, _ in blocks:
-        distinct, cell = np.unique(words[us] | words[vs], return_inverse=True)
-        at = np.minimum(np.searchsorted(failing, distinct), failing.size - 1)
-        hit = (failing[at] == distinct)[cell]
+        unions = words[us] | words[vs]
+        if failing.size < _SORTED_LOOKUP_UNIONS:
+            at = np.minimum(np.searchsorted(failing, unions), failing.size - 1)
+            hit = failing[at] == unions
+        else:
+            distinct, cell = np.unique(unions.ravel(), return_inverse=True)
+            at = np.minimum(np.searchsorted(failing, distinct), failing.size - 1)
+            hit = (failing[at] == distinct)[cell].reshape(unions.shape)
         count += int(np.count_nonzero(hit))
         cells = np.nonzero(hit)
         u = np.broadcast_to(us, hit.shape)[cells]

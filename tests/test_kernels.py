@@ -356,9 +356,16 @@ def test_reflection_rows_stop_at_the_longest_open_reflection(monkeypatch, name, 
     runs = []
     reach_tile = coxeter._reach_tile
 
-    def counted(blocks, labels):
-        runs.append(len(blocks))
-        return reach_tile(blocks, labels)
+    class Levels(list):
+        """A program that notes how many levels a tile slices off it to run."""
+
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                runs.append(len(range(*key.indices(len(self)))))
+            return super().__getitem__(key)
+
+    def counted(blocks, labels, stop=None):
+        return reach_tile(Levels(blocks), labels, stop)
 
     top = len(npt.program("left", reflections_only=True))
     assert top == max(npt.lengths[npt.refl_ids])

@@ -9,6 +9,7 @@ check of both kernels is test_kernels.py, against the oracles in
 oracles.py.
 """
 
+import itertools
 import json
 import tracemalloc
 
@@ -246,10 +247,12 @@ def test_failure_records_sorted_and_truncated(monkeypatch):
         unions = np.unique(words[:, None] | words[None, :])  # pretend every union failed
         rhs = _inv_words(system)[np.zeros(unions.size, dtype=np.int32)]
         # blocks of up to 2^20 pairs (one block but on F4), then blocks of 2
-        # rows whose kept records are merged block by block
+        # rows whose kept records are merged block by block; each block's
+        # failing cells looked up one by one, then by its sorted unions
         results = []
-        for cells in (1 << 20, 2 * n):
+        for cells, sorted_from in itertools.product((1 << 20, 2 * n), (unions.size + 1, 1)):
             monkeypatch.setattr(vf, "_PAIR_BLOCK_CELLS", cells)
+            monkeypatch.setattr(vf, "_SORTED_LOOKUP_UNIONS", sorted_from)
             blocks = vf._pair_blocks(n, None, ordered=True)
             count, records = vf._failure_records(system, blocks, unions, rhs, rhs)
             assert count == n * n
@@ -265,7 +268,7 @@ def test_failure_records_sorted_and_truncated(monkeypatch):
             assert all("reachable_right" not in r for r in only_h)
             assert all("reachable_left" in r for r in only_h)
             results.append(records)
-        assert results[0] == results[1], name
+        assert all(records == results[0] for records in results), name
         assert len(system.lengths) == n
 
 
@@ -382,10 +385,17 @@ def test_injected_faults_are_counted_and_recorded_like_the_old_method(
         us, vs = _all_pairs(system.size)
     else:
         us, vs = vf._pair_arrays(system, sample, 3)
-    # the one conjecture that reads no corrupted route, or, with the same
-    # corruption on both routes, EQ: the routes still agree
-    for sides, passing in ((("left",), "D"), (("right",), "H"), (("left", "right"), "EQ")):
+    # each corruption with the one conjecture that reads no corrupted route,
+    # or, with the same corruption on both routes, EQ: the routes still
+    # agree.  These groups fail too few unions for the sorted lookup of
+    # failure records, so it is also made to run from one failing union on.
+    cases = itertools.product(
+        ((("left",), "D"), (("right",), "H"), (("left", "right"), "EQ")),
+        (vf._SORTED_LOOKUP_UNIONS, 1),
+    )
+    for (sides, passing), sorted_from in cases:
         _corrupt_routes(monkeypatch, sides)
+        monkeypatch.setattr(vf, "_SORTED_LOOKUP_UNIONS", sorted_from)
         for code in ("H", "D", "EQ", "HD"):
             report = sweep(system, code, sample=sample, seed=3, workers=1)
             count, records = _reference_failures(system, code, us, vs)
