@@ -45,7 +45,6 @@ from .verify import (
     workers_from_env,
 )
 from .weak_order import (
-    OracleTooLarge,
     conjectural_join_D,
     enumerate_biclosed,
     is_biclosed,
@@ -68,7 +67,6 @@ __all__ = [
     "HVerdict",
     "MinimalPolynomial",
     "NotAReflection",
-    "OracleTooLarge",
     "Root",
     "RootSubset",
     "RootTable",

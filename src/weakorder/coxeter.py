@@ -20,7 +20,8 @@ root-to-reflection dictionary phi reads the signs of the reflection table.
 Enumeration and the reachability step programs are array code over
 whole length levels: a level's steps are one take per side of its
 breadth-first parents' steps and one in the generator table.  The
-product tables by reflections are built the same way, on first read.
+product tables by reflections are scattered from the step programs, on
+first read.
 
 For closure and the join the root table also keeps the cone of every
 pair of positive roots as a packed bit-set, built on first use: exact
@@ -676,8 +677,8 @@ class GroupElement:
 
     @property
     def word(self) -> tuple[int, ...]:
-        """A reduced word, 1-based generator indices: the word of
-        CoxeterSystem.words, spelled along this element's parents only."""
+        """A reduced word, 1-based generator indices: the letters recorded
+        along this element's breadth-first parents, from e."""
         parent, letter = self.system._parent, self.system._letter
         word, x = [], self.index
         while x:
@@ -687,7 +688,11 @@ class GroupElement:
 
     @property
     def inversion_bits(self) -> int:
-        return self.system.inv_bits[self.index]
+        """Phi_x as a Python int, from this element's row of inv_words."""
+        words = self.system.inv_words
+        if words.shape[1] == 1:
+            return words.item(self.index, 0)
+        return words_to_bits(words[self.index:self.index + 1])[0]
 
     def word_str(self) -> str:
         return " ".join(map(str, self.word)) or "e"
@@ -768,10 +773,11 @@ class _NumpyTables:
     conjectural_join_D and the right route of reachable_ids do, once.
 
     left[t, x] = t * x and right[t, x] = x * t, for the reflection t of
-    root t, are built on first read, one side at a time (_product_table):
-    only path_witness (to a target whose root is not a label), to_dot and
-    the products by one reflection read them, never a sweep,
-    check_conjecture_H, conjectural_join_D or reachable_ids.
+    root t, are scattered from that side's program on first read, one
+    side at a time (_product_table), so the right table builds the right
+    program first: only path_witness (to a target whose root is not a
+    label), to_dot and the products by one reflection read them, never a
+    sweep, check_conjecture_H, conjectural_join_D or reachable_ids.
 
     The sweeps compare the system's inversion sets with what the routes
     reach, so the constructor checks that both describe one group before
@@ -845,27 +851,26 @@ class _NumpyTables:
         return self._right
 
     def _product_table(self, side: str) -> np.ndarray:
-        """One side's product table, filled along the enumeration tree.
+        """One side's product table, scattered from its step program.
 
-        Column e is refl_ids.  Every other x is p * s_g with its parent p
-        one level up, so t * x = (t * p) * s_g and x * t = (p * t') * s_g
-        with t' = s_g t s_g, the reflection through s_g(beta_t).  A level
-        is one flat take in the generator table, raveled so that x * s_g
-        sits at x * rank + g.
+        Every pair (t, x) is a step of exactly one element: of x when t
+        lowers x, of y = t * x (x * t on the right) when t raises x.  So a
+        level's steps (root r, predecessor p) into x write table[r, x] = p
+        and table[r, p] = x, and the steps of a correct program write each
+        of the n_roots * |W| cells once.  The table starts at -1: a cell
+        left unwritten, as a program that writes some cell twice leaves
+        one, raises CoxeterError.
         """
-        parent, gen, _, by_gen = self._tree
-        size, rank = by_gen.shape
-        table = np.empty((self.n_roots, size), dtype=np.int32)
-        table[:, 0] = self.refl_ids
-        flat_gen, flat = by_gen.ravel(), table.ravel()  # table[t, x] at t * size + x
-        bounds = self.bounds.tolist()
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            p, g = parent[lo:hi], gen[lo:hi]
-            if side == "left":
-                before = table.take(p, axis=1)
-            else:
-                before = flat.take(self._conj[:, g] * size + p)
-            table[:, lo:hi] = flat_gen.take(before * rank + g)
+        ids = np.argsort(self.slots).astype(np.int32)  # the element of each slot
+        table = np.full((self.n_roots, ids.size), -1, dtype=np.int32)
+        for lo, hi, roots, preds in self.program(side):
+            x, p = ids[lo:hi], ids.take(preds)
+            table[roots, x] = p
+            table[roots, p] = x
+        if table.min() < 0:
+            raise CoxeterError(
+                f"the {side} step program misses a product: the steps are inconsistent"
+            )
         return table
 
     def _build_programs(self) -> None:
@@ -1150,14 +1155,16 @@ def weak_joins(system: "CoxeterSystem", unions: np.ndarray) -> np.ndarray:
     so x is an upper bound, and every upper bound y has a closed Phi_y
     that holds A, hence cl(A).  Either check failing raises CoxeterError.
     The certifying round runs over blocks of inversion sets, 64 a word,
-    with as many words a block as keep its gather (one row a cone triple)
-    under _SCRATCH_WORDS: a larger gather may be a fresh mapping that
-    page-faults.
+    with as many words a block as keep both its gather (one row a cone
+    triple) and the byte matrix transpose_bits masks (64 bytes a word for
+    every byte of a set) under _SCRATCH_WORDS: a larger temporary may be a
+    fresh mapping that page-faults.
     """
     table = system.table
     if not system._joins_certified:
         triples = table.cone_triples()[0].size
-        rows = 64 * max(1, _SCRATCH_WORDS // max(1, triples))
+        n_bytes = -(-table.n_roots // 8)
+        rows = 64 * max(1, _SCRATCH_WORDS // max(triples, 64 * n_bytes))
         for lo in range(0, system.size, rows):
             sets = transpose_bits(system.inv_words[lo:lo + rows], table.n_roots)
             if table.cone_round(sets).any():
@@ -1179,7 +1186,6 @@ class CoxeterSystem:
     def __init__(self, table: RootTable, element_cap: int = DEFAULT_ELEMENT_CAP):
         self.table = table
         self.graph = table.graph
-        self._words: list[tuple[int, ...]] | None = None
         self._inv_bits: list[int] | None = None
         self._enumerate(element_cap)
         self._np_tables: _NumpyTables | None = None
@@ -1207,8 +1213,8 @@ class CoxeterSystem:
         _right_by_gen are those of a FIFO breadth-first search over x * s_i
         in the same order; each new element records its parent x, letter
         i + 1 and, in _added, the root |tau_x(alpha_i)| its inversion set
-        adds to x's, from which words are spelled out on first use and the
-        step programs and product tables are built.
+        adds to x's, from which an element's word is spelled on request
+        (GroupElement.word) and the step programs are built.
 
         With valid simple rows every product is one level up or down, so
         no word can fail to be reduced and nothing checks for it.  Valid
@@ -1222,8 +1228,8 @@ class CoxeterSystem:
         every root.
 
         Each inversion set is packed once, in inv_words; its _word_keys
-        (the word itself up to 64 roots) are the sorted lookup keys, and
-        inv_bits is spelled out from it on first read.
+        (the word itself up to 64 roots) are the sorted lookup keys.  An
+        element reads its own row as an int (GroupElement.inversion_bits).
         """
         n = self.graph.rank
         n_roots = self.table.n_roots
@@ -1331,25 +1337,12 @@ class CoxeterSystem:
     def inv_bits(self) -> list[int]:
         """Every element's inversion set as a Python int bit-set, by id.
 
-        Spelled out from inv_words on first read and kept; no sweep reads it.
+        Spelled out from inv_words on first read and kept; no library path
+        reads it.
         """
         if self._inv_bits is None:
             self._inv_bits = words_to_bits(self.inv_words)
         return self._inv_bits
-
-    @property
-    def words(self) -> list[tuple[int, ...]]:
-        """A reduced word of every element, 1-based generator indices.
-
-        The word of x is the word of its breadth-first parent plus one
-        letter; the list is spelled out on first use and kept.
-        """
-        if self._words is None:
-            words: list[tuple[int, ...]] = [()]
-            for p, g in zip(self._parent[1:].tolist(), self._letter[1:].tolist()):
-                words.append(words[p] + (g,))
-            self._words = words
-        return self._words
 
     def element(self, index: int) -> GroupElement:
         """The element with id `index`; ValueError outside [0, size)."""

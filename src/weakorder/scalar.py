@@ -477,24 +477,6 @@ class AlgebraicScalar:
             raise ArithmeticError("elimination returned a wrong inverse")
         return result
 
-    def __truediv__(self, other: object) -> "AlgebraicScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, k: int) -> "AlgebraicScalar":
-        if k < 0:
-            return self.inverse() ** (-k)
-        acc = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:

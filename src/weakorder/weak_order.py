@@ -10,9 +10,8 @@ Closure here is the pairwise-cone notion: A is closed when every positive
 root lying in the nonnegative span of two members of A is itself a member,
 i.e. when one cone round (RootTable.cone_round), the round the join runs
 to a fixed point, adds nothing.  Biclosed means A and its complement are
-both closed; the finite biclosed sets are exactly the inversion sets,
-which `enumerate_biclosed` can verify against every subset of the roots
-at small rank.
+both closed; the finite biclosed sets are exactly the inversion sets
+(Hohlweg-Labbe 2016), so `enumerate_biclosed` reads them off the group.
 """
 
 from __future__ import annotations
@@ -20,23 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from .coxeter import (
-    CoxeterError,
     CoxeterSystem,
     GroupElement,
     RootSubset,
-    _pack_words,
     _unpack_words,
     bits_to_words,
-    left_reflection_set,
     weak_joins,
+    words_to_bits,
 )
-
-ORACLE_CAP = 20
-
-
-class OracleTooLarge(CoxeterError):
-    """The 2^n biclosed-subset enumeration was asked beyond its cap."""
-
 
 # -- closure predicates -----------------------------------------------------------
 
@@ -65,32 +55,11 @@ def is_biclosed(subset: RootSubset) -> bool:
     return all(_closed_and_coclosed(subset))
 
 
-def enumerate_biclosed(
-    system: CoxeterSystem, method: str = "fast", oracle_cap: int = ORACLE_CAP
-) -> list[RootSubset]:
-    """All biclosed subsets of the positive roots, sorted by (size, bit-set).
-
-    method="fast" reads them off as the inversion sets of the group
-    elements; method="oracle" passes every subset of the positive roots,
-    and every complement, through one cone round (capped: 2^n subsets).
-    """
+def enumerate_biclosed(system: CoxeterSystem) -> list[RootSubset]:
+    """All biclosed subsets of the positive roots, sorted by (size, bit-set):
+    the inversion sets of the group elements."""
     table = system.table
-    if method == "fast":
-        found = sorted(set(system.inv_bits))
-    elif method == "oracle":
-        n = table.n_roots
-        if n > oracle_cap:
-            raise OracleTooLarge(
-                f"{n} positive roots exceed the oracle cap of {oracle_cap}"
-            )
-        subsets = np.arange(1 << n)  # subset s holds root r when bit r of s is set
-        sets = np.stack([_pack_words(subsets >> r & 1) for r in range(n)])
-        added = table.cone_round(sets) | table.cone_round(~sets)
-        grown = _unpack_words(np.bitwise_or.reduce(added, axis=0)[None], subsets.size)[0]
-        found = np.flatnonzero(~grown).tolist()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    subsets = [RootSubset(table, bits) for bits in found]
+    subsets = [RootSubset(table, bits) for bits in words_to_bits(system.inv_words)]
     subsets.sort(key=lambda s: (len(s), s.bits))
     return subsets
 

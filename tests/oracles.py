@@ -30,6 +30,11 @@ push over the length-increasing entries of a product table, with one
 Python int per element holding a bit per union, checked against the
 breadth-first search on the small types.  Witness paths have the
 (element, label) loop the library used before its frontier rounds.
+
+Biclosed sets: every subset of the positive roots and its complement
+through one cone round, the 2^n-subset test the library used before it
+read them off the inversion sets.  Scalars: division and powers, built
+on the ring's inverse and product alone.
 """
 
 import collections
@@ -40,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from weakorder.coxeter import CoxeterError
+from weakorder.coxeter import CoxeterError, _pack_words, _unpack_words
 from weakorder.scalar import build_ring, embed_cos
 
 
@@ -85,6 +90,19 @@ def interval_sign(value):
         mid = (lo + hi) / 2
         _BRACKETS[ring.L] = (lo, mid) if _horner(psi, mid) > 0 else (mid, hi)
     raise ArithmeticError("sign determination failed to converge")
+
+
+def divide(a, b):
+    """a / b for scalars of one ring: a times the inverse of b."""
+    return a * b.inverse()
+
+
+def power(a, k):
+    """a^k for an int k >= 0 by repeated products."""
+    acc = a.ring.one()
+    for _ in range(k):
+        acc = acc * a
+    return acc
 
 
 def root_masks(bit_sets, n_roots):
@@ -530,3 +548,14 @@ def dihedral_cones(table):
             bits |= 1 << order[b]
             masks[order[a]][order[b]] = masks[order[b]][order[a]] = bits
     return masks
+
+
+def biclosed_subsets(table):
+    """Bit-sets of every biclosed subset of the positive roots, sorted by
+    (size, bit-set): all 2^n subsets, and every complement, through one
+    cone round, with subset s holding root r when bit r of s is set."""
+    subsets = np.arange(1 << table.n_roots)
+    sets = np.stack([_pack_words(subsets >> r & 1) for r in range(table.n_roots)])
+    added = table.cone_round(sets) | table.cone_round(~sets)
+    grown = _unpack_words(np.bitwise_or.reduce(added, axis=0)[None], subsets.size)[0]
+    return sorted(np.flatnonzero(~grown).tolist(), key=lambda bits: (bits.bit_count(), bits))

@@ -351,7 +351,8 @@ def test_only_products_by_one_reflection_build_the_product_tables(reader):
 
 
 # what each reader does with B3, u = s1 s2 and v = s3 s2, and the step
-# programs it builds: numpy_tables() builds the left one, the joins none
+# programs it builds: numpy_tables() builds the left one, the joins none,
+# and each product table is scattered from its own side's program
 LEFT, BOTH = ["left"], ["left", "right"]
 PROGRAM_READERS = {
     "numpy_tables": (lambda system, u, v: system.numpy_tables().down_size > 0, LEFT),
@@ -371,6 +372,9 @@ PROGRAM_READERS = {
     ).bits, BOTH),
     "reachable_ids right": (
         lambda system, u, v: system.reachable_ids(_union(u, v).bits, "right").any(), BOTH
+    ),
+    "right_mul_reflection": (
+        lambda system, u, v: system.right_mul_reflection(u.index, 2) + 1, BOTH
     ),
 }
 

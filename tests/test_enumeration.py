@@ -29,10 +29,13 @@ from weakorder.coxeter import (
     bits_to_words,
     build_system,
     generate_positive_roots,
+    left_reflection_set,
     transpose_bits,
     words_to_bits,
 )
+from weakorder.bruhat import check_conjecture_H, path_witness
 from weakorder.verify import sweep
+from weakorder.weak_order import conjectural_join_D, join_bruteforce
 
 # I2(64) has the widest inversion sets that are one uint64 key, I2(65) the
 # narrowest that are void keys of two words
@@ -64,8 +67,6 @@ def test_enumeration_and_tables_match_oracles(name, tables):
     assert system.size == len(oracle.inv_bits)
     assert system.inv_bits == oracle.inv_bits
     assert [x.word for x in system.elements()] == oracle.words
-    assert system._words is None  # an element's word spells no other
-    assert system.words == oracle.words
     assert system.lengths == oracle.lengths
     assert system._right_by_gen.tolist() == oracle.right_by_gen
     assert [r.index for r in system.reflections()] == oracle.refl_elem
@@ -100,6 +101,13 @@ def test_inversion_bits_are_spelled_out_only_on_first_read():
     system = build_system("F4")
     system.numpy_tables()
     assert sweep(system, "EQ").ok
+    u, v = system.element_from_word([1, 2, 3]), system.element_from_word([4, 3, 2])
+    a, b = left_reflection_set(u), left_reflection_set(v)
+    closed = left_reflection_set(join_bruteforce(u, v))
+    assert check_conjecture_H(u, v).holds
+    assert conjectural_join_D(system, a, b) == closed
+    # a root of the join that is no label: the witness searches the left table
+    assert path_witness(system, a | b, min(closed - (a | b))) is not None
     assert system._inv_bits is None
     bits = system.inv_bits
     assert bits == words_to_bits(system.inv_words)
@@ -109,7 +117,6 @@ def test_inversion_bits_are_spelled_out_only_on_first_read():
 def test_h4_tables_match_the_oracle_on_sampled_columns():
     system = build_system("H4")
     npt = system.numpy_tables()
-    assert system._words is None  # the tables spell no reduced words
     columns, left, right = _oracle_tables("H4")
     assert np.array_equal(npt.left[:, columns], left)
     assert np.array_equal(npt.right[:, columns], right)
@@ -152,6 +159,17 @@ def test_product_tables_reject_a_parent_not_one_level_up():
         system._parent[w0] = parent
         with pytest.raises(CoxeterError, match="parent is not one length level up"):
             system.numpy_tables()
+
+
+def test_product_tables_reject_a_step_under_another_root():
+    # the steps write each cell of a table once, so a step moved to another
+    # root writes one cell twice and leaves the cell of its own root unwritten
+    system = build_system("A3")
+    npt = system.numpy_tables()
+    _, _, roots, _ = npt.program("left")[1]
+    roots[0, 0] = (roots[0, 0] + 1) % system.table.n_roots
+    with pytest.raises(CoxeterError, match="left step program misses a product"):
+        npt.left
 
 
 @pytest.mark.parametrize("name,order", [("A4", 120), ("H3", 120), ("F4", 1152)])
@@ -220,8 +238,10 @@ def test_indices_are_python_ints():
     assert all(type(i) is int for i in indices)
     assert all(type(b) is int for b in system.inv_bits)
     assert all(type(n) is int for n in system.lengths)
-    assert all(type(i) is int for word in system.words for i in word)
-    json.dumps([indices, system.words[-1]])
+    assert all(type(x.inversion_bits) is int for x in system.elements())
+    words = [x.word for x in system.elements()]
+    assert all(type(i) is int for word in words for i in word)
+    json.dumps([indices, words[-1]])
     assert hash(elements[0]) == hash((id(system), indices[0]))
 
 

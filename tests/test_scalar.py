@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import interval_sign
+from oracles import divide, interval_sign, power
 from weakorder.scalar import (
     AlgebraicScalar,
     MinimalPolynomial,
@@ -122,7 +122,7 @@ def test_field_axioms_seeded_sample():
             assert a - a == zero
             if not a.is_zero():
                 assert a * a.inverse() == one
-                assert (one / a) * a == one
+                assert divide(one, a) * a == one
 
 
 def test_generator_satisfies_its_minimal_polynomial():
@@ -198,10 +198,10 @@ def test_rational_coercions_and_comparisons():
 def test_pow():
     ring = build_ring(5)
     c = ring.generator()
-    assert c ** 0 == ring.one()
-    assert c ** 1 == c
-    assert c ** 2 == c + 1          # golden-ratio relation
-    assert c ** 5 == (c + 1) * (c + 1) * c
+    assert power(c, 0) == ring.one()
+    assert power(c, 1) == c
+    assert power(c, 2) == c + 1          # golden-ratio relation
+    assert power(c, 5) == (c + 1) * (c + 1) * c
 
 
 def test_make_field_backends_agree_numerically():

@@ -2,11 +2,9 @@
 
 import itertools
 
-import pytest
-
+from oracles import biclosed_subsets
 from weakorder.coxeter import RootSubset, build_system, left_reflection_set
 from weakorder.weak_order import (
-    OracleTooLarge,
     conjectural_join_D,
     enumerate_biclosed,
     is_biclosed,
@@ -58,19 +56,10 @@ def test_empty_and_full_sets_are_biclosed():
 def test_biclosed_sets_are_exactly_inversion_sets():
     for name, count in (("A2", 6), ("B2", 8), ("A3", 24), ("I2(5)", 10), ("I2(6)", 12)):
         system = build_system(name)
-        fast = enumerate_biclosed(system, method="fast")
-        oracle = enumerate_biclosed(system, method="oracle")
-        assert [s.bits for s in fast] == [s.bits for s in oracle]
+        fast = enumerate_biclosed(system)
+        assert [s.bits for s in fast] == biclosed_subsets(system.table)
         assert len(fast) == count == system.size
         assert {s.bits for s in fast} == set(system.inv_bits)
-
-
-def test_oracle_cap():
-    system = build_system("F4")
-    with pytest.raises(OracleTooLarge):
-        enumerate_biclosed(system, method="oracle")
-    with pytest.raises(ValueError):
-        enumerate_biclosed(system, method="guess")
 
 
 def test_leq_weak_against_reduced_word_prefix_oracle():
