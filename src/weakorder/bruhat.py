@@ -99,12 +99,16 @@ def path_witness(
     Returns {"labels": [root indices], "vertices": [word strings]} or None
     when the reflection is not reachable.  Deterministic: breadth-first,
     each element's parent the first step into it in frontier order, then
-    label index order.  A round gathers the products of the whole frontier
-    by every label at once.  When the target's root is a label, the path
-    is the one step e -> t, which raises length: the first round would
-    find it, so it is returned without a search, and without reading the
-    product table.  A label subset of another root table raises
-    ValueError.
+    label index order.  When the target's root is a label, the path is the
+    one step e -> t, returned without a search.  A label subset of another
+    root table raises ValueError.
+
+    The rounds run over the left step program over D, in slots: every
+    vertex of a path to a reflection is below it.  Element y's parent and
+    label are the least key p * n_roots + r over the steps (r, q) into y
+    with r a label and q the frontier's p-th element, and the fresh
+    elements, by that key, are the next frontier.  A round runs the
+    levels from the frontier's lowest to the target's.
     """
     if labels.table is not system.table:
         raise ValueError("label subset belongs to a different root table")
@@ -112,29 +116,42 @@ def path_witness(
     if int(target_root) in labels:
         return {"labels": [int(target_root)], "vertices": ["e", system.element(target).word_str()]}
     npt = system.numpy_tables()
-    roots = np.array(labels.indices(), dtype=np.intp)
-    parent = np.full(system.size, -1, dtype=np.intp)
-    label = np.full(system.size, -1, dtype=np.intp)
-    parent[0] = 0
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size and parent[target] < 0:
-        products = npt.left[roots[None, :], frontier[:, None]]
-        rises = npt.lengths[products] > npt.lengths[frontier, None]
-        steps = np.flatnonzero(rises & (parent[products] < 0))
-        found = products.ravel()[steps]
-        _, first = np.unique(found, return_index=True)
-        first.sort()  # discovery order: frontier order, then label order
-        steps, fresh = steps[first], found[first]
-        parent[fresh] = frontier[steps // roots.size]
-        label[fresh] = roots[steps % roots.size]
+    n_roots, bounds = npt.n_roots, npt.bounds
+    blocks = npt.program("left", reflections_only=True)[:npt.lengths[target]]
+    end = blocks[-1][1]  # the slots up to the target's level
+    none = end * n_roots
+    allowed = np.full(n_roots, none, dtype=np.int64)
+    indices = labels.indices()
+    allowed[list(indices)] = indices
+    roots = [allowed.take(level_roots) for _, _, level_roots, _ in blocks]
+    via = np.full(end, -1, dtype=np.int64)  # parent slot * n_roots + label
+    via[0] = 0
+    position = np.full(end, none, dtype=np.int64)  # p * n_roots at the frontier's p-th slot
+    best = np.full(end, none, dtype=np.int64)  # the least key into each slot
+    goal = npt.slots.item(target)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size and via[goal] < 0:
+        position[frontier] = np.arange(0, frontier.size * n_roots, n_roots)
+        low = int(np.searchsorted(bounds, frontier.min(), side="right")) - 1
+        for (lo, hi, _, preds), label_roots in zip(blocks[low:], roots[low:]):
+            keys = position.take(preds)
+            keys += label_roots
+            keys.min(axis=0, out=best[lo:hi])
+        position[frontier] = none
+        # a level below low keeps its keys of an earlier round, all visited
+        fresh = np.flatnonzero((best < none) & (via < 0))
+        fresh = fresh[np.argsort(best[fresh])]
+        keys = best[fresh]
+        via[fresh] = frontier[keys // n_roots] * n_roots + keys % n_roots
         frontier = fresh
-    if parent[target] < 0:
+    if via[goal] < 0:
         return None
     path = []
-    x = target
-    while x != 0:
-        path.append((int(label[x]), x))
-        x = int(parent[x])
+    slot = goal
+    while slot:
+        prev, label = divmod(via.item(slot), n_roots)
+        path.append((label, npt.elements.item(slot)))
+        slot = prev
     path.reverse()
     return {
         "labels": [r for r, _ in path],
@@ -143,16 +160,20 @@ def path_witness(
 
 
 def to_dot(u: GroupElement, v: GroupElement) -> str:
-    """Graphviz rendering of V_W(u, v): reflections doubled, edges labelled."""
+    """Graphviz rendering of V_W(u, v): reflections doubled, edges labelled.
+
+    The edges p -> t_r * p are the left program's steps (r, p) with r a
+    label and p visited, listed by p in node order, then by r.
+    """
     system = u.system
     labels = left_reflection_set(u) | left_reflection_set(v)
     visited = system.reach(labels, "left")
     ids = sorted(
-        (int(i) for i in np.nonzero(visited)[0]),
+        np.flatnonzero(visited).tolist(),
         key=lambda i: (system.lengths[i], system.element(i).word),
     )
     npt = system.numpy_tables()
-    reflection_ids = set(int(i) for i in npt.refl_ids)
+    reflection_ids = set(npt.refl_ids.tolist())
     lines = [
         "digraph bruhat_paths {",
         "  rankdir=BT;",
@@ -163,11 +184,16 @@ def to_dot(u: GroupElement, v: GroupElement) -> str:
         extra = ", peripheries=2, style=filled, fillcolor=lightgrey" \
             if i in reflection_ids else ""
         lines.append(f'  n{i} [label="{name}"{extra}];')
-    for i in ids:
-        for r in labels.indices():
-            j = int(npt.left[r, i])
-            if npt.lengths[j] > npt.lengths[i]:
-                root_name = system.table.roots[r].render()
-                lines.append(f'  n{i} -> n{j} [label="{root_name}"];')
+    allowed = np.zeros(npt.n_roots, dtype=bool)
+    allowed[list(labels.indices())] = True
+    edges = []
+    for lo, _, roots, preds in npt.program("left")[:system.lengths[ids[-1]]]:
+        sources = npt.elements.take(preds)
+        rows, columns = np.nonzero(allowed[roots] & visited[sources])
+        edges += zip(sources[rows, columns].tolist(), roots[rows, columns].tolist(),
+                     npt.elements[lo + columns].tolist())
+    node = {i: k for k, i in enumerate(ids)}
+    for i, r, j in sorted(edges, key=lambda edge: (node[edge[0]], edge[1])):
+        lines.append(f'  n{i} -> n{j} [label="{system.table.roots[r].render()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

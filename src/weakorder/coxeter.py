@@ -19,9 +19,9 @@ follow by one root flip, without further vector arithmetic; the
 root-to-reflection dictionary phi reads the signs of the reflection table.
 Enumeration and the reachability step programs are array code over
 whole length levels: a level's steps are one take per side of its
-breadth-first parents' steps and one in the generator table.  The
-product tables by reflections are scattered from the step programs, on
-first read.
+breadth-first parents' steps and one in the generator table.  The step
+programs are the only multiplication structure the kernels read; a
+product by one reflection is one key lookup of its inversion set.
 
 For closure and the join the root table also keeps the cone of every
 pair of positive roots as a packed bit-set, built on first use: exact
@@ -673,7 +673,7 @@ class GroupElement:
 
     @property
     def length(self) -> int:
-        return self.system.lengths[self.index]
+        return self.system.lengths.item(self.index)
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -755,7 +755,7 @@ def _find(table: np.ndarray, ids: np.ndarray, keys: np.ndarray, what: str) -> np
 
 
 class _NumpyTables:
-    """The reachability kernel's step programs, and product tables on demand.
+    """The reachability kernel's step programs.
 
     Elements are numbered in enumeration order, along which length never
     decreases, so each length level is a contiguous range of ids: level k
@@ -771,13 +771,8 @@ class _NumpyTables:
     one is built on its first read, so "H" sweeps, check_conjecture_H and
     path_witness never build it, while "D", "EQ", "HD",
     conjectural_join_D and the right route of reachable_ids do, once.
-
-    left[t, x] = t * x and right[t, x] = x * t, for the reflection t of
-    root t, are scattered from that side's program on first read, one
-    side at a time (_product_table), so the right table builds the right
-    program first: only path_witness (to a target whose root is not a
-    label), to_dot and the products by one reflection read them, never a
-    sweep, check_conjecture_H, conjectural_join_D or reachable_ids.
+    path_witness and to_dot read the left program too: a step (r, p) into
+    y is the edge p -> y = t_r * p of the Bruhat graph.
 
     The sweeps compare the system's inversion sets with what the routes
     reach, so the constructor checks that both describe one group before
@@ -786,11 +781,14 @@ class _NumpyTables:
     root the enumeration recorded for x, so that the left roots of x are
     exactly Phi_x.  The build checks that every step's predecessor lies
     in a shorter level, since the kernel reads only the rows of shorter
-    levels, which it has filled.
+    levels, which it has filled.  The right program's roots are not Phi_x,
+    so its build counts them: x -> x * t pairs the elements, and exactly
+    one of each pair has t as a right descent, so every root labels
+    exactly |W| / 2 of the right steps.
     """
 
     def __init__(self, system: "CoxeterSystem"):
-        self.lengths = np.array(system.lengths, dtype=np.int16)
+        self.lengths = system.lengths
         if self.lengths[0] != 0 or (np.diff(self.lengths) < 0).any():
             raise CoxeterError(
                 "enumeration order must start at e and never decrease length"
@@ -815,8 +813,6 @@ class _NumpyTables:
         self._conj = np.abs(np.array(system.table.act[:rank])).T - 1
         self._tree = (parent, gen, system._added, system._right_by_gen)
         self.bounds = np.searchsorted(self.lengths, np.arange(int(self.lengths[-1]) + 2))
-        self._left: np.ndarray | None = None
-        self._right: np.ndarray | None = None
         self._programs: dict[str, tuple[list, list]] = {}
         self._build_programs()
 
@@ -831,67 +827,33 @@ class _NumpyTables:
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', not {side!r}")
         if side not in self._programs:
-            self._programs[side] = self._side_program(*_tree_steps(
-                self._tree, self._conj, self.bounds, side
-            ))
+            roots, preds = _tree_steps(self._tree, self._conj, self.bounds, side)
+            counts = sum(np.bincount(level.ravel(), minlength=self.n_roots) for level in roots)
+            if (counts != self.lengths.size // 2).any():
+                raise CoxeterError("a root does not label half of the right steps")
+            self._programs[side] = self._side_program(roots, preds)
         return self._programs[side][reflections_only]
-
-    @property
-    def left(self) -> np.ndarray:
-        """left[t, x] = t * x, int32; built on first read and kept."""
-        if self._left is None:
-            self._left = self._product_table("left")
-        return self._left
-
-    @property
-    def right(self) -> np.ndarray:
-        """right[t, x] = x * t, int32; built on first read and kept."""
-        if self._right is None:
-            self._right = self._product_table("right")
-        return self._right
-
-    def _product_table(self, side: str) -> np.ndarray:
-        """One side's product table, scattered from its step program.
-
-        Every pair (t, x) is a step of exactly one element: of x when t
-        lowers x, of y = t * x (x * t on the right) when t raises x.  So a
-        level's steps (root r, predecessor p) into x write table[r, x] = p
-        and table[r, p] = x, and the steps of a correct program write each
-        of the n_roots * |W| cells once.  The table starts at -1: a cell
-        left unwritten, as a program that writes some cell twice leaves
-        one, raises CoxeterError.
-        """
-        ids = np.argsort(self.slots).astype(np.int32)  # the element of each slot
-        table = np.full((self.n_roots, ids.size), -1, dtype=np.int32)
-        for lo, hi, roots, preds in self.program(side):
-            x, p = ids[lo:hi], ids.take(preds)
-            table[roots, x] = p
-            table[roots, p] = x
-        if table.min() < 0:
-            raise CoxeterError(
-                f"the {side} step program misses a product: the steps are inconsistent"
-            )
-        return table
 
     def _build_programs(self) -> None:
         """The slots of the reach rows, and the left step program.
 
         The kernel's reach rows are slots: within each length level the
         elements of D come first, each part in id order, so level k's
-        slots are bounds[k]..bounds[k + 1] - 1 like its ids, and slots[x]
-        is the slot of element x.  The left steps are built once along
-        the enumeration tree, in id order (_tree_steps); D is marked from
-        their levels up to the longest reflection's (_reflection_down_set),
-        and then those levels are put in slot order (_side_program).
+        slots are bounds[k]..bounds[k + 1] - 1 like its ids, slots[x] is
+        the slot of element x and elements[s] the element of slot s.  The
+        left steps are built once along the enumeration tree, in id order
+        (_tree_steps); D is marked from their levels up to the longest
+        reflection's (_reflection_down_set), and then those levels are put
+        in slot order (_side_program).
         """
         lengths, bounds, size = self.lengths, self.bounds, self.lengths.size
         self.refl_lengths = lengths[self.refl_ids]  # each root's reflection's level
         self._top = top = int(self.refl_lengths.max())  # the longest reflection's level
         roots, preds = _tree_steps(self._tree, self._conj, bounds, "left")
         inside = _reflection_down_set(preds[:top + 1], bounds, self.refl_ids)
-        order = np.argsort(2 * lengths + ~inside, kind="stable")
+        self.elements = np.argsort(2 * lengths + ~inside, kind="stable").astype(np.int32)
         self.slots = slots = np.empty(size, dtype=np.int32)
-        slots[order] = np.arange(size, dtype=np.int32)
+        slots[self.elements] = np.arange(size, dtype=np.int32)
         self.refl_slots = slots[self.refl_ids]
         self.down_size = int(np.count_nonzero(inside))
         # the end of D's slots in each level
@@ -910,12 +872,10 @@ class _NumpyTables:
         (n_k, k) views, transposed.
         """
         ids, cuts, slots = self.bounds.tolist(), self._cuts, self.slots
-        order = np.empty_like(slots)  # the ids by slot
-        order[slots] = np.arange(slots.size, dtype=slots.dtype)
         for k in range(1, len(roots)):
             level = preds[k]
             if k <= self._top:
-                rows = order[ids[k]:ids[k + 1]] - ids[k]
+                rows = self.elements[ids[k]:ids[k + 1]] - ids[k]
                 roots[k][...] = roots[k].take(rows, axis=0)
                 level = level.take(rows, axis=0)
             slots.take(level, out=preds[k])
@@ -1252,7 +1212,7 @@ class CoxeterSystem:
         by_gen, inv_words = [], [words]
         parents, letters = [np.zeros(1, dtype=np.int32)], [np.zeros(1, dtype=np.int32)]
         added = [np.zeros(1, dtype=np.min_scalar_type(n_roots - 1))]
-        self.lengths: list[int] = [0]
+        sizes = [1]  # the number of elements of each length
         back = back_ids = np.zeros(0, dtype=np.intp)  # the level before's products
         start = 0
         for k in range(n_roots + 1):  # lengths run from 0 to n_roots
@@ -1295,8 +1255,9 @@ class CoxeterSystem:
             inv_words.append(words)
             parents.append((start + parent).astype(np.int32))
             letters.append((gen + 1).astype(np.int32))
-            self.lengths.extend([k + 1] * new.size)
+            sizes.append(new.size)
             start = size
+        self.lengths = np.repeat(np.arange(len(sizes), dtype=np.int16), sizes)
         self._parent, self._letter = _joined(parents), _joined(letters)
         self._added = _joined(added)
         self._right_by_gen = _joined(by_gen)
@@ -1408,14 +1369,26 @@ class CoxeterSystem:
         return self._np_tables
 
     def left_mul_reflection(self, root_index: int, element_index: int) -> int:
-        """Element id of t * x for the reflection t of a root and the element x."""
+        """Element id of t * x for the reflection t of a root and the element x:
+        the key of Phi_{t x} = Phi_t xor |t(Phi_x)|, which is T_L(u v) =
+        T_L(u) xor u T_L(v) u^-1 (Bjorner-Brenti 2005, 1.4) for u = t."""
         self._check_indices(root_index, element_index)
-        return int(self.numpy_tables().left[root_index, element_index])
+        n_roots = self.table.n_roots
+        inside = _unpack_words(self.inv_words[element_index], n_roots)
+        image = np.zeros(n_roots, dtype=bool)
+        image[np.abs(np.array(self.table.act[root_index]))[inside] - 1] = True
+        words = self.inv_words[self.refl_ids[root_index]] ^ _pack_words(image)
+        return int(self._ids_of(words[None], "a product is no element")[0])
 
     def right_mul_reflection(self, element_index: int, root_index: int) -> int:
-        """Element id of x * t for the element x and the reflection t of a root."""
+        """Element id of x * t for the element x and the reflection t of a root:
+        t' * x for t' = x t x^-1, through |x(beta_t)|, x's word applied."""
         self._check_indices(root_index, element_index)
-        return int(self.numpy_tables().right[root_index, element_index])
+        act, root = self.table.act, root_index + 1
+        for letter in reversed(self.element(element_index).word):
+            image = act[letter - 1][abs(root) - 1]
+            root = image if root > 0 else -image
+        return self.left_mul_reflection(abs(root) - 1, element_index)
 
     def _check_indices(self, root_index: int, element_index: int) -> None:
         if not 0 <= root_index < self.table.n_roots:

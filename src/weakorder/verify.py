@@ -32,9 +32,8 @@ only the reflections' rows, so the program runs only over the elements
 below some reflection in Bruhat order (reflection_reach_words).  The join
 of A is the element whose inversion set is the 2-closure cl(A): cone
 rounds over a chunk's unions, then one lookup among the sorted keys
-(weak_joins).  Neither kernel reads a product table, and a sweep builds
-the step program of a route only when it reads that route: "H" never
-builds the right one.  "EQ" decides without the join, so it runs the join
+(weak_joins).  A sweep builds the step program of a route only when it
+reads that route: "H" never builds the right one.  "EQ" decides without the join, so it runs the join
 kernel only for the unions of the pairs it records as failing.
 
 Failing pairs are counted and recorded by a second stream, over the

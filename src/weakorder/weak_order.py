@@ -79,7 +79,7 @@ def join_of_union_bits(system: CoxeterSystem, union_bits: int) -> int:
 
     The batched join kernel with a batch of one: the element whose
     inversion set is the 2-closure of the roots.  It reads the cone table
-    and the sorted keys only, never the product tables.
+    and the sorted keys only, never the step programs.
     """
     return int(weak_joins(system, system._set_words(union_bits))[0])
 

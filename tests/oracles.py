@@ -3,13 +3,15 @@
 Kernels: the routes the library used before its bit-packed kernels, a
 frontier breadth-first search over one label set at a time, and a float32
 join from two matrix products over boolean root masks.  They read only the
-product tables, the lengths and the Python-int inversion sets, never the
-packed words or descent lists the kernels use.
+oracle product tables (product_tables_gather over enumerate_bfs, built
+once per type), the lengths and the Python-int inversion sets, never the
+packed words or step programs the kernels use.
 
 Group model: the element-by-element Python loops the library used before
 its level-wise array code, a FIFO breadth-first search over signed
 permutations and the product tables built one (reflection, element) pair
-at a time.  They read only the root table's act.
+at a time, or one reflection at a time for the kernels' oracles.  They
+read only the root table's act.
 
 Root table: the scalar loops the library used before its keyed lookups
 and its cone table, positive roots generated with a linear scan for
@@ -29,7 +31,8 @@ Reachability has a second oracle that is its own algorithm: a forward
 push over the length-increasing entries of a product table, with one
 Python int per element holding a bit per union, checked against the
 breadth-first search on the small types.  Witness paths have the
-(element, label) loop the library used before its frontier rounds.
+(element, label) loop the library used before its frontier rounds, and
+the Graphviz rendering the (vertex, label) loop over the left table.
 
 Biclosed sets: every subset of the positive roots and its complement
 through one cone round, the 2^n-subset test the library used before it
@@ -45,7 +48,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from weakorder.coxeter import CoxeterError, _pack_words, _unpack_words
+from weakorder.coxeter import (
+    CoxeterError,
+    _pack_words,
+    _unpack_words,
+    generate_positive_roots,
+)
 from weakorder.scalar import build_ring, embed_cos
 
 
@@ -113,11 +121,25 @@ def root_masks(bit_sets, n_roots):
 
 
 @functools.lru_cache(maxsize=None)
+def _tables_of_type(graph):
+    table = generate_positive_roots(graph)
+    return product_tables_gather(table, enumerate_bfs(table))
+
+
+def oracle_tables(system):
+    """The oracle's (left, right) product tables of the system's type.
+
+    Built by product_tables_gather from the type's own root table and
+    enumerate_bfs, whose ids are the library's, once per type.
+    """
+    return _tables_of_type(system.graph)
+
+
+@functools.lru_cache(maxsize=None)
 def _ascents(system, side):
-    """The product table of one side and its length-increasing entries."""
-    npt = system.numpy_tables()
-    mul = npt.left if side == "left" else npt.right
-    return mul, npt.lengths[mul] > npt.lengths[None, :]
+    """The oracle product table of one side and its length-increasing entries."""
+    mul = oracle_tables(system)[side == "right"]
+    return mul, system.lengths[mul] > system.lengths[None, :]
 
 
 def reachable_ids_bfs(system, label_bits, side):
@@ -184,7 +206,7 @@ def path_witness_loop(system, labels, target_root):
     reflection is not reachable.
     """
     target = system.reflection(target_root).index
-    npt = system.numpy_tables()
+    left, lengths = oracle_tables(system)[0], system.lengths
     parent = {0: (-1, -1)}
     frontier = [0]
     label_list = list(labels.indices())
@@ -192,8 +214,8 @@ def path_witness_loop(system, labels, target_root):
         fresh = []
         for x in frontier:
             for r in label_list:
-                y = int(npt.left[r, x])
-                if npt.lengths[y] > npt.lengths[x] and y not in parent:
+                y = int(left[r, x])
+                if lengths[y] > lengths[x] and y not in parent:
                     parent[y] = (x, r)
                     fresh.append(y)
         frontier = fresh
@@ -210,6 +232,41 @@ def path_witness_loop(system, labels, target_root):
         "labels": [r for r, _ in steps],
         "vertices": ["e"] + [system.element(x).word_str() for _, x in steps],
     }
+
+
+def to_dot_loop(u, v):
+    """The Graphviz rendering of V_W(u, v), one (vertex, label) pair at a time.
+
+    The loop bruhat.to_dot ran over the left product table before it read
+    the step program: the vertices of the frontier search sorted by
+    (length, word), reflections doubled, then for each vertex in that
+    order and each label in index order the length-increasing edge.
+    """
+    system = u.system
+    bits = u.inversion_bits | v.inversion_bits
+    visited = reachable_ids_bfs(system, bits, "left")
+    left, lengths = oracle_tables(system)[0], system.lengths
+    ids = sorted(
+        np.flatnonzero(visited).tolist(),
+        key=lambda i: (lengths[i], system.element(i).word),
+    )
+    reflections = set(system.refl_ids.tolist())
+    lines = [
+        "digraph bruhat_paths {",
+        "  rankdir=BT;",
+        '  node [shape=ellipse, fontname="Helvetica"];',
+    ]
+    for i in ids:
+        extra = ", peripheries=2, style=filled, fillcolor=lightgrey" if i in reflections else ""
+        lines.append(f'  n{i} [label="{system.element(i).word_str()}"{extra}];')
+    labels = [r for r in range(system.table.n_roots) if bits >> r & 1]
+    for i in ids:
+        for r in labels:
+            j = int(left[r, i])
+            if lengths[j] > lengths[i]:
+                lines.append(f'  n{i} -> n{j} [label="{system.table.roots[r].render()}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def reflection_bits(system, visited):
@@ -347,6 +404,47 @@ def product_tables_loop(table, group, columns=None):
                     bits_r |= 1 << v
             left[t, k] = group.id_by_bits[bits_l]
             right[t, k] = group.id_by_bits[bits_r]
+    return left, right
+
+
+def product_tables_gather(table, group):
+    """What product_tables_loop returns for every element, a reflection at a time.
+
+    The signed actions of all elements are one (|W|, n_roots) array: sigma
+    of t * x is gathered from every sigma_x through act[t], sigma of x * t
+    from act[t] through every sigma_x, and each product is found by the
+    bytes of its inversion set among the sorted bytes of every element's.
+    """
+    sigmas = np.array(group.sigmas, dtype=np.int32)
+    act = np.array(table.act, dtype=np.int32)
+
+    def keys(products):
+        """Each row's negated roots as one sortable key: a uint64 up to 64
+        roots, bytes compared as a void scalar past that."""
+        packed = np.packbits(products < 0, axis=1)
+        if packed.shape[1] <= 8:
+            padded = np.zeros((packed.shape[0], 8), dtype=np.uint8)
+            padded[:, :packed.shape[1]] = packed
+            return padded.view(np.uint64).ravel()
+        packed = np.ascontiguousarray(packed)
+        return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+    order = np.argsort(keys(sigmas))
+    known = keys(sigmas)[order]
+
+    def lookup(products):
+        wanted = keys(products)
+        found = np.minimum(np.searchsorted(known, wanted), known.size - 1)
+        assert (known[found] == wanted).all(), "a product is no element"
+        return order[found]
+
+    n_roots, size = act.shape[0], sigmas.shape[0]
+    left = np.empty((n_roots, size), dtype=np.int32)
+    right = np.empty((n_roots, size), dtype=np.int32)
+    columns, signs = np.abs(sigmas) - 1, np.sign(sigmas)
+    for t, row in enumerate(act):
+        left[t] = lookup(sigmas[:, np.abs(row) - 1] * np.sign(row))
+        right[t] = lookup(row[columns] * signs)
     return left, right
 
 

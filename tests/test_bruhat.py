@@ -2,10 +2,11 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from oracles import path_witness_loop
+from oracles import oracle_tables, path_witness_loop, to_dot_loop
 from weakorder.coxeter import (
     RootSubset,
     WrongType,
@@ -39,15 +40,16 @@ def names_of(system, subset):
 
 
 def python_reachable_oracle(system, label_indices):
-    """Plain-dict breadth-first search, independent of the numpy tables."""
-    npt = system.numpy_tables()
+    """Plain-dict breadth-first search over the oracle's left product table,
+    independent of the library's step programs."""
+    left = oracle_tables(system)[0]
     seen = {0}
     frontier = [0]
     while frontier:
         fresh = []
         for x in frontier:
             for r in label_indices:
-                y = int(npt.left[r, x])
+                y = int(left[r, x])
                 if system.lengths[y] > system.lengths[x] and y not in seen:
                     seen.add(y)
                     fresh.append(y)
@@ -248,6 +250,44 @@ def test_to_dot_structure():
         system, left_reflection_set(u) | left_reflection_set(v)
     )
     assert dot.count("peripheries=2") == len(rhs)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "F4"])
+def test_to_dot_matches_the_loop_oracle(name):
+    """Seeded pairs, the empty pair (e, e) among them: the text the step
+    program gives is the oracle's, byte for byte."""
+    system = build_system(name)
+    rng = random.Random(31)
+    pairs = [(system.identity, system.identity)] + [
+        (system.element(rng.randrange(system.size)), system.element(rng.randrange(system.size)))
+        for _ in range(12)
+    ]
+    for u, v in pairs:
+        assert to_dot(u, v) == to_dot_loop(u, v), (u, v)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_witness_and_dot_allocate_no_product_table():
+    """An E6 product table by reflections is 36 x 51,840 int32, 7.5 MB: a
+    searching witness and a rendering each stay well below it."""
+    system = build_system("E6")
+    system.numpy_tables()
+    u = system.element_from_word([1, 2, 3, 4])
+    v = system.element_from_word([6, 5, 4, 2])
+    labels = left_reflection_set(u) | left_reflection_set(v)
+    target = max(left_reflection_set(join_bruteforce(u, v)) - labels)
+    witness, peak = _traced_peak(lambda: path_witness(system, labels, target))
+    assert len(witness["labels"]) > 1 and peak < 2**21
+    dot, peak = _traced_peak(lambda: to_dot(u, v))
+    assert dot.count(" -> ") > 100 and peak < 3 * 2**20
 
 
 @pytest.mark.parametrize(

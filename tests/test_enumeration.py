@@ -1,6 +1,7 @@
-"""Level-wise enumeration and the product tables, bit for bit against the
-element-by-element oracles in oracles.py, and the step programs, built
-from the enumeration tree, against the descents of the oracle tables;
+"""Level-wise enumeration and the products by one reflection, bit for bit
+against the element-by-element oracles in oracles.py, and the step
+programs, built from the enumeration tree, against the descents of the
+oracle tables;
 plus the checks enumeration and the tables make on their input: the
 element cap at its exact boundary, inconsistent root tables, a parent off
 its level, and Python-int indices; and the root-set codec every packed
@@ -16,7 +17,13 @@ from random import Random
 import numpy as np
 import pytest
 
-from oracles import enumerate_bfs, product_tables_loop, transpose_bits_unpacked
+from oracles import (
+    enumerate_bfs,
+    oracle_tables,
+    product_tables_loop,
+    transpose_bits_unpacked,
+)
+from weakorder import coxeter
 from weakorder.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -59,6 +66,15 @@ def _oracle_tables(name):
     return columns, *product_tables_loop(system.table, _oracle(name), columns)
 
 
+def _assert_products_match(system, columns, left, right):
+    """Every (root, element) cell of the oracle tables' columns, through the
+    library's products by one reflection on each side."""
+    for column, x in enumerate(columns):
+        for r in range(system.table.n_roots):
+            assert system.left_mul_reflection(r, x) == left[r, column], ("left", r, x)
+            assert system.right_mul_reflection(x, r) == right[r, column], ("right", r, x)
+
+
 # H4 compares enumeration here and sampled columns of its tables below
 @pytest.mark.parametrize("name,tables", [(t, True) for t in TYPES] + [("H4", False)])
 def test_enumeration_and_tables_match_oracles(name, tables):
@@ -67,15 +83,16 @@ def test_enumeration_and_tables_match_oracles(name, tables):
     assert system.size == len(oracle.inv_bits)
     assert system.inv_bits == oracle.inv_bits
     assert [x.word for x in system.elements()] == oracle.words
-    assert system.lengths == oracle.lengths
+    assert system.lengths.dtype == np.int16 and system.lengths.tolist() == oracle.lengths
     assert system._right_by_gen.tolist() == oracle.right_by_gen
     assert [r.index for r in system.reflections()] == oracle.refl_elem
     assert system.longest_element.index == oracle.w0
     if tables:
-        _, left, right = _oracle_tables(name)
-        npt = system.numpy_tables()
-        assert npt.left.dtype == left.dtype and np.array_equal(npt.left, left)
-        assert npt.right.dtype == right.dtype and np.array_equal(npt.right, right)
+        columns, left, right = _oracle_tables(name)
+        _assert_products_match(system, columns, left, right)
+        # the kernels' oracles gather the same tables a reflection at a time
+        gathered = oracle_tables(system)
+        assert np.array_equal(gathered[0], left) and np.array_equal(gathered[1], right)
 
 
 # the degrees of the basic invariants (Humphreys 1990, 3.7): the number of
@@ -106,7 +123,7 @@ def test_inversion_bits_are_spelled_out_only_on_first_read():
     closed = left_reflection_set(join_bruteforce(u, v))
     assert check_conjecture_H(u, v).holds
     assert conjectural_join_D(system, a, b) == closed
-    # a root of the join that is no label: the witness searches the left table
+    # a root of the join that is no label: the witness searches the left program
     assert path_witness(system, a | b, min(closed - (a | b))) is not None
     assert system._inv_bits is None
     bits = system.inv_bits
@@ -116,10 +133,7 @@ def test_inversion_bits_are_spelled_out_only_on_first_read():
 
 def test_h4_tables_match_the_oracle_on_sampled_columns():
     system = build_system("H4")
-    npt = system.numpy_tables()
-    columns, left, right = _oracle_tables("H4")
-    assert np.array_equal(npt.left[:, columns], left)
-    assert np.array_equal(npt.right[:, columns], right)
+    _assert_products_match(system, *_oracle_tables("H4"))
 
 
 def _program_steps(npt, side, x, elements):
@@ -139,9 +153,8 @@ def test_step_programs_are_the_descents_of_the_oracle_tables(name):
     # tables: each element's steps must be its descents in the oracle tables
     system = build_system(name)
     npt = system.numpy_tables()
-    assert npt._left is None and npt._right is None
     columns, left, right = _oracle_tables(name)
-    lengths, elements = np.array(system.lengths), np.argsort(npt.slots)
+    lengths, elements = system.lengths, np.argsort(npt.slots)
     for side, mul in (("left", left), ("right", right)):
         for column, x in enumerate(columns):
             below = mul[:, column]
@@ -161,15 +174,22 @@ def test_product_tables_reject_a_parent_not_one_level_up():
             system.numpy_tables()
 
 
-def test_product_tables_reject_a_step_under_another_root():
-    # the steps write each cell of a table once, so a step moved to another
-    # root writes one cell twice and leaves the cell of its own root unwritten
+def test_product_tables_reject_a_step_under_another_root(monkeypatch):
+    # every root labels |W| / 2 right steps, so a step moved to another root
+    # while the right program is built leaves one root a step short; a wrong
+    # predecessor keeps the count, and the oracle descents above catch it
     system = build_system("A3")
     npt = system.numpy_tables()
-    _, _, roots, _ = npt.program("left")[1]
-    roots[0, 0] = (roots[0, 0] + 1) % system.table.n_roots
-    with pytest.raises(CoxeterError, match="left step program misses a product"):
-        npt.left
+    steps = coxeter._tree_steps
+
+    def moved(tree, conj, bounds, side):
+        roots, preds = steps(tree, conj, bounds, side)
+        roots[2][0, 0] = (roots[2][0, 0] + 1) % system.table.n_roots
+        return roots, preds
+
+    monkeypatch.setattr(coxeter, "_tree_steps", moved)
+    with pytest.raises(CoxeterError, match="does not label half of the right steps"):
+        npt.program("right")
 
 
 @pytest.mark.parametrize("name,order", [("A4", 120), ("H3", 120), ("F4", 1152)])
@@ -237,7 +257,7 @@ def test_indices_are_python_ints():
     indices = [e.index for e in elements]
     assert all(type(i) is int for i in indices)
     assert all(type(b) is int for b in system.inv_bits)
-    assert all(type(n) is int for n in system.lengths)
+    assert all(type(x.length) is int for x in system.elements())
     assert all(type(x.inversion_bits) is int for x in system.elements())
     words = [x.word for x in system.elements()]
     assert all(type(i) is int for word in words for i in word)

@@ -31,6 +31,7 @@ import pytest
 
 from oracles import (
     joins_matmul,
+    oracle_tables,
     reachable_ids_bfs,
     reachable_ids_push,
     reflection_bits,
@@ -434,7 +435,8 @@ def test_the_down_set_holds_the_reflections_and_is_closed_under_descents(name):
     assert inside.sum() == npt.down_size
     assert inside[npt.refl_ids].all()
     ids = np.flatnonzero(inside)
-    for mul in (npt.left, npt.right):
+    left, right = oracle_tables(system)
+    for mul in (left, right):
         below = mul[:, ids]
         falls = npt.lengths[below] < npt.lengths[ids]
         assert inside[below[falls]].all()
@@ -445,7 +447,7 @@ def test_the_down_set_holds_the_reflections_and_is_closed_under_descents(name):
         x = todo.pop()
         if not marked[x]:
             marked[x] = True
-            below = npt.left[:, x]
+            below = left[:, x]
             todo.extend(below[npt.lengths[below] < npt.lengths[x]].tolist())
     assert np.array_equal(marked, inside)
 
