@@ -162,16 +162,14 @@ def path_witness(
 def to_dot(u: GroupElement, v: GroupElement) -> str:
     """Graphviz rendering of V_W(u, v): reflections doubled, edges labelled.
 
-    The edges p -> t_r * p are the left program's steps (r, p) with r a
-    label and p visited, listed by p in node order, then by r.
+    Nodes are listed by id, which is (length, reduced word) order.  The
+    edges p -> t_r * p are the left program's steps (r, p) with r a label
+    and p visited, listed by p, then by r.
     """
     system = u.system
     labels = left_reflection_set(u) | left_reflection_set(v)
     visited = system.reach(labels, "left")
-    ids = sorted(
-        np.flatnonzero(visited).tolist(),
-        key=lambda i: (system.lengths[i], system.element(i).word),
-    )
+    ids = np.flatnonzero(visited).tolist()
     npt = system.numpy_tables()
     reflection_ids = set(npt.refl_ids.tolist())
     lines = [
@@ -192,8 +190,7 @@ def to_dot(u: GroupElement, v: GroupElement) -> str:
         rows, columns = np.nonzero(allowed[roots] & visited[sources])
         edges += zip(sources[rows, columns].tolist(), roots[rows, columns].tolist(),
                      npt.elements[lo + columns].tolist())
-    node = {i: k for k, i in enumerate(ids)}
-    for i, r, j in sorted(edges, key=lambda edge: (node[edge[0]], edge[1])):
+    for i, r, j in sorted(edges):
         lines.append(f'  n{i} -> n{j} [label="{system.table.roots[r].render()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,13 +15,17 @@ import traceback
 
 from .bruhat import check_conjecture_H, to_dot
 from .coxeter import (
+    DEFAULT_ROOT_CAP,
     CoxeterError,
     CoxeterGraph,
     CoxeterSystem,
     GroupElement,
     RootSubset,
+    RootTable,
     build_system,
+    generate_positive_roots,
 )
+from .permutations import format_perm
 from .verify import _CONJECTURES, UsageError, sweep
 
 EXIT_OK = 0
@@ -88,8 +92,8 @@ def _scalar_json(value) -> dict:
     }
 
 
-def _root_json(system: CoxeterSystem, index: int) -> dict:
-    root = system.table.roots[index]
+def _root_json(table: RootTable, index: int) -> dict:
+    root = table.roots[index]
     return {
         "index": index,
         "name": root.render(),
@@ -114,18 +118,17 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
-    system = _build(args)
+    graph = _graph_from_args(args)
+    cap = DEFAULT_ROOT_CAP if args.cap is None else args.cap
+    table = generate_positive_roots(graph, cap=cap)
     payload = {
         "schema": 1,
-        "type": system.graph.display_name,
-        "count": system.table.n_roots,
-        "roots": [_root_json(system, r) for r in range(system.table.n_roots)],
+        "type": graph.display_name,
+        "count": table.n_roots,
+        "roots": [_root_json(table, r) for r in range(table.n_roots)],
     }
-    lines = [f"{system.table.n_roots} positive roots"]
-    lines += [
-        f"  [{r}] {system.table.roots[r].render()}"
-        for r in range(system.table.n_roots)
-    ]
+    lines = [f"{table.n_roots} positive roots"]
+    lines += [f"  [{r}] {root.render()}" for r, root in enumerate(table.roots)]
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
@@ -152,8 +155,7 @@ def cmd_join(args: argparse.Namespace) -> int:
         f"join = {join.word_str()}  (length {join.length})",
     ]
     if system.is_type_a():
-        perms = (system.permutation_of(x) for x in (u, v, join))
-        one_line = ["".join(str(i) for i in p) for p in perms]
+        one_line = [format_perm(system.permutation_of(x)) for x in (u, v, join)]
         payload["one_line"] = {"u": one_line[0], "v": one_line[1], "join": one_line[2]}
         lines.append("one-line: %s v %s = %s" % tuple(one_line))
     lines.append(

@@ -107,7 +107,11 @@ class CoxeterGraph:
     def from_matrix(
         cls, rows: Sequence[Sequence[int]], name: str | None = None
     ) -> "CoxeterGraph":
-        return cls(len(rows), tuple(tuple(int(x) for x in r) for r in rows), name)
+        """A graph from the rows of its matrix; an entry that is not an int
+        (a float, a bool, a string) raises ValueError."""
+        if any(isinstance(x, bool) or not isinstance(x, int) for r in rows for x in r):
+            raise ValueError("Coxeter matrix entries must be integers")
+        return cls(len(rows), tuple(tuple(r) for r in rows), name)
 
     @classmethod
     def from_name(cls, name: str) -> "CoxeterGraph":
@@ -1174,7 +1178,9 @@ class CoxeterSystem:
         in the same order; each new element records its parent x, letter
         i + 1 and, in _added, the root |tau_x(alpha_i)| its inversion set
         adds to x's, from which an element's word is spelled on request
-        (GroupElement.word) and the step programs are built.
+        (GroupElement.word) and the step programs are built.  A word is its
+        parent's word plus the letter, so ids run in (length, reduced word)
+        lexicographic order.
 
         With valid simple rows every product is one level up or down, so
         no word can fail to be reduced and nothing checks for it.  Valid
@@ -1434,13 +1440,8 @@ class CoxeterSystem:
     # -- type-A permutation dictionary ----------------------------------------
 
     def is_type_a(self) -> bool:
-        n = self.graph.rank
-        for i in range(n):
-            for j in range(i + 1, n):
-                expected = 3 if j == i + 1 else 2
-                if self.graph.m[i][j] != expected:
-                    return False
-        return True
+        """Is the graph the chain A_rank, in its generator order?"""
+        return self.graph.m == CoxeterGraph.from_name(f"A{self.graph.rank}").m
 
     def permutation_of(self, element: GroupElement) -> tuple[int, ...]:
         """One-line notation in S_{rank+1} under s_i <-> t_{i,i+1}."""

@@ -135,14 +135,7 @@ def inv_count(p: Perm) -> int:
 
 def tl_set(p: Perm) -> frozenset[Transposition]:
     """Left reflection set: { t_ab : a < b, p^{-1}(a) > p^{-1}(b) }."""
-    q = inverse(p)
-    n = len(p)
-    return frozenset(
-        (a, b)
-        for a in range(1, n + 1)
-        for b in range(a + 1, n + 1)
-        if q[a - 1] > q[b - 1]
-    )
+    return inv_set(inverse(p))
 
 
 def word_of_perm(p: Perm) -> tuple[int, ...]:

@@ -188,17 +188,18 @@ def _sweep_unions(
     want_left: bool,
     want_right: bool,
     workers: int,
-    chunk: int,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Join, left-route and right-route bits of every union, each None
-    unless wanted.  The step program of each wanted route is built here,
-    before any worker is forked, so that the workers share it."""
+    unless wanted, in chunks of DEFAULT_CHUNK unions.  The step program
+    of each wanted route is built here, before any worker is forked, so
+    that the workers share it."""
     npt = system.numpy_tables()
     for side, want in (("left", want_left), ("right", want_right)):
         if want:
             npt.program(side)
     spans = [
-        (lo, min(lo + chunk, unions.size)) for lo in range(0, unions.size, chunk)
+        (lo, min(lo + DEFAULT_CHUNK, unions.size))
+        for lo in range(0, unions.size, DEFAULT_CHUNK)
     ]
     wanted = (want_join, want_left, want_right)
     _POOL_STATE.update(system=system, unions=unions, want=wanted)
@@ -396,7 +397,6 @@ def sweep(
     sample: int | None = None,
     seed: int | None = None,
     workers: int | None = None,
-    chunk: int = DEFAULT_CHUNK,
 ) -> SweepReport:
     """Check one conjecture over every ordered pair, or over `sample` seeded pairs.
 
@@ -416,8 +416,6 @@ def sweep(
         raise UsageError("workers must be a positive integer")
     if sample is not None and sample < 1:
         raise UsageError("sample must be a positive integer")
-    if chunk < 1:
-        raise UsageError("chunk must be a positive integer")
     start = time.perf_counter()
     system = _as_system(target)
     if system.table.n_roots > 64:
@@ -429,7 +427,7 @@ def sweep(
     keys = _distinct_unions(_union_keys(system), _pair_blocks(n, pairs, ordered=False))
     unions = keys.astype(np.uint64, copy=False)
     lhs, rhs_left, rhs_right = _sweep_unions(
-        system, unions, *_ROUTES[conjecture], workers, chunk
+        system, unions, *_ROUTES[conjecture], workers
     )
     if lhs is None:
         # EQ: equal rhs sets force equal verdicts, so one comparison suffices

@@ -77,6 +77,20 @@ def test_roots_backend_option_is_rejected(capsys):
     assert all(c["coeffs"] is not None for r in doc["roots"] for c in r["coords"])
 
 
+# roots builds the root table only: E7 and E8 have more elements than the
+# default element cap
+@pytest.mark.parametrize("name,count", [("E7", 63), ("E8", 120)])
+def test_roots_of_groups_past_the_element_cap(capsys, name, count):
+    rc, out, err = run(capsys, "roots", "--type", name)
+    assert (rc, err) == (EXIT_OK, "")
+    lines = out.strip().splitlines()
+    assert lines[0] == f"{count} positive roots" and len(lines) == count + 1
+    rc, out, _ = run(capsys, "roots", "--type", name, "--format", "json")
+    assert rc == EXIT_OK
+    doc = json.loads(out)
+    assert doc["count"] == len(doc["roots"]) == count
+
+
 # -- join ------------------------------------------------------------------------------
 
 
@@ -99,6 +113,34 @@ def test_join_text_output(capsys):
     assert rc == EXIT_OK
     assert "one-line: 3124 v 1423 = 4312" in out
     assert "verdict: holds" in out
+
+
+@pytest.mark.parametrize("name", ["A3", "A4"])
+def test_join_one_line_notation_reads_back(capsys, name):
+    system = build_system(name)
+    for u, v in ((1, 2), (3, 5), (7, 20), (0, system.size - 1)):
+        u, v = system.element(u), system.element(v)
+        rc, out, _ = run(capsys, "join", "--type", name, "--u", u.word_str(),
+                         "--v", v.word_str(), "--format", "json")
+        assert rc == EXIT_OK
+        one_line = json.loads(out)["one_line"]
+        join = join_bruteforce(u, v)
+        for key, element in (("u", u), ("v", v), ("join", join)):
+            assert parse_element(system, one_line[key]) == element
+
+
+def test_join_one_line_notation_past_nine_values_has_commas(monkeypatch, capsys):
+    system = build_system("A3")
+    ten = (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)
+    monkeypatch.setattr(cli, "build_system", lambda *args, **kwargs: system)
+    monkeypatch.setattr(system, "permutation_of", lambda element: ten)
+    rc, out, _ = run(capsys, "join", "--type", "A3", "--u", "1", "--v", "2",
+                     "--format", "json")
+    assert rc == EXIT_OK
+    text = "10,2,3,4,5,6,7,8,9,1"
+    assert json.loads(out)["one_line"] == {"u": text, "v": text, "join": text}
+    rc, out, _ = run(capsys, "join", "--type", "A3", "--u", "1", "--v", "2")
+    assert f"one-line: {text} v {text} = {text}" in out
 
 
 def test_join_words_dihedral(capsys):
@@ -332,7 +374,13 @@ def test_broken_cone_table_is_construction_error(monkeypatch, capsys, conjecture
 
 
 def test_malformed_matrix_file_is_usage_error(tmp_path, capsys):
-    for body in ('{"rank": 2}', "[1, 2]", "{not json", '{"m": [[1, 1], [1, 1]]}'):
+    for body in (
+        '{"rank": 2}', "[1, 2]", "{not json", '{"m": [[1, 1], [1, 1]]}',
+        # labels must be JSON integers: no float, bool or string is read as one
+        '{"m": [[1, 3.7], [3.7, 1]]}',
+        '{"m": [[true, 3], [3, true]]}',
+        '{"m": [[1, "5"], ["5", 1]]}',
+    ):
         path = tmp_path / "bad.json"
         path.write_text(body)
         rc, out, err = run(capsys, "roots", "--matrix", str(path))

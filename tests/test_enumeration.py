@@ -1,4 +1,4 @@
-"""Level-wise enumeration and the products by one reflection, bit for bit
+"""Level-wise enumeration, its ids in (length, reduced word) order, and the products by one reflection, bit for bit
 against the element-by-element oracles in oracles.py, and the step
 programs, built from the enumeration tree, against the descents of the
 oracle tables;
@@ -112,6 +112,13 @@ def test_level_sizes_are_the_poincare_polynomial(name):
     system = _system(name)
     assert np.bincount(system.lengths).tolist() == poincare.tolist()
     assert system.size == math.prod(DEGREES[name])
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(7)", "F4", "D5", "H4", "E6"])
+def test_ids_run_in_length_then_word_order(name):
+    keys = [(x.length, x.word) for x in _system(name).elements()]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
 
 
 def test_inversion_bits_are_spelled_out_only_on_first_read():

@@ -60,16 +60,15 @@ def _per_pair_bits(system):
 
 
 @pytest.mark.parametrize("name", ["A3", "I2(6)"])
-def test_batched_matches_per_pair_routines(name):
+def test_batched_matches_per_pair_routines(name, monkeypatch):
+    monkeypatch.setattr(vf, "DEFAULT_CHUNK", 64)
     system = build_system(name)
     words = _inv_words(system)
     n = system.size
     us = np.repeat(np.arange(n, dtype=np.int32), n)
     vs = np.tile(np.arange(n, dtype=np.int32), n)
     unions, inverse = np.unique(words[us] | words[vs], return_inverse=True)
-    lhs_u, rl_u, rr_u = vf._sweep_unions(
-        system, unions, True, True, True, workers=1, chunk=64
-    )
+    lhs_u, rl_u, rr_u = vf._sweep_unions(system, unions, True, True, True, workers=1)
     lhs, rhs_l, rhs_r = lhs_u[inverse], rl_u[inverse], rr_u[inverse]
 
     exp_lhs, exp_l, exp_r = _per_pair_bits(system)
@@ -153,9 +152,10 @@ def test_exhaustive_sweep_reports_no_seed():
     assert sampled.seed == 99
 
 
-def test_worker_pool_matches_single_process():
-    solo = sweep("A3", "H", workers=1, chunk=32)
-    pooled = sweep("A3", "H", workers=2, chunk=32)
+def test_worker_pool_matches_single_process(monkeypatch):
+    monkeypatch.setattr(vf, "DEFAULT_CHUNK", 32)
+    solo = sweep("A3", "H", workers=1)
+    pooled = sweep("A3", "H", workers=2)
     assert pooled.workers == 2
     assert solo.ok and pooled.ok
     assert solo.pairs_checked == pooled.pairs_checked
@@ -169,16 +169,15 @@ def test_root_count_guard():
     assert report.ok
 
 
-def test_sixty_four_roots_sweep_every_union_against_the_oracles():
+def test_sixty_four_roots_sweep_every_union_against_the_oracles(monkeypatch):
     system = build_system("I2(64)")
     report = sweep(system, "EQ")
     assert report.ok and report.pairs_checked == system.size**2
     words = _inv_words(system)
     unions = np.unique(words[:, None] | words[None, :])
     assert (unions >> np.uint64(63) & np.uint64(1)).any()  # root 63 is covered
-    lhs, rhs_l, rhs_r = vf._sweep_unions(
-        system, unions, True, True, True, workers=1, chunk=64
-    )
+    monkeypatch.setattr(vf, "DEFAULT_CHUNK", 64)
+    lhs, rhs_l, rhs_r = vf._sweep_unions(system, unions, True, True, True, workers=1)
     union_bits = [int(u) for u in unions]
     assert lhs.tolist() == [system.inv_bits[j] for j in joins_matmul(system, union_bits)]
     for side, rhs in (("left", rhs_l), ("right", rhs_r)):
@@ -336,9 +335,7 @@ def _reference_failures(system, conjecture, us, vs):
     pair, the kernels over all its unions, and one sort of the failing pairs."""
     words = _inv_words(system)
     unions, inverse = np.unique(words[us] | words[vs], return_inverse=True)
-    lhs, rhs_l, rhs_r = vf._sweep_unions(
-        system, unions, True, True, True, workers=1, chunk=vf.DEFAULT_CHUNK
-    )
+    lhs, rhs_l, rhs_r = vf._sweep_unions(system, unions, True, True, True, workers=1)
     union_ok = {
         "H": lhs == rhs_l,
         "D": lhs == rhs_r,
@@ -440,11 +437,13 @@ def test_one_word_reach_tiles_leave_the_reports_unchanged(monkeypatch, name, sam
     assert '"failure_count": 0' in reports[1]  # D reads no corrupted route
 
 
-def test_chunk_boundaries_do_not_change_results():
+def test_chunk_boundaries_do_not_change_results(monkeypatch):
     system = build_system("A3")
     unions = np.unique(_inv_words(system))
-    a = vf._sweep_unions(system, unions, True, True, True, workers=1, chunk=7)
-    b = vf._sweep_unions(system, unions, True, True, True, workers=1, chunk=10_000)
+    monkeypatch.setattr(vf, "DEFAULT_CHUNK", 7)
+    a = vf._sweep_unions(system, unions, True, True, True, workers=1)
+    monkeypatch.setattr(vf, "DEFAULT_CHUNK", 10_000)
+    b = vf._sweep_unions(system, unions, True, True, True, workers=1)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -482,13 +481,10 @@ def test_workers_below_one_are_a_usage_error(monkeypatch):
             sweep("A2", "H", workers=workers)
 
 
-def test_empty_samples_and_chunks_are_usage_errors():
+def test_empty_samples_are_usage_errors():
     for sample in (0, -1):
         with pytest.raises(vf.UsageError, match="sample must be a positive integer"):
             sweep("A2", "H", sample=sample, seed=1)
-    for chunk in (0, -4):
-        with pytest.raises(vf.UsageError, match="chunk must be a positive integer"):
-            sweep("A2", "H", chunk=chunk)
 
 
 def test_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
@@ -524,12 +520,14 @@ def test_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
         (4, 1, []),
     ):
         sizes.clear()
-        report = sweep(system, "H", workers=workers, chunk=chunk)
+        monkeypatch.setattr(vf, "DEFAULT_CHUNK", chunk)
+        report = sweep(system, "H", workers=workers)
         assert report.ok and report.workers == workers
         assert sizes == expected, (chunk, workers)
     monkeypatch.setattr(vf.os, "cpu_count", lambda: None)
     sizes.clear()
-    assert sweep(system, "H", workers=8, chunk=4).ok and sizes == []
+    monkeypatch.setattr(vf, "DEFAULT_CHUNK", 4)
+    assert sweep(system, "H", workers=8).ok and sizes == []
 
 
 def test_report_dataclass_defaults():
