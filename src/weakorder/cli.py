@@ -3,13 +3,16 @@
 Exit codes: 0 all checks hold, 1 a sweep found a failing pair, 2 bad usage
 (unparsable input, an unreadable file, an unsupported request), 3 the
 group/root construction failed (caps, non-finite input, an inconsistent
-table), 4 an internal error: a bug, reported with its traceback.
+table), 4 an internal error: a bug, reported with its traceback, 141
+(128 + SIGPIPE) standard output closed before all output was written, as
+in `weakorder roots --type E8 | head -2`, with nothing printed on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -33,6 +36,7 @@ EXIT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 def _graph_from_args(args: argparse.Namespace) -> CoxeterGraph:
@@ -240,7 +244,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit cannot raise again (the Python docs' note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

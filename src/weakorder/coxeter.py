@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -46,6 +47,8 @@ DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
 _REACH_TILE_BYTES = 1 << 20  # reach array bytes per column tile, to stay in L2 cache
 _SCRATCH_WORDS = 1 << 14  # 128 KiB, glibc's default threshold for mapping an allocation
+_UNION_MEMO = 1 << 14  # unions whose single-pair answers a system keeps
+_ROUTE_SLOTS = {"left": 1, "right": 2}  # memo slots of the routes; slot 0 is the join
 
 
 class CoxeterError(Exception):
@@ -246,6 +249,7 @@ def _word_keys(words: np.ndarray) -> np.ndarray:
 
 _BYTE_BITS = (np.uint8(1) << np.arange(8, dtype=np.uint8))[:, None]  # bit k of a byte
 _BOOL_TRANSPOSE_BITS = 512  # matrices up to this many bits go one bool a bit
+_ROW_SHIFTS = np.arange(64, dtype=np.uint64)  # row r of a one-word output is bit r
 
 
 def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
@@ -256,8 +260,11 @@ def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     exactly when row r of the input has bit c set.
 
     A matrix of up to _BOOL_TRANSPOSE_BITS bits (one union, or the routes
-    of one) is unpacked to a bool a bit, transposed as a view and packed,
-    which takes the fewest array calls.  A larger one moves bytes before
+    of one) is unpacked to a bool a bit and transposed as a view, which
+    takes the fewest array calls.  When the output is one word a row (at
+    most 64 input rows), that view's columns are shifted to their row's
+    bit and OR-reduced, with no shift for a single row, which costs less
+    than packing; otherwise it is packed.  A larger one moves bytes before
     bits: the ceil(n_bits / 8) bytes that hold the bits of each row are
     copied once into a (bytes, rows) matrix, rows padded to whole words,
     so bit c is bit c % 8 of byte row c // 8.  Masking each byte row with
@@ -268,7 +275,14 @@ def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     """
     rows = words.shape[0]
     if rows * n_bits <= _BOOL_TRANSPOSE_BITS:
-        return _pack_words(_unpack_words(words, n_bits).T)
+        columns = _unpack_words(words, n_bits).T
+        if not 0 < rows <= 64:
+            return _pack_words(columns)
+        columns = columns.astype(np.uint64)
+        if rows == 1:
+            return columns
+        columns <<= _ROW_SHIFTS[:rows]
+        return np.bitwise_or.reduce(columns, axis=1, keepdims=True)
     n_bytes = -(-n_bits // 8)
     as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     padded = -(-rows // 64) * 64
@@ -828,8 +842,7 @@ class _NumpyTables:
         the right one on first read; both are kept.  Any other side raises
         ValueError.
         """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        _check_side(side)
         if side not in self._programs:
             roots, preds = _tree_steps(self._tree, self._conj, self.bounds, side)
             counts = sum(np.bincount(level.ravel(), minlength=self.n_roots) for level in roots)
@@ -892,6 +905,11 @@ class _NumpyTables:
             for (lo, _, level_roots, level_preds), cut in zip(blocks[:self._top], cuts[1:])
         ]
         return blocks, down
+
+
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
 def _tree_steps(
@@ -1154,6 +1172,7 @@ class CoxeterSystem:
         self._enumerate(element_cap)
         self._np_tables: _NumpyTables | None = None
         self._joins_certified = False
+        self._union_memo: OrderedDict[int, list[int | None]] = OrderedDict()
 
     def _enumerate(self, element_cap: int) -> None:
         """Breadth-first enumeration, one length level at a time.
@@ -1298,6 +1317,35 @@ class CoxeterSystem:
             raise ValueError(f"bits outside the {n_roots} positive roots")
         return bits_to_words(bits, self.inv_words.shape[1])[None, :]
 
+    def _recall(self, bits: int, slot: int) -> int | None:
+        """A single-pair answer for a union of roots, None until it is stored.
+
+        The memo keys each union by its bits and holds, as ints, the join's
+        element id (slot 0) and the reached-reflection bits of the left and
+        right routes (_ROUTE_SLOTS).  Only join_of_union_bits and
+        reached_reflections fill it, each answer on first use, after
+        checking their arguments.
+        """
+        entry = self._union_memo.get(bits)
+        return None if entry is None else entry[slot]
+
+    def _remember(self, bits: int, slot: int, answer: int) -> int:
+        """Store a single-pair answer for a union and return it.
+
+        The memo holds at most _UNION_MEMO unions: a new one past that drops
+        the oldest, first in, first out.  It is an OrderedDict because a
+        plain dict's first key is found by a scan past the slots of every
+        key deleted since its last resize.
+        """
+        memo = self._union_memo
+        entry = memo.get(bits)
+        if entry is None:
+            if len(memo) >= _UNION_MEMO:
+                memo.popitem(last=False)
+            entry = memo[bits] = [None, None, None]
+        entry[slot] = answer
+        return answer
+
     # -- basic access -------------------------------------------------------
 
     @property
@@ -1426,16 +1474,24 @@ class CoxeterSystem:
 
     def reached_reflections(self, labels: RootSubset, side: str) -> RootSubset:
         """The roots of the reflections reachable under a root subset, from
-        the program over the reflections' down-set alone.
+        the program over the reflections' down-set alone, remembered per
+        union (_recall).
 
         The subset must belong to this system's root table; one of another
         table raises ValueError.
         """
         if labels.table is not self.table:
             raise ValueError("label subset belongs to a different root table")
-        words = self._set_words(labels.bits)
-        rows = reflection_reach_words(self.numpy_tables(), words, side)
-        return RootSubset(self.table, words_to_bits(transpose_bits(rows, 1))[0])
+        _check_side(side)
+        slot = _ROUTE_SLOTS[side]
+        reached = self._recall(labels.bits, slot)
+        if reached is None:
+            words = self._set_words(labels.bits)
+            rows = reflection_reach_words(self.numpy_tables(), words, side)
+            reached = self._remember(
+                labels.bits, slot, words_to_bits(transpose_bits(rows, 1))[0]
+            )
+        return RootSubset(self.table, reached)
 
     # -- type-A permutation dictionary ----------------------------------------
 

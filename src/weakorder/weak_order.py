@@ -79,9 +79,14 @@ def join_of_union_bits(system: CoxeterSystem, union_bits: int) -> int:
 
     The batched join kernel with a batch of one: the element whose
     inversion set is the 2-closure of the roots.  It reads the cone table
-    and the sorted keys only, never the step programs.
+    and the sorted keys only, never the step programs.  The id is
+    remembered per union (CoxeterSystem._recall).
     """
-    return int(weak_joins(system, system._set_words(union_bits))[0])
+    join = system._recall(union_bits, 0)
+    if join is None:
+        words = system._set_words(union_bits)
+        join = system._remember(union_bits, 0, int(weak_joins(system, words)[0]))
+    return join
 
 
 def join_bruteforce(u: GroupElement, v: GroupElement) -> GroupElement:

@@ -6,12 +6,15 @@ path runs exactly as it would from a shell.
 """
 
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from weakorder import cli, verify
 from weakorder.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONSTRUCTION,
     EXIT_FAILURES,
     EXIT_INTERNAL,
@@ -433,6 +436,45 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     )
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+
+    Its file descriptor is a file of the test's own, so that pointing it at
+    devnull touches no descriptor of the test run.
+    """
+
+    def __init__(self, path):
+        self.file = open(path, "wb")
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.file.fileno()
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--type", "E8"),
+    ("join", "--type", "A3", "--u", "1", "--v", "2", "--format", "json"),
+])
+def test_closed_stdout_exits_quietly_with_sigpipe_code(monkeypatch, capsys, tmp_path, argv):
+    pipe = _ClosedPipe(tmp_path / "stdout")
+    monkeypatch.setattr(sys, "stdout", pipe)
+    try:
+        rc = main(list(argv))
+        # the descriptor now writes to devnull, so a flush at exit cannot fail
+        os.write(pipe.fileno(), b"after the pipe closed")
+    finally:
+        pipe.file.close()
+    monkeypatch.undo()
+    assert rc == EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
 def test_infinite_matrix_is_construction_error(tmp_path, capsys):
     doc = {"m": [[1, 0], [0, 1]]}  # m=0 means the infinite bond
     path = tmp_path / "aff.json"
@@ -480,6 +522,7 @@ def test_parser_requires_subcommand(capsys):
 
 
 def test_cli_module_exit_codes_are_distinct():
-    codes = {EXIT_OK, EXIT_FAILURES, EXIT_USAGE, EXIT_CONSTRUCTION, EXIT_INTERNAL}
-    assert len(codes) == 5
+    codes = {EXIT_OK, EXIT_FAILURES, EXIT_USAGE, EXIT_CONSTRUCTION, EXIT_INTERNAL,
+             EXIT_BROKEN_PIPE}
+    assert len(codes) == 6
     assert cli.EXIT_OK == 0

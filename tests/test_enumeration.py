@@ -329,6 +329,20 @@ def test_transpose_bits_matches_the_unpacked_transpose(rows, n_bits):
     assert np.array_equal(_unpack_words(back, n_bits), kept)
 
 
+def test_small_transposes_match_the_unpacked_transpose_on_every_shape():
+    # every shape of the bool path (rows * n_bits <= 512): one-word outputs
+    # are shifted and OR-reduced, wider ones packed
+    rng = np.random.default_rng(512)
+    for rows in range(0, 513):
+        for n_bits in range(0, 512 // max(rows, 1) + 1):
+            words = rng.integers(0, 1 << 64, size=(rows, max(1, -(-n_bits // 64))),
+                                 dtype=np.uint64)
+            columns = transpose_bits(words, n_bits)
+            assert columns.dtype == np.uint64, (rows, n_bits)
+            assert columns.shape == (n_bits, -(-rows // 64)), (rows, n_bits)
+            assert np.array_equal(columns, transpose_bits_unpacked(words, n_bits)), (rows, n_bits)
+
+
 @pytest.mark.parametrize("name", TYPES + ["H4"])
 def test_inversion_words_are_the_inversion_bits(name):
     system = _system(name)
