@@ -786,11 +786,22 @@ class _NumpyTables:
     is built along the enumeration tree, one level at a time, in one
     pass: the constructor builds the left one, from which it marks D and
     numbers the reach rows (_build_programs), and nothing else; the right
-    one is built on its first read, so "H" sweeps, check_conjecture_H and
-    path_witness never build it, while "D", "EQ", "HD",
-    conjectural_join_D and the right route of reachable_ids do, once.
-    path_witness and to_dot read the left program too: a step (r, p) into
-    y is the edge p -> y = t_r * p of the Bruhat graph.
+    one is built on its first read, so "H" sweeps, check_conjecture_H,
+    weakorder join and path_witness never build it, while "D", "EQ",
+    "HD", conjectural_join_D and the right route of reachable_ids do,
+    once.  path_witness and to_dot read the left program too: a step
+    (r, p) into y is the edge p -> y = t_r * p of the Bruhat graph.
+
+    A third program, the paired one (paired_program), interleaves the
+    two sides' blocks over D, so that one run of the level loop answers
+    both routes of a union.  It serves single pairs alone: at a batch of
+    one a level costs numpy's fixed cost per call, which pairing pays once
+    for both sides, while a sweep's chunk of thousands of unions costs
+    its gathers, which pairing does not reduce, in a working set twice
+    as large.  So the sweeps run one side a call, and the paired program
+    is built on its first read, which CoxeterSystem.reached_reflections
+    makes only once the right program exists: numpy_tables() and the
+    left-only paths never build it.
 
     The sweeps compare the system's inversion sets with what the routes
     reach, so the constructor checks that both describe one group before
@@ -832,6 +843,7 @@ class _NumpyTables:
         self._tree = (parent, gen, system._added, system._right_by_gen)
         self.bounds = np.searchsorted(self.lengths, np.arange(int(self.lengths[-1]) + 2))
         self._programs: dict[str, tuple[list, list]] = {}
+        self._paired: tuple[list, np.ndarray] | None = None
         self._build_programs()
 
     def program(self, side: str, reflections_only: bool = False) -> list[tuple]:
@@ -850,6 +862,35 @@ class _NumpyTables:
                 raise CoxeterError("a root does not label half of the right steps")
             self._programs[side] = self._side_program(roots, preds)
         return self._programs[side][reflections_only]
+
+    def paired_program(self) -> tuple[list, np.ndarray]:
+        """Both sides' programs over D, interleaved: (blocks, rows).
+
+        Level k's block (2 lo, 2 hi, roots, preds) holds the left and right
+        blocks over D column by column, so that reach row 2 s is the left
+        route at slot s and row 2 s + 1 the right route.  A right step from
+        slot 0 reads row 0: e's row is all ones on both sides, so one row
+        serves both, and row 1 is never read.  rows[0] and rows[1] are the
+        reflections' reach rows on the left and on the right.  Built on
+        first read from the two programs over D, which stay as they are,
+        and kept: it holds their entries a second time (about 60 KB on F4,
+        3.1 MB on H4).
+        """
+        if self._paired is None:
+            blocks = []
+            for (lo, hi, roots, preds), (_, _, right_roots, right_preds) in zip(
+                self.program("left", True), self.program("right", True)
+            ):
+                k, n = roots.shape
+                both_roots = np.empty((k, 2 * n), dtype=roots.dtype)
+                both_roots[:, 0::2], both_roots[:, 1::2] = roots, right_roots
+                both_preds = np.empty((k, 2 * n), dtype=preds.dtype)
+                both_preds[:, 0::2] = 2 * preds
+                both_preds[:, 1::2] = 2 * right_preds + (right_preds != 0)
+                blocks.append((2 * lo, 2 * hi, both_roots, both_preds))
+            rows = np.stack([2 * self.refl_slots, 2 * self.refl_slots + 1])
+            self._paired = blocks, rows
+        return self._paired
 
     def _build_programs(self) -> None:
         """The slots of the reach rows, and the left step program.
@@ -1012,7 +1053,7 @@ def reach_words(tables: _NumpyTables, unions: np.ndarray, side: str) -> np.ndarr
     where each level's gathers stay in cache; a group of up to 2,048
     elements (F4, D5) takes 64 words in one tile.
     """
-    return _run_program(tables, unions, side, reflections_only=False)
+    return _run_program(tables, unions, tables.program(side), tables.slots, tables.lengths.size)
 
 
 def reflection_reach_words(
@@ -1028,62 +1069,93 @@ def reflection_reach_words(
     root in every union is decided: e -> t_r is a rising step labelled r,
     so its reflection's row is its label row.  The program stops at the
     longest reflection whose root is not decided (_reflection_tile).
+
+    One side a call, over that side's program alone: the sweeps route
+    thousands of unions a chunk, where a level's cost is its gathers, and
+    running both sides in one level loop (_paired_reflection_words) would
+    double each tile's working set for no fewer gathers.  Only a batch of
+    one, whose levels cost numpy's fixed cost per call, gains by pairing.
     """
-    return _run_program(tables, unions, side, reflections_only=True)
+    blocks = tables.program(side, reflections_only=True)
+    return _run_program(tables, unions, blocks, tables.refl_slots, tables.down_size)
+
+
+def _paired_reflection_words(tables: _NumpyTables, unions: np.ndarray) -> np.ndarray:
+    """Both sides' reflection_reach_words in one run: (2, n_roots, ceil(k / 64)).
+
+    Entry 0 is the left side's result and entry 1 the right side's, bit
+    for bit.  The level loop runs once over the paired program
+    (_NumpyTables.paired_program), whose level blocks hold both sides'
+    steps over D, so each level costs one gather, one AND and one OR for
+    the two routes.  The two sides' steps stay separate inputs: pairing
+    shares the array calls, not the routes.  A root in every union of a
+    tile decides both sides, so the stop level is the one either side's
+    tile would stop at.
+    """
+    blocks, rows = tables.paired_program()
+    return _run_program(tables, unions, blocks, rows, 2 * tables.down_size)
 
 
 def _run_program(
-    tables: _NumpyTables, unions: np.ndarray, side: str, reflections_only: bool
+    tables: _NumpyTables, unions: np.ndarray, blocks: list, rows: np.ndarray, filled: int
 ) -> np.ndarray:
-    """The wanted rows of the reach array, tile by tile.
+    """The reach rows `rows` (slots, of any shape) under each union, tile by tile.
 
-    With reflections_only, each tile goes through _reflection_tile, which
-    runs the program only as far up as the tile's undecided roots need.
-    full holds each tile word's bits of real unions: the padding bits of
-    the last word are no union, so a root need not be in them.
+    filled is the number of reach rows a tile fills, which sets the tile
+    width.  rows is tables.slots for the full program, whose tiles run
+    every level; any other rows are the reflections' rows, and each tile
+    goes through _reflection_tile, which runs the program only as far up
+    as the tile's undecided roots need.  full holds each tile word's bits
+    of real unions: the padding bits of the last word are no union, so a
+    root need not be in them.  The result is rows.shape plus one axis of
+    ceil(k / 64) words; a batch of no unions has no words.
     """
-    blocks = tables.program(side, reflections_only)
-    filled = tables.down_size if reflections_only else tables.lengths.size
     labels = transpose_bits(unions, tables.n_roots)
+    if not labels.shape[1]:
+        return np.zeros(rows.shape + (0,), dtype=np.uint64)
     width = max(1, _REACH_TILE_BYTES // (8 * filled))
     starts = range(0, labels.shape[1], width)
-    if reflections_only:
-        full = np.full(labels.shape[1], _WORD_MASK, dtype=np.uint64)
-        full[-1] >>= np.uint64(-unions.shape[0] % 64)
+    if rows is tables.slots:
         tiles = [
-            _reflection_tile(tables, blocks, labels[:, lo:lo + width], full[lo:lo + width])
+            _reach_tile(blocks, labels[:, lo:lo + width]).take(rows, axis=0)
             for lo in starts
         ]
     else:
+        full = np.full(labels.shape[1], _WORD_MASK, dtype=np.uint64)
+        full[-1] >>= np.uint64(-unions.shape[0] % 64)
         tiles = [
-            _reach_tile(blocks, labels[:, lo:lo + width]).take(tables.slots, axis=0)
+            _reflection_tile(tables, blocks, rows, labels[:, lo:lo + width], full[lo:lo + width])
             for lo in starts
         ]
-    return tiles[0] if len(tiles) == 1 else np.hstack(tiles)
+    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles, axis=-1)
 
 
 def _reflection_tile(
-    tables: _NumpyTables, blocks: list, labels: np.ndarray, full: np.ndarray
+    tables: _NumpyTables, blocks: list, rows: np.ndarray, labels: np.ndarray, full: np.ndarray
 ) -> np.ndarray:
     """The reflections' reach rows over one tile of transposed labels.
 
-    A root is decided when its label row is full, that is when it lies in
+    rows holds the reach rows of the reflections, by root on its last
+    axis: one side's slots, or both sides' rows of the paired program.  A
+    root is decided when its label row is full, that is when it lies in
     every union of the tile: its reflection's row is then its label row,
-    since e -> t_r raises length and reach rows hold no padding bits.
-    stop is the level of the longest reflection whose root is not decided,
-    0 when every root is; only levels 1..stop run, which fill the rows of
-    every reflection up to that level, and the longer ones are copied from
-    the label rows.  At stop = top the tile costs what one full run does.
+    on either side, since e -> t_r raises length and reach rows hold no
+    padding bits.  stop is the level of the longest reflection whose root
+    is not decided, 0 when every root is; only levels 1..stop run, which
+    fill the rows of every reflection up to that level, and the longer
+    ones are copied from the label rows.  At stop = top the tile costs
+    what one full run does.
     """
     decided = (labels == full).all(axis=1)
     stop = int(tables.refl_lengths[~decided].max(initial=0))
     if stop == len(blocks):
-        return _reach_tile(blocks, labels).take(tables.refl_slots, axis=0)
-    rows = labels.copy()
+        return _reach_tile(blocks, labels).take(rows, axis=0)
+    out = np.empty(rows.shape + labels.shape[1:], dtype=np.uint64)
+    out[...] = labels  # one copy of the label rows per side
     if stop:
         run = tables.refl_lengths <= stop
-        rows[run] = _reach_tile(blocks, labels, stop).take(tables.refl_slots[run], axis=0)
-    return rows
+        out[..., run, :] = _reach_tile(blocks, labels, stop).take(rows[..., run], axis=0)
+    return out
 
 
 def _reach_tile(blocks: list, labels: np.ndarray, stop: int | None = None) -> np.ndarray:
@@ -1477,20 +1549,35 @@ class CoxeterSystem:
         the program over the reflections' down-set alone, remembered per
         union (_recall).
 
+        A union the memo holds no route of, asked once the system's right
+        program exists, runs both routes in one level loop
+        (_paired_reflection_words) and remembers both: a single-pair route
+        costs numpy's fixed cost per level, which pairing pays once for the
+        two sides.  Any other miss runs the asked side alone, so that the
+        left route of an "H"-only caller (check_conjecture_H, weakorder
+        join) never builds the right program, nor the paired one.
+
         The subset must belong to this system's root table; one of another
         table raises ValueError.
         """
         if labels.table is not self.table:
             raise ValueError("label subset belongs to a different root table")
         _check_side(side)
-        slot = _ROUTE_SLOTS[side]
-        reached = self._recall(labels.bits, slot)
+        bits, slot = labels.bits, _ROUTE_SLOTS[side]
+        reached = self._recall(bits, slot)
         if reached is None:
-            words = self._set_words(labels.bits)
-            rows = reflection_reach_words(self.numpy_tables(), words, side)
-            reached = self._remember(
-                labels.bits, slot, words_to_bits(transpose_bits(rows, 1))[0]
-            )
+            words = self._set_words(bits)
+            npt = self.numpy_tables()
+            neither = all(self._recall(bits, s) is None for s in _ROUTE_SLOTS.values())
+            if neither and "right" in npt._programs:
+                left, right = _paired_reflection_words(npt, words)
+                both = words_to_bits(transpose_bits(left | right << np.uint64(1), 2))
+                for route_slot, route in zip(_ROUTE_SLOTS.values(), both):
+                    self._remember(bits, route_slot, route)
+                reached = self._recall(bits, slot)
+            else:
+                rows = reflection_reach_words(npt, words, side)
+                reached = self._remember(bits, slot, words_to_bits(transpose_bits(rows, 1))[0])
         return RootSubset(self.table, reached)
 
     # -- type-A permutation dictionary ----------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_bfs, product_tables_loop
-from weakorder import coxeter
+from weakorder import cli, coxeter
 from weakorder.coxeter import (
     CoxeterError,
     CoxeterGraph,
@@ -423,6 +423,57 @@ def test_pooled_right_route_sweeps_match_one_worker(monkeypatch, conjecture):
     for report in (pooled, solo):
         del report["wall_time_ms"], report["workers"]
     assert pooled == solo and solo["failure_count"] == 0
+
+
+def _cli_join(system, u, v):
+    return cli.main(["join", "--type", "B3", "--u", u.word_str(), "--v", v.word_str()]) == 0
+
+
+# set-up and the paths that read the left route alone, each asked of every
+# pair of a sample of B3: none builds the right program, and so none builds
+# the paired one (both sides' programs over D, interleaved)
+LEFT_ONLY_READERS = {
+    "numpy_tables": lambda system, u, v: system.numpy_tables().down_size > 0,
+    "check_conjecture_H": lambda system, u, v: check_conjecture_H(u, v).join.length >= 0,
+    "path_witness": lambda system, u, v: path_witness(system, _union(u, v), 6) or True,
+    "cli join": _cli_join,
+}
+
+
+@pytest.mark.parametrize("reader", LEFT_ONLY_READERS)
+def test_set_up_and_left_only_paths_build_no_right_or_paired_program(monkeypatch, capsys,
+                                                                      reader):
+    systems = []
+
+    def build(*args, **kwargs):
+        systems.append(build_system(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(cli, "build_system", build)
+    system = build_system("B3")
+    elements = [system.element(i) for i in range(0, system.size, 7)]
+    for u in elements:
+        for v in elements:
+            assert LEFT_ONLY_READERS[reader](system, u, v)
+    for built in systems or [system]:
+        npt = built.numpy_tables()
+        assert "right" not in npt._programs and npt._paired is None
+
+
+def test_the_paired_program_is_built_once_and_reused():
+    system = build_system("B3")
+    npt = system.numpy_tables()
+    elements = list(system.elements())
+    conjectural_join_D(system, _union(elements[1], elements[2]), _union(elements[3], elements[4]))
+    assert npt._paired is None  # the first right route runs alone and builds its program
+    paired = None
+    for u in elements[::5]:
+        for v in elements[::3]:
+            check_conjecture_H(u, v)
+            conjectural_join_D(system, left_reflection_set(u), left_reflection_set(v))
+            paired = paired or npt._paired
+            assert npt._paired is paired
+    assert paired is not None and npt.paired_program() is paired
 
 
 def test_left_product_by_reflection_agrees_with_word_composition():

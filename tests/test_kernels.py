@@ -18,7 +18,9 @@ must hold them and be closed under the steps of both sides.  It stops each
 tile at the longest reflection whose root is not in every union of the
 tile; the levels it runs are pinned against that count, over tiles that
 stop at 0, part way and at the top.  Both runs, on both sides, must be
-monotone in their labels.
+monotone in their labels.  The paired run, both sides in one level loop,
+must give each side's reflection rows bit for bit, and every kernel must
+answer a batch of no unions with no words.
 """
 
 import functools
@@ -47,6 +49,7 @@ from weakorder import (
 )
 from weakorder import coxeter
 from weakorder.coxeter import (
+    _paired_reflection_words,
     bits_to_words,
     reach_words,
     reflection_reach_words,
@@ -470,3 +473,41 @@ def test_routes_are_monotone_in_their_labels(name):
             large = kernel(npt, _union_words(system, wide), side)
             assert not (small & ~large).any(), (kernel.__name__, side)
             assert (large & ~small).any(), (kernel.__name__, side)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(7)", "D4", "F4", "H4"])
+def test_the_paired_run_gives_each_sides_reflection_rows(name):
+    """Seeded unions, the empty union, each single root, the full set (stop
+    0) and the full set less the longest reflection's root (stop top), in
+    one batch and one union a call."""
+    system = _system(name)
+    npt = system.numpy_tables()
+    rng = random.Random(24)
+    inv, n = system.inv_bits, system.table.n_roots
+    longest = int(np.argmax(npt.refl_lengths))
+    unions = [inv[rng.randrange(system.size)] | inv[rng.randrange(system.size)]
+              for _ in range(100)]
+    unions += [0, (1 << n) - 1, (1 << n) - 1 - (1 << longest)] + [1 << r for r in range(n)]
+    words = _union_words(system, unions)
+    batches = [words] + [words[i:i + 1] for i in range(len(words))]
+    for batch in batches:
+        paired = _paired_reflection_words(npt, batch)
+        assert paired.shape == (2, n, -(-len(batch) // 64)) and paired.dtype == np.uint64
+        for rows, side in zip(paired, ("left", "right")):
+            assert np.array_equal(rows, reflection_reach_words(npt, batch, side)), side
+
+
+@pytest.mark.parametrize("name", ["A3", "F4"])
+def test_a_batch_of_no_unions_has_no_words(name):
+    system = _system(name)
+    npt = system.numpy_tables()
+    none = np.zeros((0, system.inv_words.shape[1]), dtype=np.uint64)
+    for side in ("left", "right"):
+        reach = reach_words(npt, none, side)
+        assert reach.shape == (system.size, 0) and reach.dtype == np.uint64
+        rows = reflection_reach_words(npt, none, side)
+        assert rows.shape == (npt.n_roots, 0) and rows.dtype == np.uint64
+    paired = _paired_reflection_words(npt, none)
+    assert paired.shape == (2, npt.n_roots, 0) and paired.dtype == np.uint64
+    joins = weak_joins(system, none)
+    assert joins.shape == (0,)

@@ -4,7 +4,9 @@ join_of_union_bits and CoxeterSystem.reached_reflections remember, per
 union of roots, the join's element id and the reached-reflection bits of
 each route.  A remembered answer must be the one the kernels give a system
 that has never seen the union, the memo must stay within its bound, and
-it must belong to one system alone.
+it must belong to one system alone.  A union with neither route
+remembered, asked once the right program exists, is routed on both sides
+by one paired run, which counts as one answer of each side.
 """
 
 import random
@@ -18,6 +20,7 @@ from weakorder import coxeter, weak_order
 from weakorder.bruhat import check_conjecture_H, reachable_reflection_roots
 from weakorder.coxeter import (
     RootSubset,
+    _paired_reflection_words,
     bits_to_words,
     build_system,
     left_reflection_set,
@@ -44,8 +47,12 @@ def _fresh_answers(name, unions):
     return dict(zip(unions, zip(joins, *routes)))
 
 
-def _count_kernel_calls(monkeypatch):
+def _count_kernel_calls(monkeypatch, runs=None):
+    """Unions the kernels answer, by answer: the paired route kernel counts
+    each of its unions once per side.  runs, when given, counts the route
+    kernels' calls: one side alone, or "paired" for both in one."""
     calls = Counter()
+    runs = Counter() if runs is None else runs
 
     def joins(system, unions):
         calls["join"] += unions.shape[0]
@@ -53,10 +60,18 @@ def _count_kernel_calls(monkeypatch):
 
     def routes(tables, unions, side):
         calls[side] += unions.shape[0]
+        runs[side] += 1
         return reflection_reach_words(tables, unions, side)
+
+    def paired(tables, unions):
+        calls["left"] += unions.shape[0]
+        calls["right"] += unions.shape[0]
+        runs["paired"] += 1
+        return _paired_reflection_words(tables, unions)
 
     monkeypatch.setattr(weak_order, "weak_joins", joins)
     monkeypatch.setattr(coxeter, "reflection_reach_words", routes)
+    monkeypatch.setattr(coxeter, "_paired_reflection_words", paired)
     return calls
 
 
@@ -99,6 +114,38 @@ def test_warm_answers_equal_a_fresh_systems(monkeypatch, name):
     # each answer of each union came from the kernels once
     assert calls == {"join": len(unions), "left": len(unions), "right": len(unions)}
     assert set(system._union_memo) == set(unions)
+
+
+def test_pointwise_order_runs_each_side_once_then_both_in_one(monkeypatch):
+    # a pointwise query asks H, then D, of one union: before the right
+    # program exists the two routes run one side a call; once it does, a
+    # fresh union's first route runs both sides in one
+    system = build_system("F4")
+    runs = Counter()
+    calls = _count_kernel_calls(monkeypatch, runs)
+    u, v, w = system.element(40), system.element(700), system.element(1000)
+    phi_u, phi_v, phi_w = (left_reflection_set(x) for x in (u, v, w))
+    first, second = (phi_u | phi_v).bits, (phi_u | phi_w).bits
+    assert first != second
+    fresh = _fresh_answers("F4", [first, second])
+    assert check_conjecture_H(u, v).rhs.bits == fresh[first][1]
+    assert "right" not in system.numpy_tables()._programs
+    assert runs == {"left": 1}
+    assert conjectural_join_D(system, phi_u, phi_v).bits == fresh[first][2]
+    assert runs == {"left": 1, "right": 1}
+    assert check_conjecture_H(u, w).rhs.bits == fresh[second][1]
+    assert runs == {"left": 1, "right": 1, "paired": 1}
+    assert conjectural_join_D(system, phi_u, phi_w).bits == fresh[second][2]
+    assert runs == {"left": 1, "right": 1, "paired": 1}
+    assert calls == {"join": 2, "left": 2, "right": 2}
+    # a union with one route remembered runs the other side alone
+    third = phi_v | phi_w
+    system.reached_reflections(third, "right")
+    assert runs == {"left": 1, "right": 1, "paired": 2}
+    system._union_memo[third.bits][1] = None
+    assert system.reached_reflections(third, "left").bits == \
+        _fresh_answers("F4", [third.bits])[third.bits][1]
+    assert runs == {"left": 2, "right": 1, "paired": 2}
 
 
 def test_memo_holds_at_most_its_bound_and_drops_the_oldest(monkeypatch):
