@@ -97,18 +97,26 @@ def path_witness(
     """A shortest label-restricted increasing path from e to a reflection.
 
     Returns {"labels": [root indices], "vertices": [word strings]} or None
-    when the reflection is not reachable.  Deterministic: breadth-first,
-    each element's parent the first step into it in frontier order, then
-    label index order.  When the target's root is a label, the path is the
-    one step e -> t, returned without a search.  A label subset of another
-    root table raises ValueError.
+    when the reflection is not reachable.  Deterministic: of the shortest
+    paths, the one with the lexicographically least label sequence, which
+    is the path of a breadth-first search over frontier order, then label
+    order (tests/oracles.path_witness_loop), since that search keeps each
+    frontier in the order of its label sequences.  When the target's root
+    is a label, the path is the one step e -> t, returned without a
+    search.  A label subset of another root table raises ValueError.
 
-    The rounds run over the left step program over D, in slots: every
-    vertex of a path to a reflection is below it.  Element y's parent and
-    label are the least key p * n_roots + r over the steps (r, q) into y
-    with r a label and q the frontier's p-th element, and the fresh
-    elements, by that key, are the next frontier.  A round runs the
-    levels from the frontier's lowest to the target's.
+    One backward pass over the left program over D, in slots (every
+    vertex of a path to a reflection is below it), from the target's level
+    down to level 1; a step (r, q) into y is the edge q -> y.  A slot's
+    key is the least, over its edges toward the target, of (steps to the
+    target) * n_roots * end + label * end + next slot, end the slots up to
+    the target's level: 0 at the target, 2**62 (above every real key)
+    until a key arrives.  A level's slots that hold a key send it, one
+    step longer, to their steps' predecessors, which are shorter, so a
+    level's keys are final when its turn comes.  A label outside the set
+    costs 2**62, so its keys never win.  Read forward from e, the least
+    (steps, label) keeps to the shortest paths and spells the least label
+    sequence, since a vertex and a label fix the next vertex.
     """
     if labels.table is not system.table:
         raise ValueError("label subset belongs to a different root table")
@@ -116,43 +124,29 @@ def path_witness(
     if int(target_root) in labels:
         return {"labels": [int(target_root)], "vertices": ["e", system.element(target).word_str()]}
     npt = system.numpy_tables()
-    n_roots, bounds = npt.n_roots, npt.bounds
+    n_roots = npt.n_roots
     blocks = npt.program("left", reflections_only=True)[:npt.lengths[target]]
     end = blocks[-1][1]  # the slots up to the target's level
-    none = end * n_roots
-    allowed = np.full(n_roots, none, dtype=np.int64)
-    indices = labels.indices()
-    allowed[list(indices)] = indices
-    roots = [allowed.take(level_roots) for _, _, level_roots, _ in blocks]
-    via = np.full(end, -1, dtype=np.int64)  # parent slot * n_roots + label
-    via[0] = 0
-    position = np.full(end, none, dtype=np.int64)  # p * n_roots at the frontier's p-th slot
-    best = np.full(end, none, dtype=np.int64)  # the least key into each slot
+    step, none = n_roots * end, 1 << 62  # one step's part of a key; no key yet
+    cost = np.full(n_roots, none, dtype=np.int64)  # a label's part of a key
+    indices = np.array(labels.indices(), dtype=np.int64)
+    cost[indices] = indices * end
+    best = np.full(end, none, dtype=np.int64)
     goal = npt.slots.item(target)
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size and via[goal] < 0:
-        position[frontier] = np.arange(0, frontier.size * n_roots, n_roots)
-        low = int(np.searchsorted(bounds, frontier.min(), side="right")) - 1
-        for (lo, hi, _, preds), label_roots in zip(blocks[low:], roots[low:]):
-            keys = position.take(preds)
-            keys += label_roots
-            keys.min(axis=0, out=best[lo:hi])
-        position[frontier] = none
-        # a level below low keeps its keys of an earlier round, all visited
-        fresh = np.flatnonzero((best < none) & (via < 0))
-        fresh = fresh[np.argsort(best[fresh])]
-        keys = best[fresh]
-        via[fresh] = frontier[keys // n_roots] * n_roots + keys % n_roots
-        frontier = fresh
-    if via[goal] < 0:
+    best[goal] = 0
+    for lo, hi, roots, preds in reversed(blocks):
+        level = best[lo:hi]
+        columns = (level < none).nonzero()[0]
+        sent = level.take(columns) // step * step + columns + (step + lo)
+        keys = cost.take(roots.take(columns, axis=1)) + sent
+        # np.minimum.at is about twice as fast on flat indices
+        np.minimum.at(best, preds.take(columns, axis=1).ravel(), keys.ravel())
+    if best[0] == none:
         return None
-    path = []
-    slot = goal
-    while slot:
-        prev, label = divmod(via.item(slot), n_roots)
+    path, slot = [], 0
+    while slot != goal:
+        label, slot = divmod(best.item(slot) % step, end)
         path.append((label, npt.elements.item(slot)))
-        slot = prev
-    path.reverse()
     return {
         "labels": [r for r, _ in path],
         "vertices": ["e"] + [system.element(x).word_str() for _, x in path],

@@ -48,7 +48,6 @@ _WORD_MASK = (1 << 64) - 1
 _REACH_TILE_BYTES = 1 << 20  # reach array bytes per column tile, to stay in L2 cache
 _SCRATCH_WORDS = 1 << 14  # 128 KiB, glibc's default threshold for mapping an allocation
 _UNION_MEMO = 1 << 14  # unions whose single-pair answers a system keeps
-_ROUTE_SLOTS = {"left": 1, "right": 2}  # memo slots of the routes; slot 0 is the join
 
 
 class CoxeterError(Exception):
@@ -1389,34 +1388,29 @@ class CoxeterSystem:
             raise ValueError(f"bits outside the {n_roots} positive roots")
         return bits_to_words(bits, self.inv_words.shape[1])[None, :]
 
-    def _recall(self, bits: int, slot: int) -> int | None:
-        """A single-pair answer for a union of roots, None until it is stored.
+    def _record(self, bits: int) -> list[int | None]:
+        """The memo's record of a union of roots, made on first use.
 
-        The memo keys each union by its bits and holds, as ints, the join's
-        element id (slot 0) and the reached-reflection bits of the left and
-        right routes (_ROUTE_SLOTS).  Only join_of_union_bits and
-        reached_reflections fill it, each answer on first use, after
-        checking their arguments.
-        """
-        entry = self._union_memo.get(bits)
-        return None if entry is None else entry[slot]
-
-    def _remember(self, bits: int, slot: int, answer: int) -> int:
-        """Store a single-pair answer for a union and return it.
-
-        The memo holds at most _UNION_MEMO unions: a new one past that drops
-        the oldest, first in, first out.  It is an OrderedDict because a
-        plain dict's first key is found by a scan past the slots of every
-        key deleted since its last resize.
+        The memo keys each union by its bits.  Its record is a list of the
+        join's element id, the left route's reached-reflection bits and
+        the right route's, as ints, None where an answer is not yet
+        computed: join_of_union_bits and reached_reflections fill their
+        entries in place, after checking their arguments.  A new union is
+        checked against the roots (ValueError outside them) before
+        anything is stored.  The memo holds at most _UNION_MEMO unions: a
+        new one past that drops the oldest, first in, first out.  It is
+        an OrderedDict because a plain dict's first key is found by a scan
+        past the slots of every key deleted since its last resize.
         """
         memo = self._union_memo
-        entry = memo.get(bits)
-        if entry is None:
+        record = memo.get(bits)
+        if record is None:
+            if not 0 <= bits < 1 << self.table.n_roots:
+                raise ValueError(f"bits outside the {self.table.n_roots} positive roots")
             if len(memo) >= _UNION_MEMO:
                 memo.popitem(last=False)
-            entry = memo[bits] = [None, None, None]
-        entry[slot] = answer
-        return answer
+            record = memo[bits] = [None, None, None]
+        return record
 
     # -- basic access -------------------------------------------------------
 
@@ -1547,7 +1541,7 @@ class CoxeterSystem:
     def reached_reflections(self, labels: RootSubset, side: str) -> RootSubset:
         """The roots of the reflections reachable under a root subset, from
         the program over the reflections' down-set alone, remembered per
-        union (_recall).
+        union (_record).
 
         A union the memo holds no route of, asked once the system's right
         program exists, runs both routes in one level loop
@@ -1563,22 +1557,17 @@ class CoxeterSystem:
         if labels.table is not self.table:
             raise ValueError("label subset belongs to a different root table")
         _check_side(side)
-        bits, slot = labels.bits, _ROUTE_SLOTS[side]
-        reached = self._recall(bits, slot)
-        if reached is None:
-            words = self._set_words(bits)
+        record, slot = self._record(labels.bits), 1 + (side == "right")
+        if record[slot] is None:
+            words = self._set_words(labels.bits)
             npt = self.numpy_tables()
-            neither = all(self._recall(bits, s) is None for s in _ROUTE_SLOTS.values())
-            if neither and "right" in npt._programs:
+            if record[1] is None and record[2] is None and "right" in npt._programs:
                 left, right = _paired_reflection_words(npt, words)
-                both = words_to_bits(transpose_bits(left | right << np.uint64(1), 2))
-                for route_slot, route in zip(_ROUTE_SLOTS.values(), both):
-                    self._remember(bits, route_slot, route)
-                reached = self._recall(bits, slot)
+                record[1:] = words_to_bits(transpose_bits(left | right << np.uint64(1), 2))
             else:
                 rows = reflection_reach_words(npt, words, side)
-                reached = self._remember(bits, slot, words_to_bits(transpose_bits(rows, 1))[0])
-        return RootSubset(self.table, reached)
+                record[slot] = words_to_bits(transpose_bits(rows, 1))[0]
+        return RootSubset(self.table, record[slot])
 
     # -- type-A permutation dictionary ----------------------------------------
 

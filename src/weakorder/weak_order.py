@@ -80,13 +80,12 @@ def join_of_union_bits(system: CoxeterSystem, union_bits: int) -> int:
     The batched join kernel with a batch of one: the element whose
     inversion set is the 2-closure of the roots.  It reads the cone table
     and the sorted keys only, never the step programs.  The id is
-    remembered per union (CoxeterSystem._recall).
+    remembered per union (CoxeterSystem._record).
     """
-    join = system._recall(union_bits, 0)
-    if join is None:
-        words = system._set_words(union_bits)
-        join = system._remember(union_bits, 0, int(weak_joins(system, words)[0]))
-    return join
+    record = system._record(union_bits)
+    if record[0] is None:
+        record[0] = int(weak_joins(system, system._set_words(union_bits))[0])
+    return record[0]
 
 
 def join_bruteforce(u: GroupElement, v: GroupElement) -> GroupElement:

@@ -31,7 +31,8 @@ Reachability has a second oracle that is its own algorithm: a forward
 push over the length-increasing entries of a product table, with one
 Python int per element holding a bit per union, checked against the
 breadth-first search on the small types.  Witness paths have the
-(element, label) loop the library used before its frontier rounds, and
+forward (element, label) search the library's backward pass is checked
+against, and
 the Graphviz rendering the (vertex, label) loop over the left table.
 
 Biclosed sets: every subset of the positive roots and its complement
@@ -199,8 +200,8 @@ def reachable_ids_push(system, union_bits, side):
 def path_witness_loop(system, labels, target_root):
     """The breadth-first witness path, one (element, label) pair at a time.
 
-    The loop bruhat.path_witness ran before its frontier rounds became
-    array code: frontier in discovery order, labels in index order, the
+    The forward search that bruhat.path_witness's backward pass is checked
+    against: frontier in discovery order, labels in index order, the
     first step into an element its parent; the search stops after the
     round that reaches the target.  Same result format, None when the
     reflection is not reachable.

@@ -209,11 +209,13 @@ def test_path_witness_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("name, queries", [("A3", 200), ("F4", 200), ("D5", 100), ("H4", 15)])
+@pytest.mark.parametrize(
+    "name, queries", [("A3", 200), ("F4", 200), ("D5", 100), ("H4", 15), ("I2(65)", 100)]
+)
 def test_path_witness_matches_the_loop_oracle(name, queries):
     """Seeded label sets (every fourth thinned at random, so that some
-    targets are unreachable) and targets: the frontier rounds give the
-    loop's path, or None with it."""
+    targets are unreachable) and targets: the backward pass gives the
+    loop's path, or None with it.  I2(65)'s sets take two words."""
     system = build_system(name)
     rng = random.Random(21)
     unreachable = 0
@@ -228,6 +230,29 @@ def test_path_witness_matches_the_loop_oracle(name, queries):
         assert witness == path_witness_loop(system, labels, target)
         unreachable += witness is None
     assert 0 < unreachable < queries
+
+
+@pytest.mark.parametrize("name", ["A3", "I2(7)"])
+def test_every_witness_of_a_small_group_matches_the_loop_oracle(name):
+    """Every target of every pair u <= v (by id): the backward pass gives
+    the loop's path, or None with it.  No labels reach no reflection, and
+    a target whose root is a label is the one step e -> t."""
+    system = build_system(name)
+    targets = range(system.table.n_roots)
+    unreachable = 0
+    for i in range(system.size):
+        for j in range(i, system.size):
+            labels = left_reflection_set(system.element(i)) | left_reflection_set(system.element(j))
+            for target in targets:
+                witness = path_witness(system, labels, target)
+                assert witness == path_witness_loop(system, labels, target)
+                unreachable += witness is None
+    assert unreachable > 0
+    empty = RootSubset(system.table, 0)
+    assert all(path_witness(system, empty, target) is None for target in targets)
+    for target in targets:
+        one = {"labels": [target], "vertices": ["e", system.reflection(target).word_str()]}
+        assert path_witness(system, RootSubset(system.table, 1 << target), target) == one
 
 
 def test_to_dot_structure():

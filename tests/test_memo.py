@@ -223,16 +223,17 @@ MEMO_BOUND = 6 * 2**20  # bytes the memo at its bound may hold, unions of 64 roo
 def test_memo_at_its_bound_stays_under_its_memory_bound():
     """At the bound, 16,384 unions of up to 64 roots with all three answers
     (64-bit keys and route bits) stay under 6 MiB."""
-    system = build_system("A2")
+    # I2(64) has 64 roots, so every 64-bit union is a set of its roots
+    system = build_system("I2(64)")
     rng = random.Random(64)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(coxeter._UNION_MEMO + 100):
-            bits = rng.getrandbits(64) | 1 << 63
-            system._remember(bits, 0, rng.randrange(2**20, 2**21))
-            system._remember(bits, 1, rng.getrandbits(64) | 1 << 63)
-            system._remember(bits, 2, rng.getrandbits(64) | 1 << 63)
+            record = system._record(rng.getrandbits(64) | 1 << 63)
+            record[0] = rng.randrange(2**20, 2**21)
+            record[1] = rng.getrandbits(64) | 1 << 63
+            record[2] = rng.getrandbits(64) | 1 << 63
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
