@@ -45,7 +45,9 @@ from .scalar import AlgebraicScalar, build_ring, embed_cos
 DEFAULT_ROOT_CAP = 10_000
 DEFAULT_ELEMENT_CAP = 2_000_000
 _WORD_MASK = (1 << 64) - 1
-_REACH_TILE_BYTES = 1 << 20  # reach array bytes per column tile, to stay in L2 cache
+# reach array bytes a tile of word groups, to stay in L2 cache: at 1 MiB H4's
+# tiles are two groups, with coarser stops, and its routes are slower
+_REACH_TILE_BYTES = 1 << 19
 _SCRATCH_WORDS = 1 << 14  # 128 KiB, glibc's default threshold for mapping an allocation
 _UNION_MEMO = 1 << 14  # unions whose single-pair answers a system keeps
 
@@ -1047,10 +1049,11 @@ def reach_words(tables: _NumpyTables, unions: np.ndarray, side: str) -> np.ndarr
     them for x of length k, so a level is one (k, n_k) gather and an OR
     down its first axis.  Any other side raises ValueError.
 
-    Word columns are independent, so the program runs over tiles of as
-    many columns as keep one tile's reach array within _REACH_TILE_BYTES,
-    where each level's gathers stay in cache; a group of up to 2,048
-    elements (F4, D5) takes 64 words in one tile.
+    Word columns are independent, so the program runs over tiles of
+    groups of 4 words, as many as keep one tile's reach array within
+    _REACH_TILE_BYTES, where each level's gathers stay in cache, and each
+    gathered row is 32 bytes (_run_program); a batch of one or two words
+    is one tile of its own words.
     """
     return _run_program(tables, unions, tables.program(side), tables.slots, tables.lengths.size)
 
@@ -1064,10 +1067,12 @@ def reflection_reach_words(
     path to a reflection t passes only through elements below t in Bruhat
     order, so the program runs over the columns of D, the Bruhat down-set
     of the reflections, alone, and no level above the longest reflection
-    is run.  The tiles are as wide as D's rows allow.  Within a tile, a
-    root in every union is decided: e -> t_r is a rising step labelled r,
-    so its reflection's row is its label row.  The program stops at the
-    longest reflection whose root is not decided (_reflection_tile).
+    is run.  The tiles hold as many groups of 4 words as D's rows allow:
+    one on H4 and E6, all 16 of a 4,096-union chunk on F4 and D5.  Within
+    a tile, a root in every union is decided: e -> t_r is a rising step
+    labelled r, so its reflection's row is its label row.  The program
+    stops at the longest reflection whose root is not decided
+    (_reflection_tile).
 
     One side a call, over that side's program alone: the sweeps route
     thousands of unions a chunk, where a level's cost is its gathers, and
@@ -1100,73 +1105,105 @@ def _run_program(
 ) -> np.ndarray:
     """The reach rows `rows` (slots, of any shape) under each union, tile by tile.
 
-    filled is the number of reach rows a tile fills, which sets the tile
-    width.  rows is tables.slots for the full program, whose tiles run
-    every level; any other rows are the reflections' rows, and each tile
-    goes through _reflection_tile, which runs the program only as far up
-    as the tile's undecided roots need.  full holds each tile word's bits
-    of real unions: the padding bits of the last word are no union, so a
-    root need not be in them.  The result is rows.shape plus one axis of
-    ceil(k / 64) words; a batch of no unions has no words.
+    A batch of one or two words is one tile of (n_roots, words) labels.
+    A longer one is laid out in groups of 4 words, (groups, n_roots, 4),
+    so that every row a level gathers is 32 bytes, which numpy's take
+    copies with a typed loop, as it does 8- and 16-byte rows, where the
+    56- and 80-byte rows of 7- and 10-word tiles take one memmove each.
+    A last group short of 4 words is padded with zero words, which are
+    sliced off the result.  A tile is as many groups as keep its reach
+    array of `filled` rows within _REACH_TILE_BYTES, at least one.
+
+    rows is tables.slots for the full program, whose tiles run every
+    level; any other rows are the reflections' rows, and each tile goes
+    through _reflection_tile, which runs the program only as far up as
+    the tile's undecided roots need.  A root is decided in a tile when it
+    lies in every union of the tile, that is when its label words equal
+    full there: full holds each word's bits of real unions, so a root
+    need not be in the padding bits of the last word, and it is 0 on the
+    padding words, which no union owns.  The result is rows.shape plus
+    one axis of ceil(k / 64) words, C-contiguous; a batch of no unions
+    has no words.
     """
-    labels = transpose_bits(unions, tables.n_roots)
-    if not labels.shape[1]:
+    flat = transpose_bits(unions, tables.n_roots)
+    n_roots, words = flat.shape
+    if not words:
         return np.zeros(rows.shape + (0,), dtype=np.uint64)
-    width = max(1, _REACH_TILE_BYTES // (8 * filled))
-    starts = range(0, labels.shape[1], width)
+    full = np.full(words, _WORD_MASK, dtype=np.uint64)
+    full[-1] >>= np.uint64(-unions.shape[0] % 64)
+    if words < 3:  # one tile of 8- or 16-byte rows
+        labels, tiles = flat, [(slice(None), slice(None))]
+    else:  # groups of 4 words, the last padded with zero words
+        groups = -(-words // 4)
+        if words % 4:
+            pad = groups * 4 - words
+            flat = np.concatenate([flat, np.zeros((n_roots, pad), dtype=np.uint64)], axis=1)
+            full = np.concatenate([full, np.zeros(pad, dtype=np.uint64)])
+        labels = np.ascontiguousarray(flat.reshape(n_roots, groups, 4).transpose(1, 0, 2))
+        size = max(1, _REACH_TILE_BYTES // (32 * filled))  # groups a tile
+        tiles = [
+            (slice(lo, lo + size), slice(4 * lo, 4 * (lo + size))) for lo in range(0, groups, size)
+        ]
+    # each tile is its groups' labels and the same words of flat and full
     if rows is tables.slots:
-        tiles = [
-            _reach_tile(blocks, labels[:, lo:lo + width]).take(rows, axis=0)
-            for lo in starts
-        ]
+        parts = [_reach_tile(blocks, labels[part]).take(rows, axis=-2) for part, _ in tiles]
     else:
-        full = np.full(labels.shape[1], _WORD_MASK, dtype=np.uint64)
-        full[-1] >>= np.uint64(-unions.shape[0] % 64)
-        tiles = [
-            _reflection_tile(tables, blocks, rows, labels[:, lo:lo + width], full[lo:lo + width])
-            for lo in starts
+        parts = [
+            _reflection_tile(
+                tables, blocks, rows, labels[part], (flat[:, cut] == full[cut]).all(axis=1)
+            )
+            for part, cut in tiles
         ]
-    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles, axis=-1)
+    if words < 3:
+        return parts[0]
+    grouped = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out = np.moveaxis(grouped, 0, -2).reshape(rows.shape + (-1,))
+    return np.ascontiguousarray(out[..., :words])
 
 
 def _reflection_tile(
-    tables: _NumpyTables, blocks: list, rows: np.ndarray, labels: np.ndarray, full: np.ndarray
+    tables: _NumpyTables, blocks: list, rows: np.ndarray, labels: np.ndarray, decided: np.ndarray
 ) -> np.ndarray:
-    """The reflections' reach rows over one tile of transposed labels.
+    """The reflections' reach rows over one tile of labels.
 
-    rows holds the reach rows of the reflections, by root on its last
-    axis: one side's slots, or both sides' rows of the paired program.  A
-    root is decided when its label row is full, that is when it lies in
-    every union of the tile: its reflection's row is then its label row,
-    on either side, since e -> t_r raises length and reach rows hold no
-    padding bits.  stop is the level of the longest reflection whose root
-    is not decided, 0 when every root is; only levels 1..stop run, which
-    fill the rows of every reflection up to that level, and the longer
-    ones are copied from the label rows.  At stop = top the tile costs
-    what one full run does.
+    labels is (n_roots, c) or grouped, (groups, n_roots, c), and the
+    result is its leading axes, then rows.shape, then c.  rows holds the
+    reach rows of the reflections, by root on its last axis: one side's
+    slots, or both sides' rows of the paired program.  decided marks the
+    roots in every union of the tile: a decided root's reflection's row
+    is its label row, on either side, since e -> t_r raises length and
+    reach rows hold no padding bits.  stop is the level of the longest
+    reflection whose root is not decided, 0 when every root is; only
+    levels 1..stop run, which fill the rows of every reflection up to
+    that level, and the longer ones are copied from the label rows.  At
+    stop = top the tile costs what one full run does.
     """
-    decided = (labels == full).all(axis=1)
     stop = int(tables.refl_lengths[~decided].max(initial=0))
     if stop == len(blocks):
-        return _reach_tile(blocks, labels).take(rows, axis=0)
-    out = np.empty(rows.shape + labels.shape[1:], dtype=np.uint64)
-    out[...] = labels  # one copy of the label rows per side
+        return _reach_tile(blocks, labels).take(rows, axis=-2)
+    lead, (n_roots, width) = labels.shape[:-2], labels.shape[-2:]
+    out = np.empty(lead + rows.shape + (width,), dtype=np.uint64)
+    # one copy of the label rows per side
+    out[...] = labels.reshape(lead + (1,) * (rows.ndim - 1) + (n_roots, width))
     if stop:
         run = tables.refl_lengths <= stop
-        out[..., run, :] = _reach_tile(blocks, labels, stop).take(rows[..., run], axis=0)
+        out[..., run, :] = _reach_tile(blocks, labels, stop).take(rows[..., run], axis=-2)
     return out
 
 
 def _reach_tile(blocks: list, labels: np.ndarray, stop: int | None = None) -> np.ndarray:
-    """Reach rows by slot over one tile of transposed labels.
+    """Reach rows by slot over one tile of labels, (..., slots, c).
 
-    Slot 0 is e.  Block (lo, hi, roots, preds) fills slots lo..hi-1 from
-    slots of shorter elements; slots that no block fills are left unset,
-    and so are all slots above level stop when the blocks run only up to
-    it.  The arrays are sized for every block whatever stop is, so tiles
-    that stop at different levels ask the allocator for the same sizes
-    (sizes that vary left holes in the heap); np.empty touches no page a
-    tile leaves unused.
+    labels is (n_roots, c) or grouped, (groups, n_roots, c), and the reach
+    rows have the same leading axes.  Slot 0 is e.  Block (lo, hi, roots,
+    preds) fills slots lo..hi-1 from slots of shorter elements, by one
+    take along the slot axis of the reach rows at preds and one of the
+    label rows at roots, each row c words, and an OR down the step axis;
+    slots that no block fills are left unset, and so are all slots above
+    level stop when the blocks run only up to it.  The arrays are sized
+    for every block whatever stop is, so tiles that stop at different
+    levels ask the allocator for the same sizes (sizes that vary left
+    holes in the heap); np.empty touches no page a tile leaves unused.
 
     A level whose gathers hold _SCRATCH_WORDS words or more gathers into
     two scratch arrays that every such level of the tile reuses: fresh
@@ -1176,23 +1213,25 @@ def _reach_tile(blocks: list, labels: np.ndarray, stop: int | None = None) -> np
     lies in a shorter level, which the build checks.  Smaller gathers
     allocate their own, which costs less than slicing scratch views.
     """
-    width = labels.shape[1]
-    reach = np.empty((blocks[-1][1], width), dtype=np.uint64)
-    reach[0] = _WORD_MASK
+    lead, width = labels.shape[:-2], labels.shape[-1]
+    words = labels.size // labels.shape[-2]
+    reach = np.empty(lead + (blocks[-1][1], width), dtype=np.uint64)
+    reach[..., 0, :] = _WORD_MASK
     scratch = None
     for lo, hi, roots, preds in blocks[:stop]:
-        if roots.size * width < _SCRATCH_WORDS:
-            step = reach.take(preds, axis=0)
-            step &= labels.take(roots, axis=0)
+        if roots.size * words < _SCRATCH_WORDS:
+            step = reach.take(preds, axis=-2)
+            step &= labels.take(roots, axis=-2)
         else:
             if scratch is None:
                 most = max(block[2].size for block in blocks)
-                scratch = np.empty((2, most * width), dtype=np.uint64)
-            step, mask = scratch[:, :roots.size * width].reshape(2, *roots.shape, width)
-            reach.take(preds, axis=0, out=step, mode="clip")
-            labels.take(roots, axis=0, out=mask, mode="clip")
+                scratch = np.empty((2, most * words), dtype=np.uint64)
+            gathered = scratch[:, :roots.size * words]
+            step, mask = gathered.reshape((2,) + lead + roots.shape + (width,))
+            reach.take(preds, axis=-2, out=step, mode="clip")
+            labels.take(roots, axis=-2, out=mask, mode="clip")
             step &= mask
-        np.bitwise_or.reduce(step, axis=0, out=reach[lo:hi])
+        np.bitwise_or.reduce(step, axis=-3, out=reach[..., lo:hi, :])
     return reach
 
 

@@ -27,9 +27,10 @@ are widened to uint64 for the kernels.  A sampled sweep is one block of
 its seeded pairs.  Both kernels
 live in `coxeter`.  Reachability runs as a length-level dynamic program
 over all unions in a chunk at once, on uint64 words that each hold 64
-unions, in column tiles whose working set stays in cache; the sweeps read
-only the reflections' rows, so the program runs only over the elements
-below some reflection in Bruhat order (reflection_reach_words).  The join
+unions, in tiles of 4-word groups whose working set stays in cache; the
+sweeps read only the reflections' rows, so the program runs only over
+the elements below some reflection in Bruhat order
+(reflection_reach_words).  The join
 of A is the element whose inversion set is the 2-closure cl(A): cone
 rounds over a chunk's unions, then one lookup among the sorted keys
 (weak_joins).  A sweep builds the step program of a route only when it
@@ -228,12 +229,27 @@ PairBlocks = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 def _pair_arrays(
     system: CoxeterSystem, sample: int, seed: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`sample` seeded pairs (us, vs) of element ids."""
+    """`sample` seeded pairs (us, vs) of element ids.
+
+    The ids are those of 2 * sample Random(seed).randrange(n) calls, the us
+    first, drawn at once: for n < 2**32, randrange keeps the top k =
+    n.bit_length() bits of one 32-bit word from the generator per try and
+    tries until the value is below n, and randbytes(4 * m) holds the next
+    m words in generation order, each little-endian.  Ids are int32, so a
+    group past 2**31 elements raises UsageError.
+    """
     n = system.size
-    rng = Random(seed)
-    us = np.array([rng.randrange(n) for _ in range(sample)], dtype=np.int32)
-    vs = np.array([rng.randrange(n) for _ in range(sample)], dtype=np.int32)
-    return us, vs
+    if not 0 < n <= 1 << 31:
+        raise UsageError(f"cannot sample pairs of {n} elements as int32 ids")
+    rng, shift, need = Random(seed), np.uint32(32 - n.bit_length()), 2 * sample
+    parts, count = [np.zeros(0, dtype=np.uint32)], 0
+    while count < need:
+        m = 2 * (need - count)  # a try is below n with chance over 1/2
+        ids = np.frombuffer(rng.randbytes(4 * m), dtype="<u4") >> shift
+        parts.append(ids[ids < n])
+        count += parts[-1].size
+    ids = np.concatenate(parts)[:need].astype(np.int32)
+    return ids[:sample], ids[sample:]
 
 
 def _pair_blocks(

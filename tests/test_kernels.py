@@ -112,11 +112,13 @@ def test_kernels_match_oracles_bit_for_bit(name, chunk):
         assert np.array_equal(np.concatenate(parts), _oracle_reach(name, side)), side
 
 
-@pytest.mark.parametrize("tile", [1, 4])
+@pytest.mark.parametrize("tile", [1, 4, 8])
 @pytest.mark.parametrize("name", TYPES)
 def test_reach_tiles_match_the_push_oracle(monkeypatch, name, tile):
-    """Tiles of `tile` words over a batch of 6 words: one-word tiles, and
-    tiles of 4 with a ragged last tile of 2."""
+    """Tiles of a budget of `tile` words over a batch of 6 words, two groups
+    of 4 words, the last with 2 padding words: a budget below one group
+    still runs one group a tile, 4 words make one-group tiles and 8 words
+    one tile of both groups."""
     system = _system(name)
     unions = random.Random(tile).choices(_unions(name), k=5 * 64 + 17)
     words = _union_words(system, unions)
@@ -282,10 +284,12 @@ def test_reflection_rows_match_reach_words_on_every_union(name, chunk):
             _reflection_rows_agree(npt, words[lo:lo + chunk], side)
 
 
-@pytest.mark.parametrize("tile", [1, 4])
+@pytest.mark.parametrize("tile", [1, 4, 8])
 @pytest.mark.parametrize("name", REFLECTION_TYPES)
 def test_reflection_rows_in_ragged_tiles(monkeypatch, name, tile):
-    """Tiles of `tile` words of the down-set's rows over a batch of 6 words."""
+    """Tiles of a budget of `tile` words of the down-set's rows over a batch
+    of 6 words, two groups of 4 words: one group a tile below 8 words, both
+    groups in one tile at 8."""
     system = _system(name)
     npt = system.numpy_tables()
     unions = random.Random(tile).choices(_unions(name), k=5 * 64 + 17)
@@ -296,6 +300,72 @@ def test_reflection_rows_in_ragged_tiles(monkeypatch, name, tile):
         rows = reflection_reach_words(npt, words, side)
         expected = reachable_ids_push(system, unions, side)[:, npt.refl_ids]
         assert np.array_equal(_reach_rows(rows, len(unions)), expected), side
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(7)", "I2(65)", "F4", "D5"])
+def test_grouped_tiles_match_the_push_oracle(monkeypatch, name, groups):
+    """Batches of 1, 2, 3, 5, 6 and 9 words, the last word part padding, in
+    tiles of `groups` groups of 4 words (batches past 2 words; the last
+    group of 3, 5, 6 and 9 words is ragged): reach_words and the left,
+    right and paired routes against the push oracle, and the routes
+    against reach_words' reflection rows."""
+    system = _system(name)
+    npt = system.numpy_tables()
+    unions = random.Random(groups).choices(_unions(name), k=9 * 64)
+    words = _union_words(system, unions)
+    expected = {side: reachable_ids_push(system, unions, side) for side in ("left", "right")}
+
+    def budget(filled):
+        monkeypatch.setattr(coxeter, "_REACH_TILE_BYTES", groups * 32 * filled + 7)
+
+    for n_words in (1, 2, 3, 5, 6, 9):
+        count = 64 * n_words - 17
+        batch = words[:count]
+        routes = []
+        for side in ("left", "right"):
+            budget(system.size)
+            reach = reach_words(npt, batch, side)
+            assert reach.shape == (system.size, n_words) and reach.flags.c_contiguous
+            assert np.array_equal(_reach_rows(reach, count), expected[side][:count])
+            budget(npt.down_size)
+            rows = reflection_reach_words(npt, batch, side)
+            assert rows.shape == (npt.n_roots, n_words) and rows.flags.c_contiguous
+            assert np.array_equal(rows, reach[npt.refl_ids]), (n_words, side)
+            routes.append(rows)
+        budget(2 * npt.down_size)
+        paired = _paired_reflection_words(npt, batch)
+        assert paired.shape == (2, npt.n_roots, n_words) and paired.flags.c_contiguous
+        assert np.array_equal(paired, np.stack(routes)), n_words
+
+
+@pytest.mark.parametrize(
+    "name,shape", [("H4", (1, 60, 4)), ("F4", (16, 24, 4))], ids=["H4", "F4"]
+)
+def test_routes_gather_rows_of_4_words(monkeypatch, name, shape):
+    """With the default budget, the routes of a 4,096-union chunk reach
+    _reach_tile as labels in groups of 4 words, so that every row a level
+    gathers is 32 bytes: one group a tile on H4, all 16 in one tile on F4."""
+    system = _system(name)
+    npt = system.numpy_tables()
+    rng = random.Random(27)
+    inv = system.inv_bits
+    unions = [inv[rng.randrange(system.size)] | inv[rng.randrange(system.size)]
+              for _ in range(4096)]
+    words = _union_words(system, unions)
+    shapes = []
+    reach_tile = coxeter._reach_tile
+
+    def recorded(blocks, labels, stop=None):
+        shapes.append((labels.shape, labels.flags.c_contiguous))
+        return reach_tile(blocks, labels, stop)
+
+    monkeypatch.setattr(coxeter, "_reach_tile", recorded)
+    for side in ("left", "right"):
+        shapes.clear()
+        reflection_reach_words(npt, words, side)
+        assert len(shapes) == 64 // (shape[0] * shape[2]), side
+        assert set(shapes) == {(shape, True)}, side
 
 
 @pytest.mark.parametrize("name", ["H4", "E6"])
@@ -316,8 +386,8 @@ def _levels(system):
 
 
 def _stop_unions(system):
-    """Sorted unions that make every kind of tile in tiles of 1 and 4
-    words, each part repeating its last union to a multiple of 256: 256
+    """Sorted unions that make every kind of tile in tiles of 4 and 8
+    words, each part repeating its last union to a multiple of 512: 512
     full sets (tiles that stop at 0); the empty union (a tile that runs
     the top level) and the distinct unions of 400 seeded pairs; the same
     unions with the roots of the longest reflections added (tiles that
@@ -331,7 +401,7 @@ def _stop_unions(system):
     levels = _levels(system)
     longest = sum(1 << r for r, level in enumerate(levels) if level == max(levels))
     parts = [[full], [0, *unions], sorted({bits | longest for bits in unions})]
-    return [bits for part in parts for bits in part + part[-1:] * (-len(part) % 256)] + [full] * 5
+    return [bits for part in parts for bits in part + part[-1:] * (-len(part) % 512)] + [full] * 5
 
 
 def _expected_stops(system, unions, width):
@@ -346,13 +416,15 @@ def _expected_stops(system, unions, width):
     return stops
 
 
-@pytest.mark.parametrize("tile", [None, 1, 4])
+@pytest.mark.parametrize("tile", [None, 1, 4, 8])
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(7)", "F4", "D5", "H4", "E6"])
 def test_reflection_rows_stop_at_the_longest_open_reflection(monkeypatch, name, tile):
     """Bit for bit, padding included, against reach_words' rows, in the
-    default tiles and in tiles of 1 and 4 words; with the fixed widths the
-    levels each tile runs are pinned: none for a word whose roots are all
-    in every union, the top level for the word with the empty union."""
+    default tiles and in budgets of 1, 4 and 8 words, that is tiles of one
+    group of 4 words (a budget below one group runs one) and of two; with
+    the fixed widths the levels each tile runs are pinned: none for a tile
+    whose roots are all in every union, the top level for the tile with
+    the empty union."""
     system = _system(name)
     npt = system.numpy_tables()
     unions = _stop_unions(system)
@@ -386,7 +458,7 @@ def test_reflection_rows_stop_at_the_longest_open_reflection(monkeypatch, name, 
         assert np.array_equal(rows, full[npt.refl_ids]), side
         if tile is None:
             continue
-        stops = _expected_stops(system, unions, tile)
+        stops = _expected_stops(system, unions, 4 * max(1, tile // 4))
         assert runs == [stop for stop in stops if stop], side
         assert stops[0] == stops[-1] == 0 and top in stops
         assert any(0 < stop < top for stop in stops)

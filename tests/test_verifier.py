@@ -11,7 +11,9 @@ oracles.py.
 
 import itertools
 import json
+import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,6 +145,27 @@ def test_sampled_sweep_is_deterministic():
     assert np.array_equal(ua, ub) and np.array_equal(va, vb)
     uc, _ = vf._pair_arrays(build_system("B3"), 200, 12)
     assert not np.array_equal(ua, uc)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 24, 1152, 1920, 14400, 51840, 2903040, 2**31 - 1, 2**31]
+)
+def test_sampled_pairs_are_the_randrange_draws(n):
+    """The pairs drawn at once are the ids of the randrange loop: us from
+    the first `sample` calls, vs from the next."""
+    for sample, seed in itertools.product((0, 1, 5, 2000), (0, 1, 7)):
+        rng = random.Random(seed)
+        us = [rng.randrange(n) for _ in range(sample)]
+        vs = [rng.randrange(n) for _ in range(sample)]
+        got_us, got_vs = vf._pair_arrays(SimpleNamespace(size=n), sample, seed)
+        assert got_us.dtype == got_vs.dtype == np.int32
+        assert got_us.tolist() == us and got_vs.tolist() == vs, (sample, seed)
+
+
+@pytest.mark.parametrize("n", [0, 2**31 + 1, 2**32])
+def test_sampled_pairs_need_int32_ids(n):
+    with pytest.raises(vf.UsageError):
+        vf._pair_arrays(SimpleNamespace(size=n), 5, 1)
 
 
 def test_exhaustive_sweep_reports_no_seed():
@@ -423,7 +446,7 @@ def test_every_pair_failing_records_the_first_hundred_in_key_order(monkeypatch):
 @pytest.mark.parametrize("name,sample", [("A3", None), ("H3", None), ("F4", 3000)])
 def test_one_word_reach_tiles_leave_the_reports_unchanged(monkeypatch, name, sample):
     """Every report, passing or failing, is the same when each reach tile is
-    one word of 64 unions as with the default tiles."""
+    one group of 4 words, 256 unions, as with the default tiles."""
     system = build_system(name)
     _corrupt_routes(monkeypatch, ("left",))
     reports = []
