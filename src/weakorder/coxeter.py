@@ -260,8 +260,8 @@ def transpose_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
     result is (n_bits, ceil(rows / 64)) uint64 whose row c has bit r set
     exactly when row r of the input has bit c set.
 
-    A matrix of up to _BOOL_TRANSPOSE_BITS bits (one union, or the routes
-    of one) is unpacked to a bool a bit and transposed as a view, which
+    A matrix of up to _BOOL_TRANSPOSE_BITS bits (one union, or the join of
+    one) is unpacked to a bool a bit and transposed as a view, which
     takes the fewest array calls.  When the output is one word a row (at
     most 64 input rows), that view's columns are shifted to their row's
     bit and OR-reduced, with no shift for a single row, which costs less
@@ -625,6 +625,8 @@ def _cone_triples(cone: np.ndarray, n_roots: int) -> tuple[np.ndarray, ...]:
 
 # -- root subsets ----------------------------------------------------------------
 
+_SET_BITS = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]  # of each byte
+
 
 @dataclass(frozen=True)
 class RootSubset:
@@ -642,9 +644,15 @@ class RootSubset:
         return cls(table, (1 << table.n_roots) - 1)
 
     def indices(self) -> tuple[int, ...]:
-        n = self.table.n_roots
-        row = _unpack_words(bits_to_words(self.bits, -(-n // 64))[None], n)[0]
-        return tuple(np.flatnonzero(row).tolist())
+        """The roots in the set, in increasing order, read off the int's set
+        bits a byte at a time."""
+        found, bits, base = [], self.bits, 0
+        while bits:
+            for bit in _SET_BITS[bits & 255]:
+                found.append(base + bit)
+            bits >>= 8
+            base += 8
+        return tuple(found)
 
     def __contains__(self, index: int) -> bool:
         return bool(self.bits >> index & 1)
@@ -874,8 +882,12 @@ class _NumpyTables:
         serves both, and row 1 is never read.  rows[0] and rows[1] are the
         reflections' reach rows on the left and on the right.  Built on
         first read from the two programs over D, which stay as they are,
-        and kept: it holds their entries a second time (about 60 KB on F4,
-        3.1 MB on H4).
+        and kept.  Its entries are intp, numpy's index type, which take
+        reads with no conversion: the paired program serves batches of one
+        alone, where converting a level's int32 and uint8 indices took
+        about a quarter of an F4 level's time.  So it holds the two
+        programs' entries a second time at 16 bytes a step, not 5: about
+        200 KB on F4 and 10 MB on H4.
         """
         if self._paired is None:
             blocks = []
@@ -883,9 +895,9 @@ class _NumpyTables:
                 self.program("left", True), self.program("right", True)
             ):
                 k, n = roots.shape
-                both_roots = np.empty((k, 2 * n), dtype=roots.dtype)
+                both_roots = np.empty((k, 2 * n), dtype=np.intp)
                 both_roots[:, 0::2], both_roots[:, 1::2] = roots, right_roots
-                both_preds = np.empty((k, 2 * n), dtype=preds.dtype)
+                both_preds = np.empty((k, 2 * n), dtype=np.intp)
                 both_preds[:, 0::2] = 2 * preds
                 both_preds[:, 1::2] = 2 * right_preds + (right_preds != 0)
                 blocks.append((2 * lo, 2 * hi, both_roots, both_preds))
@@ -1053,7 +1065,8 @@ def reach_words(tables: _NumpyTables, unions: np.ndarray, side: str) -> np.ndarr
     groups of 4 words, as many as keep one tile's reach array within
     _REACH_TILE_BYTES, where each level's gathers stay in cache, and each
     gathered row is 32 bytes (_run_program); a batch of one or two words
-    is one tile of its own words.
+    is one tile of its own words, and a batch of one union one tile of
+    bytes, one a root and one a slot.
     """
     return _run_program(tables, unions, tables.program(side), tables.slots, tables.lengths.size)
 
@@ -1072,7 +1085,7 @@ def reflection_reach_words(
     a tile, a root in every union is decided: e -> t_r is a rising step
     labelled r, so its reflection's row is its label row.  The program
     stops at the longest reflection whose root is not decided
-    (_reflection_tile).
+    (_tile_rows).
 
     One side a call, over that side's program alone: the sweeps route
     thousands of unions a chunk, where a level's cost is its gathers, and
@@ -1105,6 +1118,14 @@ def _run_program(
 ) -> np.ndarray:
     """The reach rows `rows` (slots, of any shape) under each union, tile by tile.
 
+    A batch of one union is one tile of bytes: its labels are one uint8 a
+    root, 1 for each root of the union (which is then decided, below),
+    unpacked from its words, and its reach rows are one uint8 a slot, in
+    a 1-D array, cast to one word a row at the end.  At a batch of one a level costs numpy's fixed cost
+    per call, so this tile runs the same level loop with neither the
+    transpose of the labels in nor that of the rows out that a tile of
+    words needs (transpose_bits).
+
     A batch of one or two words is one tile of (n_roots, words) labels.
     A longer one is laid out in groups of 4 words, (groups, n_roots, 4),
     so that every row a level gathers is 32 bytes, which numpy's take
@@ -1115,22 +1136,28 @@ def _run_program(
     array of `filled` rows within _REACH_TILE_BYTES, at least one.
 
     rows is tables.slots for the full program, whose tiles run every
-    level; any other rows are the reflections' rows, and each tile goes
-    through _reflection_tile, which runs the program only as far up as
-    the tile's undecided roots need.  A root is decided in a tile when it
-    lies in every union of the tile, that is when its label words equal
-    full there: full holds each word's bits of real unions, so a root
-    need not be in the padding bits of the last word, and it is 0 on the
-    padding words, which no union owns.  The result is rows.shape plus
-    one axis of ceil(k / 64) words, C-contiguous; a batch of no unions
-    has no words.
+    level; any other rows are the reflections' rows, whose tiles run the
+    program only as far up as their undecided roots need (_tile_rows).
+    A root is decided in a tile when it lies in every union of the tile,
+    that is when its label words equal full there: full holds each
+    word's bits of real unions, so a root need not be in the padding
+    bits of the last word, and it is 0 on the padding words, which no
+    union owns.  The result is rows.shape plus one axis of ceil(k / 64)
+    words, C-contiguous, with no bit at or past k: e's row, which a tile
+    of words holds all ones while its levels run, is written as full.  A
+    batch of no unions has no words.
     """
-    flat = transpose_bits(unions, tables.n_roots)
-    n_roots, words = flat.shape
+    n_roots, count = tables.n_roots, unions.shape[0]
+    if count == 1:  # one tile of bytes
+        labels = _unpack_words(unions, n_roots)[0].view(np.uint8)
+        out = _tile_rows(tables, blocks, rows, labels, labels.view(bool))
+        return out.astype(np.uint64)[..., None]
+    flat = transpose_bits(unions, n_roots)
+    words = flat.shape[1]
     if not words:
         return np.zeros(rows.shape + (0,), dtype=np.uint64)
     full = np.full(words, _WORD_MASK, dtype=np.uint64)
-    full[-1] >>= np.uint64(-unions.shape[0] % 64)
+    full[-1] >>= np.uint64(-count % 64)
     if words < 3:  # one tile of 8- or 16-byte rows
         labels, tiles = flat, [(slice(None), slice(None))]
     else:  # groups of 4 words, the last padded with zero words
@@ -1145,93 +1172,104 @@ def _run_program(
             (slice(lo, lo + size), slice(4 * lo, 4 * (lo + size))) for lo in range(0, groups, size)
         ]
     # each tile is its groups' labels and the same words of flat and full
-    if rows is tables.slots:
-        parts = [_reach_tile(blocks, labels[part]).take(rows, axis=-2) for part, _ in tiles]
-    else:
-        parts = [
-            _reflection_tile(
-                tables, blocks, rows, labels[part], (flat[:, cut] == full[cut]).all(axis=1)
-            )
-            for part, cut in tiles
-        ]
+    parts = [
+        _tile_rows(tables, blocks, rows, labels[part], (flat[:, cut] == full[cut]).all(axis=1))
+        for part, cut in tiles
+    ]
     if words < 3:
-        return parts[0]
-    grouped = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    out = np.moveaxis(grouped, 0, -2).reshape(rows.shape + (-1,))
-    return np.ascontiguousarray(out[..., :words])
-
-
-def _reflection_tile(
-    tables: _NumpyTables, blocks: list, rows: np.ndarray, labels: np.ndarray, decided: np.ndarray
-) -> np.ndarray:
-    """The reflections' reach rows over one tile of labels.
-
-    labels is (n_roots, c) or grouped, (groups, n_roots, c), and the
-    result is its leading axes, then rows.shape, then c.  rows holds the
-    reach rows of the reflections, by root on its last axis: one side's
-    slots, or both sides' rows of the paired program.  decided marks the
-    roots in every union of the tile: a decided root's reflection's row
-    is its label row, on either side, since e -> t_r raises length and
-    reach rows hold no padding bits.  stop is the level of the longest
-    reflection whose root is not decided, 0 when every root is; only
-    levels 1..stop run, which fill the rows of every reflection up to
-    that level, and the longer ones are copied from the label rows.  At
-    stop = top the tile costs what one full run does.
-    """
-    stop = int(tables.refl_lengths[~decided].max(initial=0))
-    if stop == len(blocks):
-        return _reach_tile(blocks, labels).take(rows, axis=-2)
-    lead, (n_roots, width) = labels.shape[:-2], labels.shape[-2:]
-    out = np.empty(lead + rows.shape + (width,), dtype=np.uint64)
-    # one copy of the label rows per side
-    out[...] = labels.reshape(lead + (1,) * (rows.ndim - 1) + (n_roots, width))
-    if stop:
-        run = tables.refl_lengths <= stop
-        out[..., run, :] = _reach_tile(blocks, labels, stop).take(rows[..., run], axis=-2)
+        out = parts[0]
+    else:
+        grouped = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out = np.moveaxis(grouped, 0, -2).reshape(rows.shape + (-1,))
+        out = np.ascontiguousarray(out[..., :words])
+    if rows is tables.slots:
+        out[0] = full[:words]  # e's row, all ones in the tiles
     return out
 
 
-def _reach_tile(blocks: list, labels: np.ndarray, stop: int | None = None) -> np.ndarray:
-    """Reach rows by slot over one tile of labels, (..., slots, c).
+def _tile_rows(
+    tables: _NumpyTables, blocks: list, rows: np.ndarray, labels: np.ndarray, decided: np.ndarray
+) -> np.ndarray:
+    """The reach rows `rows` over one tile of labels, bytes or words.
 
-    labels is (n_roots, c) or grouped, (groups, n_roots, c), and the reach
-    rows have the same leading axes.  Slot 0 is e.  Block (lo, hi, roots,
-    preds) fills slots lo..hi-1 from slots of shorter elements, by one
-    take along the slot axis of the reach rows at preds and one of the
-    label rows at roots, each row c words, and an OR down the step axis;
-    slots that no block fills are left unset, and so are all slots above
-    level stop when the blocks run only up to it.  The arrays are sized
-    for every block whatever stop is, so tiles that stop at different
-    levels ask the allocator for the same sizes (sizes that vary left
-    holes in the heap); np.empty touches no page a tile leaves unused.
-
-    A level whose gathers hold _SCRATCH_WORDS words or more gathers into
-    two scratch arrays that every such level of the tile reuses: fresh
-    arrays that large may be fresh memory mappings, page-faulted on every
-    level, depending on what the process freed before.  The scratch takes
-    skip the bounds check (mode="clip" never clips): every predecessor
-    lies in a shorter level, which the build checks.  Smaller gathers
-    allocate their own, which costs less than slicing scratch views.
+    labels is one union's bytes, (n_roots,), or words, (n_roots, c) or
+    grouped, (groups, n_roots, c), and the result is its leading axes,
+    then rows.shape, then its row of words, if any.  For the full
+    program, rows is tables.slots and every level runs.  Any other rows
+    are the reach rows of the reflections, by root on their last axis:
+    one side's slots, or both sides' rows of the paired program.  decided
+    marks the roots in every union of the tile: a decided root's
+    reflection's row is its label row, on either side, since e -> t_r
+    raises length and no row but e's holds padding bits.  stop is the
+    level of the longest reflection whose root is not decided, 0 when
+    every root is; only levels 1..stop run, which fill the rows of every
+    reflection up to that level, and the longer ones are copied from the
+    label rows.  At stop = top the tile costs what one full run does.
     """
-    lead, width = labels.shape[:-2], labels.shape[-1]
-    words = labels.size // labels.shape[-2]
-    reach = np.empty(lead + (blocks[-1][1], width), dtype=np.uint64)
-    reach[..., 0, :] = _WORD_MASK
+    axis = -1 if labels.ndim == 1 else -2  # the axis of the roots, and of the slots
+    stop = None if rows is tables.slots else int(tables.refl_lengths[~decided].max(initial=0))
+    if stop in (None, len(blocks)):
+        return _reach_tile(blocks, labels).take(rows, axis=axis)
+    lead, row = labels.shape[:axis], labels.shape[labels.ndim + axis + 1:]
+    # the label rows, once for each side
+    copied = labels.reshape(lead + (1,) * (rows.ndim - 1) + (tables.n_roots,) + row)
+    if not stop:
+        return np.broadcast_to(copied, lead + rows.shape + row).copy()
+    run = (tables.refl_lengths <= stop).reshape((-1,) + (1,) * len(row))
+    return np.where(run, _reach_tile(blocks, labels, stop).take(rows, axis=axis), copied)
+
+
+def _reach_tile(blocks: list, labels: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """Reach rows by slot over one tile of labels, in the labels' layout.
+
+    labels is one union's bytes, (n_roots,) uint8 of 0 and 1, or words,
+    (n_roots, c) or grouped, (groups, n_roots, c) uint64.  The reach rows
+    are laid out the same with slots for roots: one byte a slot, or rows
+    of c words with the same leading axes.  Slot 0 is e, set for every
+    union, so that a level may read it for any union and either side: 1
+    in a tile of bytes, whose rows all hold 0 or 1, and all ones in a
+    tile of words, where e's row is the only one with bits past the
+    tile's unions, since every other row is masked by label rows
+    (_run_program writes the batch's union bits there).  Block (lo, hi,
+    roots, preds) fills slots lo..hi-1 from slots of shorter elements, by
+    one take along the slot axis of the reach rows at preds and one of
+    the label rows at roots, and an OR down the step axis; slots that no
+    block fills are left unset, and so are all slots above level stop
+    when the blocks run only up to it.  The arrays are sized for every
+    block whatever stop is, so tiles that stop at different levels ask
+    the allocator for the same sizes (sizes that vary left holes in the
+    heap); np.empty touches no page a tile leaves unused.
+
+    A level whose gathers hold 8 * _SCRATCH_WORDS bytes or more gathers
+    into two scratch arrays that every such level of the tile reuses:
+    fresh arrays that large may be fresh memory mappings, page-faulted on
+    every level, depending on what the process freed before.  The scratch
+    takes skip the bounds check (mode="clip" never clips): every
+    predecessor lies in a shorter level, which the build checks.  Smaller
+    gathers allocate their own, which costs less than slicing scratch
+    views.
+    """
+    axis = -1 if labels.ndim == 1 else -2  # the axis of the roots, and of the slots
+    lead, row = labels.shape[:axis], labels.shape[labels.ndim + axis + 1:]
+    in_row = (slice(None),) * len(row)  # a reach row's words, if any
+    entries = labels.size // labels.shape[axis]  # entries one step gathers
+    reach = np.empty(lead + (blocks[-1][1],) + row, dtype=labels.dtype)
+    reach[(..., 0) + in_row] = 1 if axis == -1 else _WORD_MASK  # e's row
     scratch = None
     for lo, hi, roots, preds in blocks[:stop]:
-        if roots.size * words < _SCRATCH_WORDS:
-            step = reach.take(preds, axis=-2)
-            step &= labels.take(roots, axis=-2)
+        if roots.size * entries * labels.itemsize < 8 * _SCRATCH_WORDS:
+            step = reach.take(preds, axis=axis)
+            step &= labels.take(roots, axis=axis)
         else:
             if scratch is None:
                 most = max(block[2].size for block in blocks)
-                scratch = np.empty((2, most * words), dtype=np.uint64)
-            gathered = scratch[:, :roots.size * words]
-            step, mask = gathered.reshape((2,) + lead + roots.shape + (width,))
-            reach.take(preds, axis=-2, out=step, mode="clip")
-            labels.take(roots, axis=-2, out=mask, mode="clip")
+                scratch = np.empty((2, most * entries), dtype=labels.dtype)
+            gathered = scratch[:, :roots.size * entries]
+            step, mask = gathered.reshape((2,) + lead + roots.shape + row)
+            reach.take(preds, axis=axis, out=step, mode="clip")
+            labels.take(roots, axis=axis, out=mask, mode="clip")
             step &= mask
-        np.bitwise_or.reduce(step, axis=-3, out=reach[..., lo:hi, :])
+        np.bitwise_or.reduce(step, axis=axis - 1, out=reach[(..., slice(lo, hi)) + in_row])
     return reach
 
 
@@ -1562,10 +1600,10 @@ class CoxeterSystem:
         side="right" steps x -> x * s_alpha (the tau product map); in both
         cases only steps that increase length are taken and the start
         vertex (the identity) is marked.  One call of the batched kernel
-        with a batch of one.
+        with a batch of one, whose tile of bytes holds one 0 or 1 a row.
         """
         words = self._set_words(label_bits)
-        return reach_words(self.numpy_tables(), words, side)[:, 0] & 1 != 0
+        return reach_words(self.numpy_tables(), words, side)[:, 0] != 0
 
     def reach(self, labels: RootSubset, side: str) -> np.ndarray:
         """reachable_ids for a root subset.
@@ -1590,6 +1628,11 @@ class CoxeterSystem:
         left route of an "H"-only caller (check_conjecture_H, weakorder
         join) never builds the right program, nor the paired one.
 
+        Either run is a batch of one union, which the kernels run as a tile
+        of bytes (_run_program): each reflection's row is one word holding
+        0 or 1, so the rows of each side are packed straight into its
+        bits, with no transpose of the labels in or of the rows out.
+
         The subset must belong to this system's root table; one of another
         table raises ValueError.
         """
@@ -1601,11 +1644,11 @@ class CoxeterSystem:
             words = self._set_words(labels.bits)
             npt = self.numpy_tables()
             if record[1] is None and record[2] is None and "right" in npt._programs:
-                left, right = _paired_reflection_words(npt, words)
-                record[1:] = words_to_bits(transpose_bits(left | right << np.uint64(1), 2))
+                rows = _paired_reflection_words(npt, words)
+                record[1:] = words_to_bits(_pack_words(rows.reshape(2, -1)))
             else:
                 rows = reflection_reach_words(npt, words, side)
-                record[slot] = words_to_bits(transpose_bits(rows, 1))[0]
+                record[slot] = words_to_bits(_pack_words(rows.reshape(1, -1)))[0]
         return RootSubset(self.table, record[slot])
 
     # -- type-A permutation dictionary ----------------------------------------

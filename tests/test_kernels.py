@@ -20,7 +20,10 @@ tile; the levels it runs are pinned against that count, over tiles that
 stop at 0, part way and at the top.  Both runs, on both sides, must be
 monotone in their labels.  The paired run, both sides in one level loop,
 must give each side's reflection rows bit for bit, and every kernel must
-answer a batch of no unions with no words.
+answer a batch of no unions with no words.  No kernel sets a bit past its
+batch's unions, e's row included, and a batch of one, which runs as a tile
+of bytes, must give every kernel's rows of its union's bit in a batch of
+64.
 """
 
 import functools
@@ -583,3 +586,51 @@ def test_a_batch_of_no_unions_has_no_words(name):
     assert paired.shape == (2, npt.n_roots, 0) and paired.dtype == np.uint64
     joins = weak_joins(system, none)
     assert joins.shape == (0,)
+
+
+def _kernel_runs(npt, words):
+    """Every kernel's result for one batch: reach_words and
+    reflection_reach_words on both sides, then the paired run."""
+    return [
+        *(reach_words(npt, words, side) for side in ("left", "right")),
+        *(reflection_reach_words(npt, words, side) for side in ("left", "right")),
+        _paired_reflection_words(npt, words),
+    ]
+
+
+@pytest.mark.parametrize("count", [1, 3, 64, 65, 200])
+@pytest.mark.parametrize("name", ["A3", "B3", "I2(65)", "F4"])
+def test_no_row_holds_a_bit_past_its_unions(name, count):
+    """Bit j of a row is union j's alone: e's row included, no kernel sets
+    a bit at or past the batch's count, whether the batch is one union's
+    bytes, one or two words, or groups of 4 words with a ragged last one."""
+    system = _system(name)
+    npt = system.numpy_tables()
+    unions = random.Random(count).choices(_unions(name), k=count)
+    for result in _kernel_runs(npt, _union_words(system, unions)):
+        assert result.shape[-1] == -(-count // 64) and result.dtype == np.uint64
+        bits = np.unpackbits(result.view(np.uint8), axis=-1, bitorder="little")
+        assert not bits[..., count:].any()
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(7)", "I2(65)", "F4", "D5", "H4"])
+def test_a_single_union_is_its_bit_of_a_batch(name):
+    """A batch of one runs as a tile of bytes; a batch of 64 as a tile of
+    one word.  The empty union (bit 0, run to the top), the full set
+    (stop 0 alone; nothing is decided in the batch, which holds the empty
+    union) and 62 seeded pair unions fill one word, and each union alone
+    must give, in every kernel, its own bit of the batch's result, in the
+    batch's shape."""
+    system = _system(name)
+    npt = system.numpy_tables()
+    rng = random.Random(29)
+    inv = system.inv_bits
+    pairs = [inv[rng.randrange(system.size)] | inv[rng.randrange(system.size)]
+             for _ in range(62)]
+    unions = [0, (1 << system.table.n_roots) - 1, *pairs]
+    words = _union_words(system, unions)
+    batch = _kernel_runs(npt, words)
+    for j in range(len(unions)):
+        for alone, together in zip(_kernel_runs(npt, words[j:j + 1]), batch):
+            assert alone.shape == together.shape and alone.flags.c_contiguous
+            assert np.array_equal(alone, together >> np.uint64(j) & np.uint64(1)), j

@@ -6,7 +6,8 @@ each route.  A remembered answer must be the one the kernels give a system
 that has never seen the union, the memo must stay within its bound, and
 it must belong to one system alone.  A union with neither route
 remembered, asked once the right program exists, is routed on both sides
-by one paired run, which counts as one answer of each side.
+by one paired run, which counts as one answer of each side.  A fresh
+union's routes, one side or paired, transpose no bit matrix.
 """
 
 import random
@@ -239,3 +240,31 @@ def test_memo_at_its_bound_stays_under_its_memory_bound():
         tracemalloc.stop()
     assert len(system._union_memo) == coxeter._UNION_MEMO
     assert held < MEMO_BOUND, held
+
+
+def test_a_fresh_single_union_is_routed_with_no_transpose(monkeypatch):
+    """A batch of one runs as a tile of bytes, whose rows are packed
+    straight into the memo's bits: neither a left-only route (before the
+    right program exists) nor a paired one transposes a bit matrix, and
+    neither does listing a root subset."""
+    system = build_system("F4")
+    u, v, w = system.element(40), system.element(700), system.element(1000)
+    first = left_reflection_set(u) | left_reflection_set(v)
+    second = left_reflection_set(u) | left_reflection_set(w)
+    fresh = _fresh_answers("F4", [first.bits, second.bits])
+    runs = Counter()
+    answers = _count_kernel_calls(monkeypatch, runs)
+
+    def counted(words, n_bits):
+        runs["transpose_bits"] += 1
+        return transpose_bits(words, n_bits)
+
+    monkeypatch.setattr(coxeter, "transpose_bits", counted)
+    assert system.reached_reflections(first, "left").bits == fresh[first.bits][1]
+    assert "right" not in system.numpy_tables()._programs
+    system.numpy_tables().program("right")
+    assert system.reached_reflections(second, "right").bits == fresh[second.bits][2]
+    assert system._union_memo[second.bits][1] == fresh[second.bits][1]
+    assert first.indices() == tuple(r for r in range(24) if first.bits >> r & 1)
+    assert runs == {"left": 1, "paired": 1}
+    assert answers == {"left": 2, "right": 1}
